@@ -4,7 +4,6 @@ from .benzenoid import (
     Benzenoid,
     TreeEmbedding,
     build_benzenoid,
-    hexagons,
     incomplete_hexagons,
     tree_embedding,
     verify_benzenoid_properties,
@@ -34,7 +33,7 @@ from .errors import (
     FormatError,
     InputError,
 )
-from .graph import Graph, build_graph, generate
+from .graph import Graph, generate
 from .hypergraphs import (
     Hypergraph,
     build_counterexample,
@@ -56,7 +55,6 @@ from .pairing import (
     matching_stable_set_check,
     maximum_pairing,
     me_polytope,
-    pairing_cost,
     pairing_property_bounded_search,
 )
 from .profiles import (

@@ -12,10 +12,17 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import InputError
+from .errors import BudgetError, InputError
 from .graph import Graph
-from .errors import BudgetError
-from .profiles import canonical_profiles, count_canonical_profiles, f_vector
+from .profiles import (
+    canonical_profiles,
+    connected_in_power,
+    count_canonical_profiles,
+    f_vector,
+    minimizers,
+    peak_failures,
+    peak_probes,
+)
 
 _CORNERS = ((0, 2), (1, 1), (1, -1), (0, -2), (-1, -1), (-1, 1))
 _CELL_NEIGHBORS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))
@@ -92,10 +99,6 @@ def build_benzenoid(cells) -> Benzenoid:
         tuple(index[_corner(q, r, k)] for k in range(6)) for q, r in cell_list
     )
     return Benzenoid(tuple(cell_list), graph, tuple(points), classes, hexes)
-
-
-def hexagons(b: Benzenoid) -> tuple[tuple[int, ...], ...]:
-    return b.hexagons
 
 
 def incomplete_hexagons(b: Benzenoid) -> list[tuple[int, int, int, int]]:
@@ -265,43 +268,25 @@ def verify_benzenoid_properties(
         raise BudgetError(f"profile budget {count} exceeds cap {cap}", count=count)
 
     hex_sets = [set(h) for h in b.hexagons]
-    two_pairs = [
-        (u, v)
-        for u in range(g.n)
-        for v in range(u + 1, g.n)
-        if g.dist[u][v] == 2
-    ]
+    probes = peak_probes(g, 2, 2)
     peakless_ok = True
     connected_ok = True
     checked = 0
     for profile in canonical_profiles(g.n, max_support, max_mult):
         checked += 1
         f = f_vector(g, profile)
-        for u, v in two_pairs:
-            hi = max(f[u], f[v])
-            fine = any(
-                f[w] < hi or f[u] == f[w] == f[v]
-                for w in g.interval_interior(u, v)
-            )
-            if not fine and not any({u, v} <= h for h in hex_sets):
+        for u, v in peak_failures(f, probes):
+            if not any({u, v} <= h for h in hex_sets):
                 peakless_ok = False
                 failures.append(
                     {"peakless_pair_outside_hexagon": [u, v, profile.format()]}
                 )
-        best = min(f)
-        med = sorted(v for v in range(g.n) if f[v] == best)
-        seen = {med[0]}
-        queue = deque([med[0]])
-        pool = set(med)
-        while queue:
-            x = queue.popleft()
-            for y in pool - seen:
-                if g.dist[x][y] <= 2:
-                    seen.add(y)
-                    queue.append(y)
-        if len(seen) != len(pool):
+        med = minimizers(f)
+        if not connected_in_power(g, med, 2):
             connected_ok = False
-            failures.append({"median_not_g2_connected": [profile.format(), med]})
+            failures.append(
+                {"median_not_g2_connected": [profile.format(), sorted(med)]}
+            )
 
     return BenzenoidReport(
         cells=len(b.cells),

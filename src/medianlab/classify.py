@@ -43,51 +43,44 @@ def check_conditions_tc_qc(g: Graph):
     to the first violating vertex tuple in lexicographic order.
     """
     d = g.dist
+    n = g.n
+
+    def closer_common_neighbor(u, v, w):
+        k = d[u][v]
+        return any(
+            d[v][x] == 1 and d[w][x] == 1 and d[u][x] == k - 1 for x in range(n)
+        )
+
+    tc_bad = next(
+        (
+            (u, v, w)
+            for u in range(n)
+            for v in range(n)
+            for w in range(v + 1, n)
+            if d[v][w] == 1 and d[u][v] == d[u][w] >= 2
+            and not closer_common_neighbor(u, v, w)
+        ),
+        None,
+    )
+    qc_bad = next(
+        (
+            (u, v, w, z)
+            for u in range(n)
+            for v in range(n)
+            for w in range(v + 1, n)
+            if d[v][w] == 2 and d[u][v] == d[u][w] >= 2
+            and not closer_common_neighbor(u, v, w)
+            for z in range(n)
+            if d[v][z] == 1 and d[w][z] == 1 and d[u][z] == d[u][v] + 1
+        ),
+        None,
+    )
     witnesses = {}
-    tc = True
-    for u in range(g.n):
-        if not tc:
-            break
-        for v in range(g.n):
-            if not tc:
-                break
-            for w in range(v + 1, g.n):
-                if d[v][w] != 1 or d[u][v] != d[u][w] or d[u][v] <= 1:
-                    continue
-                k = d[u][v]
-                if not any(
-                    d[v][x] == 1 and d[w][x] == 1 and d[u][x] == k - 1
-                    for x in range(g.n)
-                ):
-                    witnesses["tc"] = (u, v, w)
-                    tc = False
-                    break
-    qc = True
-    for u in range(g.n):
-        if not qc:
-            break
-        for v in range(g.n):
-            if not qc:
-                break
-            for w in range(v + 1, g.n):
-                if d[v][w] != 2 or d[u][v] != d[u][w]:
-                    continue
-                k = d[u][v]
-                if k < 2:
-                    continue
-                for z in range(g.n):
-                    if d[v][z] != 1 or d[w][z] != 1 or d[u][z] != k + 1:
-                        continue
-                    if not any(
-                        d[v][x] == 1 and d[w][x] == 1 and d[u][x] == k - 1
-                        for x in range(g.n)
-                    ):
-                        witnesses["qc"] = (u, v, w, z)
-                        qc = False
-                        break
-                if not qc:
-                    break
-    return tc, qc, witnesses
+    if tc_bad is not None:
+        witnesses["tc"] = tc_bad
+    if qc_bad is not None:
+        witnesses["qc"] = qc_bad
+    return tc_bad is None, qc_bad is None, witnesses
 
 
 def is_weakly_modular(g: Graph) -> bool:
@@ -234,44 +227,29 @@ def is_meshed(g: Graph, witness: list | None = None) -> bool:
 
 def classify(g: Graph) -> ClassReport:
     witnesses = {}
-    bip = g.is_bipartite
     tc, qc, tcqc_wit = check_conditions_tc_qc(g)
     if "tc" in tcqc_wit:
         witnesses["weakly_modular"] = tcqc_wit["tc"]
     elif "qc" in tcqc_wit:
         witnesses["weakly_modular"] = tcqc_wit["qc"]
 
-    buf: list = []
-    modular = is_modular(g, buf)
-    if not modular:
-        witnesses["modular"] = buf[-1]
+    def record(key, test):
+        """Run a recognizer, keeping its last witness when it fails."""
+        buf: list = []
+        holds = test(g, buf)
+        if not holds:
+            why = buf[-1]  # a tuple, or the string "not bipartite"
+            witnesses[key] = (why,) if isinstance(why, str) else why
+        return holds
 
-    buf = []
-    median = is_median_graph(g, buf)
-    if not median:
-        witnesses["median"] = buf[-1]
-
-    buf = []
-    helly = is_helly(g, buf)
-    if not helly:
-        witnesses["helly"] = buf[-1]
-
-    buf = []
-    if bip:
-        biphelly = is_bipartite_helly(g, buf)
-    else:
-        biphelly = False
-        buf.append("not bipartite")
-    if not biphelly:
-        witnesses["bipartite_helly"] = (buf[-1],) if isinstance(buf[-1], str) else buf[-1]
-
-    buf = []
-    meshed = is_meshed(g, buf)
-    if not meshed:
-        witnesses["meshed"] = buf[-1]
+    modular = record("modular", is_modular)
+    median = record("median", is_median_graph)
+    helly = record("helly", is_helly)
+    biphelly = record("bipartite_helly", is_bipartite_helly)
+    meshed = record("meshed", is_meshed)
 
     return ClassReport(
-        bipartite=bip,
+        bipartite=g.is_bipartite,
         weakly_modular=tc and qc,
         modular=modular,
         median=median,

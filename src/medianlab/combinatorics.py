@@ -5,6 +5,15 @@ from __future__ import annotations
 from .errors import BudgetError
 
 
+def adjacency_sets(n, edges):
+    """Neighbor sets of the simple graph on 0..n-1 with the given edge list."""
+    adj = [set() for _ in range(n)]
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    return adj
+
+
 def stable_sets(n, adj, exclude=(), cap=1 << 20):
     """Yield every nonempty stable set, lexicographically by element list.
 

@@ -8,6 +8,7 @@ from itertools import combinations, combinations_with_replacement
 from math import comb
 
 from .errors import BudgetError, FormatError, InputError
+from .formats import _payload_lines
 from .graph import Graph, cycle
 from .profiles import Profile, median_set
 
@@ -196,11 +197,7 @@ def table_to_text(f: TabulatedConsensus) -> str:
 
 
 def table_from_text(g: Graph, text: str) -> TabulatedConsensus:
-    lines = [
-        ln.strip()
-        for ln in text.splitlines()
-        if ln.strip() and not ln.lstrip().startswith("#")
-    ]
+    lines = _payload_lines(text)
     if not lines:
         raise FormatError("empty consensus table")
     try:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from .benzenoid import Benzenoid, build_benzenoid
 from .errors import FormatError
-from .graph import Graph, build_graph
+from .graph import Graph
 from .hypergraphs import Hypergraph
 
 
@@ -43,7 +43,7 @@ def graph_from_text(text: str) -> Graph:
         except ValueError:
             raise FormatError(f"bad edge line {ln!r}") from None
         edges.append((u, v))
-    return build_graph(n, edges)
+    return Graph(n, edges)
 
 
 def hypergraph_to_text(h: Hypergraph) -> str:

@@ -205,11 +205,6 @@ class Graph:
         raise RuntimeError("no quasi-median found; distance table corrupt")
 
 
-def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Validate and build a graph, rejecting malformed or disconnected input."""
-    return Graph(n, edges)
-
-
 # -- generators ---------------------------------------------------------------
 #
 # Vertex numbering is fixed so that identical parameters always produce an

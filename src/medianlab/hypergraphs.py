@@ -4,9 +4,9 @@ incidence graphs, and the two counterexample builds they support."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
-from .combinatorics import maximal_cliques
+from .classify import hypergraph_helly_by_triples
+from .combinatorics import adjacency_sets, maximal_cliques, maximal_stable_sets
 from .errors import InputError
 from .graph import Graph
 from .pairing import fractional_perfect_b_matching, perfect_b_matching
@@ -52,19 +52,9 @@ class HellyResult:
 def is_helly_hypergraph(h: Hypergraph) -> HellyResult:
     """Berge triple criterion; a failure yields the pairwise intersecting
     subfamily with empty intersection that the failing triple induces."""
-    for a, b, c in combinations(range(h.ground_size), 3):
-        probe = {a, b, c}
-        picked = [i for i, e in enumerate(h.edges) if len(e & probe) >= 2]
-        if not picked:
-            continue
-        meet = set(h.edges[picked[0]])
-        for i in picked[1:]:
-            meet &= h.edges[i]
-            if not meet:
-                break
-        if not meet:
-            return HellyResult(False, tuple(picked))
-    return HellyResult(True)
+    return HellyResult(
+        *hypergraph_helly_by_triples(range(h.ground_size), list(h.edges))
+    )
 
 
 def dual_hypergraph(h: Hypergraph) -> Hypergraph:
@@ -82,11 +72,7 @@ def dual_hypergraph(h: Hypergraph) -> Hypergraph:
 def clique_hypergraph(n: int, edges) -> Hypergraph:
     """Hyperedges are the maximal cliques of the (not necessarily connected)
     graph given as an explicit edge list."""
-    adj = [set() for _ in range(n)]
-    for a, b in edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    return Hypergraph(n, tuple(maximal_cliques(n, adj)))
+    return Hypergraph(n, tuple(maximal_cliques(n, adjacency_sets(n, edges))))
 
 
 @dataclass
@@ -157,19 +143,6 @@ def _complement(n: int, edges) -> list[tuple[int, int]]:
     ]
 
 
-def _max_stable_size(n: int, edges) -> int:
-    adj = [set() for _ in range(n)]
-    for a, b in edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    best = 0
-    for r in range(n, 0, -1):
-        for sub in combinations(range(n), r):
-            if all(b not in adj[a] for a, b in combinations(sub, 2)):
-                return r
-    return best
-
-
 _SEEDS = {
     # two disjoint triangles: no perfect matching, fractional one exists
     "pairing": (6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),
@@ -201,7 +174,7 @@ def build_counterexample(kind: str) -> Counterexample:
         degree[b] += 1
     if min(degree) < 1:
         raise RuntimeError("seed graph has an isolated vertex")
-    if _max_stable_size(c_n, c_edges) > m:
+    if max(map(len, maximal_stable_sets(c_n, adjacency_sets(c_n, c_edges)))) > m:
         raise RuntimeError("seed graph has a stable set above half its order")
     ones = {v: 1 for v in range(c_n)}
     if kind == "pairing":

@@ -15,9 +15,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
-from .combinatorics import maximal_stable_sets, stable_sets
+from .combinatorics import adjacency_sets, maximal_stable_sets, stable_sets
 from .errors import InputError
 from .graph import Graph
 from .profiles import Profile, canonical_profiles, f_vector, median_set
@@ -45,10 +46,6 @@ class Pairing:
         return sum(g.dist[a][b] for a, b in self.pairs)
 
 
-def pairing_cost(g: Graph, pairing: Pairing) -> int:
-    return pairing.cost(g)
-
-
 @dataclass(frozen=True)
 class AuxiliaryGraph:
     """Graph A_u on the vertices of G: v ~ w iff u lies between them."""
@@ -58,18 +55,29 @@ class AuxiliaryGraph:
     edges: tuple[tuple[int, int], ...]  # sorted pairs (v,w) v<w, no loop entry
 
     def adjacency(self) -> list[set[int]]:
-        adj = [set() for _ in range(self.n)]
-        for v, w in self.edges:
-            adj[v].add(w)
-            adj[w].add(v)
-        return adj
+        return adjacency_sets(self.n, self.edges)
+
+    @cached_property
+    def _adj(self) -> list[set[int]]:
+        return self.adjacency()
 
     def neighborhood(self, members) -> frozenset[int]:
-        adj = self.adjacency()
-        out: set[int] = set()
-        for v in members:
-            out |= adj[v]
-        return frozenset(out)
+        return neighborhood(self._adj, members)
+
+
+def neighborhood(adj, members) -> frozenset[int]:
+    """N(S): every vertex adjacent to some member of S."""
+    return frozenset().union(*(adj[v] for v in members))
+
+
+def _hall_row(n: int, adj, members) -> list[Fraction]:
+    """Coefficients of b(S) - b(N(S)) over the n vertex weights."""
+    row = [Fraction(0)] * n
+    for v in members:
+        row[v] += 1
+    for v in neighborhood(adj, members):
+        row[v] -= 1
+    return row
 
 
 def auxiliary_graph(g: Graph, u: int) -> AuxiliaryGraph:
@@ -192,7 +200,7 @@ def has_fractional_perfect_b_matching(
     adj = aux.adjacency()
     for s in stable_sets(aux.n, adj, exclude=(aux.base,), cap=cap):
         inside = sum(demand.get(v, 0) for v in s)
-        around = sum(demand.get(v, 0) for v in aux.neighborhood(s))
+        around = sum(demand.get(v, 0) for v in neighborhood(adj, s))
         if inside > around:
             return FractionalMatchingResult(False, disabling_set=s)
     raise RuntimeError("infeasible b-matching without disabling stable set")
@@ -329,13 +337,7 @@ def ma_violation_search(g: Graph, u: int, cap: int = 1 << 20):
     for s in stable_sets(aux.n, adj, exclude=(aux.base,), cap=cap):
         system = me_polytope(g, u)
         system.add([Fraction(1)] * g.n, EQ, 1)
-        hood = aux.neighborhood(s)
-        objective = [Fraction(0)] * g.n
-        for v in hood:
-            objective[v] += 1
-        for v in s:
-            objective[v] -= 1
-        system.minimize(objective)
+        system.minimize([-c for c in _hall_row(g.n, adj, s)])
         result = system.solve()
         if result.status != "optimal":
             raise RuntimeError(f"Me(u) slice LP ended {result.status}")
@@ -435,8 +437,7 @@ def _profile_violates_msp(g: Graph, profile: Profile) -> bool:
         if profile.multiplicity(z) > profile.weight(adj[z]):
             return False
     for s in maximal_stable_sets(g.n, adj):
-        hood = set().union(*(adj[v] for v in s)) if s else set()
-        if profile.weight(s) > profile.weight(hood):
+        if profile.weight(s) > profile.weight(neighborhood(adj, s)):
             return False
     return perfect_b_matching(g.n, g.edges(), dict(profile.counts)) is None
 
@@ -458,27 +459,15 @@ def matching_stable_set_check(
     """
     adj = [set(g.neighbors(v)) for v in range(g.n)]
     if variant == "double":
-        max_stables = maximal_stable_sets(g.n, adj)
+        # every vertex and every maximal stable set stays within its
+        # neighborhood weight; these rows are the same for every S
+        within = [_hall_row(g.n, adj, (z,)) for z in range(g.n)] + [
+            _hall_row(g.n, adj, t) for t in maximal_stable_sets(g.n, adj)
+        ]
         for s in stable_sets(g.n, adj, cap=cap):
             system = RationalLinearSystem(g.n)
-            row = [Fraction(0)] * g.n
-            for v in s:
-                row[v] += 1
-            for v in set().union(*(adj[v] for v in s)):
-                row[v] -= 1
-            system.add(row, GE, 1)
-            for z in range(g.n):
-                row = [Fraction(0)] * g.n
-                row[z] += 1
-                for v in adj[z]:
-                    row[v] -= 1
-                system.add(row, LE, 0)
-            for t in max_stables:
-                row = [Fraction(0)] * g.n
-                for v in t:
-                    row[v] += 1
-                for v in set().union(*(adj[v] for v in t)):
-                    row[v] -= 1
+            system.add(_hall_row(g.n, adj, s), GE, 1)
+            for row in within:
                 system.add(row, LE, 0)
             result = system.solve()
             if result.feasible:

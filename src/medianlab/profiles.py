@@ -20,6 +20,8 @@ class Profile:
     def __post_init__(self):
         prev = -1
         for v, k in self.counts:
+            if v < 0:
+                raise InputError(f"profile vertex {v} is negative")
             if v <= prev:
                 raise InputError("profile counts must be sorted by vertex")
             if k < 1:
@@ -98,7 +100,18 @@ class Profile:
         return sum(k for v, k in self.counts if v in vs)
 
 
+def _check_in_graph(g: Graph, profile: Profile) -> None:
+    """Profile vertices must lie in 0..n-1; counts are sorted by vertex, so
+    checking the last one suffices."""
+    if profile.counts and profile.counts[-1][0] >= g.n:
+        raise InputError(
+            f"profile vertex {profile.counts[-1][0]} outside the graph's "
+            f"vertices 0..{g.n - 1}"
+        )
+
+
 def total_distance(g: Graph, profile: Profile, v: int) -> int:
+    _check_in_graph(g, profile)
     dv = g.dist[v]
     return sum(k * dv[x] for x, k in profile.counts)
 
@@ -107,26 +120,30 @@ def f_vector(g: Graph, profile: Profile) -> list[int]:
     return [total_distance(g, profile, v) for v in range(g.n)]
 
 
+def minimizers(f: list[int]) -> frozenset[int]:
+    """Indices where f attains its minimum: the median set of an f-vector."""
+    best = min(f)
+    return frozenset(v for v, fv in enumerate(f) if fv == best)
+
+
 def median_set(g: Graph, profile: Profile) -> frozenset[int]:
     """Vertices minimizing the total distance; all of V for the empty profile."""
     if not profile.counts:
         return frozenset(range(g.n))
-    f = f_vector(g, profile)
-    best = min(f)
-    return frozenset(v for v in range(g.n) if f[v] == best)
+    return minimizers(f_vector(g, profile))
+
+
+def _unbeaten_within(g: Graph, f: list[int], v: int, p: int) -> bool:
+    """No vertex within hop distance p has a smaller f-value than v."""
+    dv = g.dist[v]
+    return all(f[v] <= f[w] for w in range(g.n) if 0 < dv[w] <= p)
 
 
 def is_local_median(g: Graph, profile: Profile, v: int, p: int) -> bool:
     """No vertex within hop distance p beats v."""
     if p < 1:
         raise InputError(f"power must be >= 1, got {p}")
-    fv = total_distance(g, profile, v)
-    dv = g.dist[v]
-    return all(
-        fv <= total_distance(g, profile, w)
-        for w in range(g.n)
-        if 0 < dv[w] <= p
-    )
+    return _unbeaten_within(g, f_vector(g, profile), v, p)
 
 
 # -- profile enumeration -------------------------------------------------------
@@ -169,7 +186,8 @@ def canonical_profiles(n: int, max_support: int, max_mult: int,
 # -- bounded verification of connected / unimodal medians ----------------------
 
 
-def _connected_in_power(g: Graph, members: frozenset[int], p: int) -> bool:
+def connected_in_power(g: Graph, members: frozenset[int], p: int) -> bool:
+    """The members induce a connected subgraph of the p-th power of g."""
     if not members:
         return False
     members = sorted(members)
@@ -186,31 +204,24 @@ def _connected_in_power(g: Graph, members: frozenset[int], p: int) -> bool:
     return len(seen) == len(pool)
 
 
-def _unimodal_in_power(g: Graph, f: list[int], p: int) -> bool:
-    best = min(f)
-    for v in range(g.n):
-        if f[v] == best:
-            continue
-        if all(f[v] <= f[w] for w in range(g.n) if 0 < g.dist[v][w] <= p):
-            return False
-    return True
+def peak_probes(g: Graph, lo: int, hi: int) -> list:
+    """(u, v, interior of I(u, v)) for every pair u < v with lo <= d(u, v) <= hi,
+    in lexicographic order; built once and reused for every f-vector."""
+    return [
+        (u, v, g.interval_interior(u, v))
+        for u in range(g.n)
+        for v in range(u + 1, g.n)
+        if lo <= g.dist[u][v] <= hi
+    ]
 
 
-def _weakly_peakless(g: Graph, f: list[int], p: int) -> bool:
-    # local criterion: every pair at distance p+1..2p admits an interior
-    # vertex below the max, with equality only on plateaus
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if not p + 1 <= g.dist[u][v] <= 2 * p:
-                continue
-            hi = max(f[u], f[v])
-            ok = any(
-                f[w] < hi or f[u] == f[w] == f[v]
-                for w in g.interval_interior(u, v)
-            )
-            if not ok:
-                return False
-    return True
+def peak_failures(f: list[int], probes):
+    """Yield the probed pairs (u, v) where f is not locally peakless: no
+    interior vertex lies below max(f(u), f(v)) or on an f(u) = f(v) plateau."""
+    for u, v, interior in probes:
+        hi = max(f[u], f[v])
+        if not any(f[w] < hi or f[u] == f[w] == f[v] for w in interior):
+            yield u, v
 
 
 @dataclass
@@ -267,13 +278,14 @@ def check_unimodal_equals_connected(
             f"profile budget {count} exceeds cap {cap}", count=count
         )
     report = MedianVerificationReport(p, max_support, max_mult, 0)
+    probes = peak_probes(g, p + 1, 2 * p)
     for profile in canonical_profiles(g.n, max_support, max_mult):
         f = f_vector(g, profile)
-        uni = _unimodal_in_power(g, f, p)
-        best = min(f)
-        med = frozenset(v for v in range(g.n) if f[v] == best)
-        conn = _connected_in_power(g, med, p)
-        peak = _weakly_peakless(g, f, p)
+        med = minimizers(f)
+        # unimodal: every local minimum in the p-th power is a global one
+        uni = all(v in med or not _unbeaten_within(g, f, v, p) for v in range(g.n))
+        conn = connected_in_power(g, med, p)
+        peak = next(peak_failures(f, probes), None) is None
         report.profiles_checked += 1
         if not (uni and conn and peak):
             report.failures.append(

@@ -32,27 +32,21 @@ class RationalLinearSystem:
     constraints: list[Constraint] = field(default_factory=list)
     objective: tuple[Fraction, ...] | None = None
 
+    def _dense(self, coeffs) -> tuple[Fraction, ...]:
+        """A full coefficient tuple from a sequence or a sparse {index: c} dict."""
+        dense = [Fraction(0)] * self.num_vars
+        items = coeffs.items() if isinstance(coeffs, dict) else enumerate(coeffs)
+        for j, c in items:
+            dense[j] = Fraction(c)
+        return tuple(dense)
+
     def add(self, coeffs, sense: str, rhs) -> None:
         if sense not in (LE, GE, EQ):
             raise InputError(f"unknown constraint sense {sense!r}")
-        dense = [Fraction(0)] * self.num_vars
-        if isinstance(coeffs, dict):
-            for j, c in coeffs.items():
-                dense[j] = Fraction(c)
-        else:
-            for j, c in enumerate(coeffs):
-                dense[j] = Fraction(c)
-        self.constraints.append(Constraint(tuple(dense), sense, Fraction(rhs)))
+        self.constraints.append(Constraint(self._dense(coeffs), sense, Fraction(rhs)))
 
     def minimize(self, coeffs) -> None:
-        dense = [Fraction(0)] * self.num_vars
-        if isinstance(coeffs, dict):
-            for j, c in coeffs.items():
-                dense[j] = Fraction(c)
-        else:
-            for j, c in enumerate(coeffs):
-                dense[j] = Fraction(c)
-        self.objective = tuple(dense)
+        self.objective = self._dense(coeffs)
 
     def solve(self) -> "LPResult":
         return solve_lp(self.num_vars, self.constraints, self.objective)

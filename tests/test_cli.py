@@ -126,6 +126,10 @@ def test_usage_errors_exit_two(capsys):
         capsys, ["pairing", "check", "cycle:6", "--profile", "0 1 2"]
     )
     assert code == 2  # odd profile rejected
+    for profile, reason in (("9", "outside"), ("-1", "negative")):
+        code, out, _ = capture(capsys, ["median", "cycle:6", "--profile", profile])
+        assert code == 2
+        assert reason in json.loads(out)["error"]
 
 
 def test_cap_errors_exit_two(capsys):
@@ -266,3 +270,5 @@ def test_shipped_acceptance_manifest(capsys, monkeypatch):
     report = json.loads(out)
     assert report["verdicts"]["entries"] == 16
     assert all(entry["exit"] == 0 for entry in report["runs"])
+    # byte-for-byte golden: refactors must leave every report unchanged
+    assert out == (root / "tests" / "data" / "acceptance_corpus.json").read_text()

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from medianlab.errors import DisconnectedGraphError, InputError
 from medianlab.graph import (
+    Graph,
     bhat,
     bn,
-    build_graph,
     complete,
     cycle,
     generate,
@@ -22,7 +22,7 @@ from conftest import to_networkx
 
 
 def test_single_edge():
-    g = build_graph(2, [(0, 1)])
+    g = Graph(2, [(0, 1)])
     assert g.d(0, 1) == 1
 
 
@@ -39,16 +39,16 @@ def test_hypercube_matches_hamming_distance():
 
 def test_rejections():
     with pytest.raises(DisconnectedGraphError) as err:
-        build_graph(4, [(0, 1), (2, 3)])
+        Graph(4, [(0, 1), (2, 3)])
     assert {err.value.rep_a, err.value.rep_b} <= {0, 1, 2, 3}
     with pytest.raises(InputError):
-        build_graph(2, [(0, 2)])
+        Graph(2, [(0, 2)])
     with pytest.raises(InputError):
-        build_graph(2, [(0, 0)])
+        Graph(2, [(0, 0)])
     with pytest.raises(InputError):
-        build_graph(2, [(0, 1), (1, 0)])
+        Graph(2, [(0, 1), (1, 0)])
     with pytest.raises(InputError):
-        build_graph(0, [])
+        Graph(0, [])
 
 
 def test_bn3_is_the_six_cycle():

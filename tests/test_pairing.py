@@ -18,7 +18,6 @@ from medianlab.pairing import (
     matching_stable_set_check,
     maximum_pairing,
     me_polytope,
-    pairing_cost,
     pairing_property_bounded_search,
     perfect_b_matching,
     scale_to_even_profile,
@@ -31,7 +30,7 @@ from conftest import all_pairings, brute_force_max_pairing
 def test_pairing_cost_and_covers():
     c6 = cycle(6)
     p = Pairing.from_pairs([(0, 3), (2, 5)])
-    assert pairing_cost(c6, p) == 6
+    assert p.cost(c6) == 6
     assert p.covers() == Profile.parse("0 2 3 5")
 
 
