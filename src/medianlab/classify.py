@@ -83,11 +83,6 @@ def check_conditions_tc_qc(g: Graph):
     return tc_bad is None, qc_bad is None, witnesses
 
 
-def is_weakly_modular(g: Graph) -> bool:
-    tc, qc, _ = check_conditions_tc_qc(g)
-    return tc and qc
-
-
 def _triple_interval(g: Graph, x, y, z):
     return g.interval(x, y) & g.interval(y, z) & g.interval(z, x)
 

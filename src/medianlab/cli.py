@@ -4,12 +4,16 @@ Every verb prints one JSON report on stdout (schema 1, byte-stable for
 identical inputs) and a short human summary with timing on stderr.  Exit
 codes: 0 when the checked property holds or the command is informational,
 1 when a property fails and a witness is attached, 2 for usage, format or
-budget errors.
+budget errors, argparse usage errors included; only `--help` prints plain
+text.  One memoised parser binds each leaf verb to its handler, and `main`
+and `corpus` map the same `USAGE_ERRORS` to exit 2 with a JSON error body.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import sys
 import time
@@ -24,6 +28,9 @@ from . import profiles as pf
 from .classify import classify as classify_graph
 from .errors import BudgetError, FormatError, InputError
 from .graph import Graph, generate, generator_names
+
+# Exceptions that mean "usage, format or budget error": exit 2 with a JSON body.
+USAGE_ERRORS = (InputError, FormatError, BudgetError, OSError, json.JSONDecodeError)
 
 
 def load_graph(target: str) -> Graph:
@@ -103,20 +110,14 @@ def cmd_pairing_check(args):
 def cmd_pairing_search(args):
     g = load_graph(args.target)
     witness = pr.pairing_property_bounded_search(g, args.support, args.mult)
-    budget = {"support": args.support, "mult": args.mult}
-    if witness is None:
-        body = {
-            "graph": g.fingerprint(),
-            "verdicts": {"unpairable_profile_found": False},
-            "budget": budget,
-        }
-        return body, 0
     body = {
         "graph": g.fingerprint(),
-        "verdicts": {"unpairable_profile_found": True},
-        "witnesses": {"profile": witness.format()},
-        "budget": budget,
+        "verdicts": {"unpairable_profile_found": witness is not None},
+        "budget": {"support": args.support, "mult": args.mult},
     }
+    if witness is None:
+        return body, 0
+    body["witnesses"] = {"profile": witness.format()}
     return body, 1
 
 
@@ -146,36 +147,20 @@ def cmd_pairing_local(args):
 
 
 def cmd_construct(args):
+    verdicts = {}
     if args.what in ("bn", "bhat"):
         g = generate(f"{args.what}:{args.n}")
-        text = formats.graph_to_text(g)
-        _maybe_write(args, text)
-        return {"graph": g.fingerprint(), "verdicts": {"graph_text": text}}, 0
-    if args.what == "incidence":
+    elif args.what == "incidence":
         h = formats.hypergraph_from_text(Path(args.hypergraph).read_text())
         inc = hg.incidence_graph(h)
-        text = formats.graph_to_text(inc.graph)
-        _maybe_write(args, text)
-        body = {
-            "graph": inc.graph.fingerprint(),
-            "verdicts": {
-                "graph_text": text,
-                "hub": inc.hub,
-                "labels": inc.labels(),
-            },
-        }
-        return body, 0
-    if args.what == "counterexample":
+        g, verdicts = inc.graph, {"hub": inc.hub, "labels": inc.labels()}
+    else:  # counterexample
         kind = "double_pairing" if args.kind == "double" else "pairing"
         cx = hg.build_counterexample(kind)
-        text = formats.graph_to_text(cx.graph)
-        _maybe_write(args, text)
-        body = {
-            "graph": cx.graph.fingerprint(),
-            "verdicts": {**cx.as_dict(), "graph_text": text},
-        }
-        return body, 0
-    raise InputError(f"unknown construct target {args.what!r}")
+        g, verdicts = cx.graph, cx.as_dict()
+    text = formats.graph_to_text(g)
+    _maybe_write(args, text)
+    return {"graph": g.fingerprint(), "verdicts": {**verdicts, "graph_text": text}}, 0
 
 
 def _load_consensus(g: Graph, name: str, max_len: int) -> cs.TabulatedConsensus:
@@ -289,66 +274,70 @@ def cmd_benzenoid_verify(args):
     return body, 0 if report.ok else 1
 
 
+def _corpus_argv(entry) -> list:
+    argv = entry.get("argv") if isinstance(entry, dict) else entry
+    if not isinstance(argv, list):
+        raise FormatError(
+            f"corpus entry {entry!r} is neither a list nor a dict with an 'argv' list"
+        )
+    return argv
+
+
 def cmd_corpus(args):
     manifest = json.loads(Path(args.manifest).read_text())
-    entries = manifest.get("entries", [])
+    entries = manifest.get("entries", []) if isinstance(manifest, dict) else None
+    if not isinstance(entries, list):
+        raise FormatError("corpus manifest needs an 'entries' list")
     results = []
     worst = 0
     for entry in entries:
         argv = None
         try:
-            argv = entry["argv"] if isinstance(entry, dict) else list(entry)
-            body, code = run([str(a) for a in argv])
-        except (InputError, FormatError, BudgetError, OSError,
-                KeyError, TypeError, json.JSONDecodeError) as exc:
+            argv = _corpus_argv(entry)
+            # a --help entry prints its text to stderr, keeping stdout one report
+            with contextlib.redirect_stdout(sys.stderr):
+                body, code = run([str(a) for a in argv])
+        except USAGE_ERRORS as exc:
             body, code = {"error": str(exc)}, 2
-        except SystemExit:
+        except SystemExit:  # --help
             body, code = {"error": f"unusable command line {argv!r}"}, 2
         results.append({"argv": argv, "exit": code, "report": body})
-        if code == 2:
-            worst = 2
-        elif code == 1 and worst != 2:
-            worst = 1
+        worst = max(worst, code)
     body = {"verdicts": {"entries": len(results), "exit": worst}, "runs": results}
     return body, worst
 
 
-HANDLERS = {
-    "classify": cmd_classify,
-    "median": cmd_median,
-    "verify-connected-medians": cmd_verify_connected_medians,
-    "pairing.check": cmd_pairing_check,
-    "pairing.search": cmd_pairing_search,
-    "pairing.double": cmd_pairing_double,
-    "pairing.local": cmd_pairing_local,
-    "construct": cmd_construct,
-    "consensus.tabulate-med": cmd_consensus_tabulate_med,
-    "consensus.check": cmd_consensus_check,
-    "consensus.l6": cmd_consensus_l6,
-    "consensus.verify-l6": cmd_consensus_verify_l6,
-    "consensus.compare": cmd_consensus_compare,
-    "benzenoid.build": cmd_benzenoid_build,
-    "benzenoid.embed": cmd_benzenoid_embed,
-    "benzenoid.verify": cmd_benzenoid_verify,
-    "corpus": cmd_corpus,
-}
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors instead of exiting, so they share the JSON error
+    path; subparsers inherit this class."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
 
 
+def _leaf(sub, name, handler, **kwargs) -> argparse.ArgumentParser:
+    q = sub.add_parser(name, **kwargs)
+    q.set_defaults(handler=handler)
+    return q
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The process-wide parser, built on first use; parsing never changes it."""
+    parser = _Parser(
         prog="medianlab",
         description="median sets, pairings and consensus checks on finite graphs",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    p = sub.add_parser("classify", help="recognize graph classes")
+    p = _leaf(sub, "classify", cmd_classify, help="recognize graph classes")
     p.add_argument("target")
 
-    p = sub.add_parser("median", help="median set of a profile")
+    p = _leaf(sub, "median", cmd_median, help="median set of a profile")
     p.add_argument("target")
     p.add_argument("--profile", required=True)
 
-    p = sub.add_parser("verify-connected-medians")
+    p = _leaf(sub, "verify-connected-medians", cmd_verify_connected_medians)
     p.add_argument("target")
     p.add_argument("--power", type=int, default=1)
     p.add_argument("--support", type=int, required=True)
@@ -357,17 +346,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pairing")
     psub = p.add_subparsers(dest="sub", required=True)
-    q = psub.add_parser("check")
+    q = _leaf(psub, "check", cmd_pairing_check)
     q.add_argument("target")
     q.add_argument("--profile", required=True)
-    q = psub.add_parser("search")
+    q = _leaf(psub, "search", cmd_pairing_search)
     q.add_argument("target")
     q.add_argument("--support", type=int, required=True)
     q.add_argument("--mult", type=int, required=True)
-    q = psub.add_parser("double")
+    q = _leaf(psub, "double", cmd_pairing_double)
     q.add_argument("target")
     q.add_argument("--cap", type=int, default=1 << 20)
-    q = psub.add_parser("local")
+    q = _leaf(psub, "local", cmd_pairing_local)
     q.add_argument("target")
     q.add_argument("--vertex", type=int, required=True)
     q.add_argument("--variant", choices=("double", "single"), default="double")
@@ -378,33 +367,33 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct")
     csub = p.add_subparsers(dest="what", required=True)
     for name in ("bn", "bhat"):
-        q = csub.add_parser(name)
+        q = _leaf(csub, name, cmd_construct)
         q.add_argument("--n", type=int, required=True)
         q.add_argument("--out")
-    q = csub.add_parser("incidence")
+    q = _leaf(csub, "incidence", cmd_construct)
     q.add_argument("hypergraph")
     q.add_argument("--out")
-    q = csub.add_parser("counterexample")
+    q = _leaf(csub, "counterexample", cmd_construct)
     q.add_argument("--kind", choices=("pairing", "double"), required=True)
     q.add_argument("--out")
 
     p = sub.add_parser("consensus")
     csub = p.add_subparsers(dest="sub", required=True)
-    q = csub.add_parser("tabulate-med")
+    q = _leaf(csub, "tabulate-med", cmd_consensus_tabulate_med)
     q.add_argument("target")
     q.add_argument("--max-len", type=int, required=True)
     q.add_argument("--out")
-    q = csub.add_parser("check")
+    q = _leaf(csub, "check", cmd_consensus_check)
     q.add_argument("target")
     q.add_argument("--axiom", required=True, choices=cs.AXIOMS)
     q.add_argument("--max-len", type=int, required=True)
     q.add_argument("--function", default="med", help="med, l6, or a table file")
     q.add_argument("--k", type=int, default=None, help="size parameter for Ek")
-    q = csub.add_parser("l6")
+    q = _leaf(csub, "l6", cmd_consensus_l6)
     q.add_argument("--profile", required=True)
-    q = csub.add_parser("verify-l6")
+    q = _leaf(csub, "verify-l6", cmd_consensus_verify_l6)
     q.add_argument("--max-len", type=int, default=6)
-    q = csub.add_parser("compare")
+    q = _leaf(csub, "compare", cmd_consensus_compare)
     q.add_argument("target")
     q.add_argument("--max-len", type=int, required=True)
     q.add_argument("--left", required=True)
@@ -412,16 +401,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("benzenoid")
     bsub = p.add_subparsers(dest="sub", required=True)
-    for name in ("build", "embed"):
-        q = bsub.add_parser(name)
+    for name, handler in (("build", cmd_benzenoid_build),
+                          ("embed", cmd_benzenoid_embed)):
+        q = _leaf(bsub, name, handler)
         q.add_argument("cells")
-    q = bsub.add_parser("verify")
+    q = _leaf(bsub, "verify", cmd_benzenoid_verify)
     q.add_argument("cells")
     q.add_argument("--support", type=int, required=True)
     q.add_argument("--mult", type=int, required=True)
     q.add_argument("--cap", type=int, default=500_000)
 
-    p = sub.add_parser("corpus")
+    p = _leaf(sub, "corpus", cmd_corpus)
     p.add_argument("manifest")
 
     return parser
@@ -430,12 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv):
     """Dispatch one command line; returns (report body, exit code)."""
     args = build_parser().parse_args(argv)
-    key = args.verb if not getattr(args, "sub", None) else f"{args.verb}.{args.sub}"
-    if args.verb == "construct":
-        key = "construct"
-    handler = HANDLERS[key]
-    body, code = handler(args)
-    return body, code
+    return args.handler(args)
 
 
 def main(argv=None) -> int:
@@ -443,7 +428,7 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         body, code = run(argv)
-    except (InputError, FormatError, BudgetError, OSError, json.JSONDecodeError) as exc:
+    except USAGE_ERRORS as exc:
         print(json.dumps({"schema": 1, "command": argv, "error": str(exc)}))
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -29,16 +29,21 @@ class TabulatedConsensus:
     table: dict[tuple[int, ...], frozenset[int]]
 
     def __post_init__(self):
+        if self.max_len < 1:
+            raise InputError(f"profile length budget {self.max_len} must be >= 1")
         expected = table_size(self.graph.n, self.max_len)
         if len(self.table) != expected:
             raise InputError(
                 f"table has {len(self.table)} entries, expected {expected}"
             )
+        n = self.graph.n
         for key, value in self.table.items():
             if tuple(sorted(key)) != key or not 1 <= len(key) <= self.max_len:
                 raise InputError(f"bad profile key {key}")
             if not value:
                 raise InputError(f"empty value at {key}")
+            if key[0] < 0 or key[-1] >= n or min(value) < 0 or max(value) >= n:
+                raise InputError(f"vertex outside 0..{n - 1} at {key}")
 
     def value(self, vertices) -> frozenset[int]:
         return self.table[tuple(sorted(vertices))]
@@ -127,6 +132,8 @@ def check_axiom(f: TabulatedConsensus, axiom: str, k: int | None = None) -> Axio
                     return AxiomResult("B", False, ((u, v), f.value((u, v))))
         return AxiomResult("B", True)
     if axiom == "C":
+        if f.max_len < 2:
+            raise BudgetError("axiom C needs profiles of length 2")
         keys = list(profile_keys(g.n, f.max_len - 1))
         for left in keys:
             for right in keys:
@@ -248,9 +255,6 @@ class C6Profile:
         if any(v > 5 for v in profile.support):
             raise InputError("profile does not live on the 6-cycle")
         return cls(tuple(profile.multiplicity(v) for v in range(6)))
-
-    def to_profile(self) -> Profile:
-        return Profile.from_counts({v: k for v, k in enumerate(self.counts) if k})
 
     @property
     def total(self) -> int:

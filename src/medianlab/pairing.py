@@ -115,6 +115,8 @@ def perfect_b_matching(n, edges, demand):
     need = {v: k for v, k in demand.items() if k > 0}
     if sum(need.values()) % 2:
         return None
+    if not need:
+        return ()
     used: list[tuple[int, int]] = []
 
     def options(v):
@@ -123,36 +125,37 @@ def perfect_b_matching(n, edges, demand):
             opts.append(v)
         return sorted(opts)
 
-    def step(last_vertex, last_partner):
-        if not need:
-            return True
+    def shift(v, w, step):  # step -1 takes the edge vw, +1 gives it back
+        for x in (v, w):
+            need[x] = need.get(x, 0) + step
+            if not need[x]:
+                del need[x]
+
+    def frame(last_vertex, last_partner):
         v = min(need, key=lambda x: (len(options(x)), x))
         opts = options(v)
         if v == last_vertex:
             opts = [w for w in opts if w >= last_partner]
-        if not opts:
-            return False
-        for w in opts:
-            dec = 2 if w == v else 1
-            need[v] -= dec
-            if w != v:
-                need[w] -= 1
-            emptied = [x for x in {v, w} if need.get(x) == 0]
-            for x in emptied:
-                del need[x]
-            used.append((min(v, w), max(v, w)))
-            if step(v, w):
-                return True
-            used.pop()
-            for x in emptied:
-                need[x] = 0
-            need[v] = need.get(v, 0) + dec
-            if w != v:
-                need[w] = need.get(w, 0) + 1
-        return False
+        return [v, opts, 0]
 
-    if step(None, None):
-        return tuple(sorted(used))
+    # Depth-first over an explicit stack, so deep searches cannot overflow
+    # the interpreter stack; a frame is [vertex, options, next option].
+    stack = [frame(None, None)]
+    while stack:
+        v, opts, i = top = stack[-1]
+        if i:  # retract the option tried last
+            shift(v, opts[i - 1], 1)
+            used.pop()
+        if i == len(opts):
+            stack.pop()
+            continue
+        w = opts[i]
+        top[2] = i + 1
+        shift(v, w, -1)
+        used.append((min(v, w), max(v, w)))
+        if not need:
+            return tuple(sorted(used))
+        stack.append(frame(v, w))
     return None
 
 

@@ -78,9 +78,6 @@ class Profile:
             for _ in range(k):
                 yield v
 
-    def as_tuple(self) -> tuple[int, ...]:
-        return tuple(self.vertices())
-
     def concat(self, other: "Profile") -> "Profile":
         c = Counter(dict(self.counts))
         c.update(dict(other.counts))
@@ -90,10 +87,6 @@ class Profile:
         if k < 1:
             raise InputError("profile power must be >= 1")
         return Profile(tuple((v, m * k) for v, m in self.counts))
-
-    def restrict(self, keep) -> "Profile":
-        keep = set(keep)
-        return Profile(tuple((v, k) for v, k in self.counts if v in keep))
 
     def weight(self, vertex_set) -> int:
         vs = set(vertex_set)

@@ -1,10 +1,19 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import medianlab
 from medianlab import formats
 from medianlab.benzenoid import build_benzenoid
-from medianlab.cli import load_graph, main
+from medianlab.cli import build_parser, load_graph, main
 from medianlab.errors import FormatError, InputError
 from medianlab.graph import bhat, bn, cycle, grid
 from medianlab.hypergraphs import Hypergraph
@@ -115,8 +124,15 @@ def test_pairing_verbs(capsys):
     )
     assert code == 1
 
+    # deep search: thousands of units on two vertices, no recursion limit
+    code, out, _ = capture(
+        capsys, ["pairing", "check", "cycle:6", "--profile", "0:1500 3:1500"]
+    )
+    assert code == 0
+    assert json.loads(out)["verdicts"]["cost"] == 4500
 
-def test_usage_errors_exit_two(capsys):
+
+def test_usage_errors_exit_two(capsys, tmp_path):
     code, out, _ = capture(capsys, ["classify", "nosuchfile.graph"])
     assert code == 2
     assert "error" in json.loads(out)
@@ -130,6 +146,59 @@ def test_usage_errors_exit_two(capsys):
         code, out, _ = capture(capsys, ["median", "cycle:6", "--profile", profile])
         assert code == 2
         assert reason in json.loads(out)["error"]
+    # argparse usage errors and consensus length budgets below 1 (2 for C)
+    for argv in (
+        ["bogusverb"],
+        ["median", "cycle:6"],
+        ["median", "cycle:6", "--profile", "-1:1"],
+        ["consensus", "check", "cycle:6", "--axiom", "C", "--max-len", "-1"],
+        ["consensus", "check", "cycle:6", "--axiom", "C", "--max-len", "1"],
+        ["consensus", "compare", "cycle:6", "--max-len", "0",
+         "--left", "med", "--right", "med"],
+        ["consensus", "tabulate-med", "cycle:6", "--max-len", "0"],
+    ):
+        code, out, _ = capture(capsys, argv)
+        assert code == 2, argv
+        assert "error" in json.loads(out), argv
+
+    # a table file naming vertex 9 on the 6-cycle
+    table_file = tmp_path / "table.txt"
+    capture(
+        capsys,
+        ["consensus", "tabulate-med", "cycle:6", "--max-len", "2",
+         "--out", str(table_file)],
+    )
+    text = table_file.read_text()
+    assert "\n5 | 5\n" in text
+    table_file.write_text(text.replace("\n5 | 5\n", "\n9 | 5\n"))
+    code, out, _ = capture(
+        capsys,
+        ["consensus", "check", "cycle:6", "--axiom", "C", "--max-len", "2",
+         "--function", str(table_file)],
+    )
+    assert code == 2
+    assert "outside" in json.loads(out)["error"]
+
+
+def test_help_prints_text_and_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: medianlab" in capsys.readouterr().out
+
+
+def test_parser_built_once_lazily():
+    assert build_parser() is build_parser()
+    probe = (
+        "import medianlab.cli as cli; "
+        "print(cli.build_parser.cache_info().currsize)"
+    )
+    src = str(Path(medianlab.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    ).stdout
+    assert out.strip() == "0"
 
 
 def test_cap_errors_exit_two(capsys):
@@ -259,6 +328,31 @@ def test_corpus_runner(capsys, tmp_path):
     code, out, _ = capture(capsys, ["corpus", str(manifest)])
     assert code == 2
 
+    # malformed entries and --help record exit 2 and the run goes on
+    manifest.write_text(
+        json.dumps(
+            {
+                "entries": [
+                    {"argv": ["--help"]},
+                    {"nope": 1},
+                    5,
+                    "classify cycle:6",
+                    ["classify", "cycle:6"],
+                ]
+            }
+        )
+    )
+    code, out, _ = capture(capsys, ["corpus", str(manifest)])
+    assert code == 2
+    runs = json.loads(out)["runs"]
+    assert [r["exit"] for r in runs] == [2, 2, 2, 2, 0]
+    assert all("error" in r["report"] for r in runs[:4])
+
+    manifest.write_text(json.dumps([["classify", "cycle:6"]]))
+    code, out, _ = capture(capsys, ["corpus", str(manifest)])
+    assert code == 2
+    assert "entries" in json.loads(out)["error"]
+
 
 def test_shipped_acceptance_manifest(capsys, monkeypatch):
     import pathlib
@@ -272,3 +366,60 @@ def test_shipped_acceptance_manifest(capsys, monkeypatch):
     assert all(entry["exit"] == 0 for entry in report["runs"])
     # byte-for-byte golden: refactors must leave every report unchanged
     assert out == (root / "tests" / "data" / "acceptance_corpus.json").read_text()
+
+
+# -- exit-code contract fuzz ---------------------------------------------------
+
+SPECS = ("cycle:6", "cycle:5", "path:3", "complete:3", "kmn:2,2", "grid:2,3",
+         "cycle:x", "nope:3", "grid:2", "cycle:")
+small = st.integers(min_value=-2, max_value=3)
+token = st.builds(
+    lambda v, k: str(v) if k is None else f"{v}:{k}",
+    st.integers(min_value=-1, max_value=10),
+    st.none() | st.integers(min_value=-1, max_value=6),
+)
+profile = st.lists(token, max_size=4).map(" ".join)
+rule = st.sampled_from(("med", "l6"))
+# (verb words, takes a graph, {option: values}); each option may be left out
+VERBS = (
+    (["median"], True, {"--profile": profile}),
+    (["pairing", "check"], True, {"--profile": profile}),
+    (["pairing", "search"], True, {"--support": small, "--mult": small}),
+    (["pairing", "local"], True,
+     {"--vertex": small, "--support": small, "--mult": small, "--cap": small}),
+    (["verify-connected-medians"], True,
+     {"--power": small, "--support": small, "--mult": small, "--cap": small}),
+    (["consensus", "check"], True,
+     {"--axiom": st.sampled_from(("A", "B", "C", "T2", "Ek")),
+      "--max-len": small, "--k": small, "--function": rule}),
+    (["consensus", "compare"], True,
+     {"--max-len": small, "--left": rule, "--right": rule}),
+    (["consensus", "l6"], False, {"--profile": profile}),
+    (["construct", "bn"], False, {"--n": small}),
+    (["construct", "bhat"], False, {"--n": small}),
+    (["classify"], True, {}),
+)
+
+
+@st.composite
+def argvs(draw):
+    words, takes_graph, options = draw(st.sampled_from(VERBS))
+    argv = list(words)
+    if takes_graph:
+        argv.append(draw(st.sampled_from(SPECS)))
+    for flag, values in options.items():
+        if draw(st.booleans()):
+            argv += [flag, str(draw(values))]
+    return argv
+
+
+@settings(max_examples=500, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argvs())
+def test_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    assert out.getvalue().count("\n") == 1, argv  # one line ...
+    assert isinstance(json.loads(out.getvalue()), dict), argv  # ... one object
