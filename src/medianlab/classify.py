@@ -7,6 +7,7 @@ and witnesses are minimal-lexicographic so test expectations stay stable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations
 
 from .graph import Graph
@@ -163,10 +164,22 @@ def bipartite_helly_via_half_balls(g: Graph, witness: list | None = None) -> boo
     return holds
 
 
-def bipartite_helly_via_interval_condition(g: Graph, witness: list | None = None) -> bool:
+def bipartite_helly_via_interval_condition(
+    g: Graph, witness: list | None = None, modular: tuple | None = None
+) -> bool:
     """Modularity plus the long-interval condition: for d(u,v) >= 3 the
-    neighbors of v inside I(u,v) must have a second common neighbor there."""
-    if not is_modular(g, witness):
+    neighbors of v inside I(u,v) must have a second common neighbor there.
+
+    `modular` is an `is_modular` verdict already at hand, as (holds,
+    witness); without it modularity is tested here.
+    """
+    if modular is None:
+        buf: list = []
+        modular = (is_modular(g, buf), buf[-1] if buf else None)
+    holds, why = modular
+    if not holds:
+        if witness is not None:
+            witness.append(why)
         return False
     d = g.dist
     for u in range(g.n):
@@ -185,14 +198,19 @@ def bipartite_helly_via_interval_condition(g: Graph, witness: list | None = None
     return True
 
 
-def is_bipartite_helly(g: Graph, witness: list | None = None) -> bool:
-    """Decide bipartite Hellyness two independent ways and insist they agree."""
+def is_bipartite_helly(
+    g: Graph, witness: list | None = None, modular: tuple | None = None
+) -> bool:
+    """Decide bipartite Hellyness two independent ways and insist they agree.
+
+    `modular` passes a known `is_modular` verdict on to the interval
+    condition, as (holds, witness)."""
     if not g.is_bipartite:
         if witness is not None:
             witness.append("not bipartite")
         return False
     by_half_balls = bipartite_helly_via_half_balls(g)
-    by_intervals = bipartite_helly_via_interval_condition(g, witness)
+    by_intervals = bipartite_helly_via_interval_condition(g, witness, modular)
     if by_half_balls != by_intervals:
         raise RuntimeError(
             f"bipartite Helly procedures disagree: half-balls={by_half_balls} "
@@ -240,7 +258,8 @@ def classify(g: Graph) -> ClassReport:
     modular = record("modular", is_modular)
     median = record("median", is_median_graph)
     helly = record("helly", is_helly)
-    biphelly = record("bipartite_helly", is_bipartite_helly)
+    known = (modular, witnesses.get("modular"))
+    biphelly = record("bipartite_helly", partial(is_bipartite_helly, modular=known))
     meshed = record("meshed", is_meshed)
 
     return ClassReport(

@@ -16,6 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import tee
 from math import lcm
 
 from .combinatorics import adjacency_sets, maximal_stable_sets, stable_sets
@@ -244,8 +245,9 @@ def has_perfect_pairing(g: Graph, profile: Profile):
 def maximum_pairing(g: Graph, profile: Profile):
     """Exact maximum-cost pairing by branch and bound.
 
-    Pruning uses the weak duality ceiling min_v F(v) and a per-element
-    bound of half the sum of largest available distances.
+    Pruning uses the weak duality ceiling min_v F(v), a per-element bound
+    of half the sum of largest available distances, and the cost of a
+    greedy pairing as a starting floor.
     """
     if not profile.is_even:
         raise InputError("profile must have even total multiplicity")
@@ -254,7 +256,6 @@ def maximum_pairing(g: Graph, profile: Profile):
     ceiling = min(f_vector(g, profile))
     d = g.dist
     best_pairs: list[tuple[int, int]] | None = None
-    best = -1
     need = Counter(dict(profile.counts))
     chosen: list[tuple[int, int]] = []
 
@@ -269,31 +270,64 @@ def maximum_pairing(g: Graph, profile: Profile):
             total += remaining[v] * max(d[v][w] for w in partners)
         return total
 
-    def step(cost: int):
+    def greedy() -> int:
+        """Cost of one pairing: the smallest vertex left takes its farthest
+        partner, as many times as both multiplicities allow."""
+        left, total = Counter(need), 0
+        while live := sorted(v for v, k in left.items() if k > 0):
+            a = live[0]
+            b = max((w for w in live if w != a or left[a] >= 2), key=d[a].__getitem__)
+            k = left[a] // 2 if a == b else min(left[a], left[b])
+            left[a] -= k
+            left[b] -= k
+            total += k * d[a][b]
+        return total
+
+    # Starting just below a reachable cost prunes the subtrees that cannot
+    # reach it; the search still ends on the first leaf of maximum cost in
+    # depth-first order, so the returned pairing does not change.
+    best = greedy() - 1
+
+    def frame(cost: int):
+        """Search frame [a, partners, next partner, cost] for the current
+        `need`, or None at a leaf or a pruned node."""
         nonlocal best, best_pairs
         if best == ceiling:
-            return
+            return None
         live = [v for v, k in need.items() if k > 0]
         if not live:
             if cost > best:
                 best = cost
                 best_pairs = list(chosen)
-            return
+            return None
         bound = upper(need)
         if bound < 0 or 2 * cost + bound <= 2 * best:
-            return
+            return None
         a = min(live)
-        partners = sorted(w for w in live if w != a or need[a] >= 2)
-        for b in partners:
-            need[a] -= 1
-            need[b] -= 1
-            chosen.append((min(a, b), max(a, b)))
-            step(cost + d[a][b])
-            chosen.pop()
-            need[a] += 1
-            need[b] += 1
+        return [a, sorted(w for w in live if w != a or need[a] >= 2), 0, cost]
 
-    step(0)
+    # Depth-first over an explicit stack, so long profiles cannot overflow
+    # the interpreter stack.
+    root = frame(0)
+    stack = [root] if root else []
+    while stack:
+        a, partners, i, cost = top = stack[-1]
+        if i:  # give back the pair tried last
+            need[a] += 1
+            need[partners[i - 1]] += 1
+            chosen.pop()
+        if i == len(partners):
+            stack.pop()
+            continue
+        b = partners[i]
+        top[2] = i + 1
+        need[a] -= 1
+        need[b] -= 1
+        chosen.append((min(a, b), max(a, b)))
+        child = frame(cost + d[a][b])
+        if child:
+            stack.append(child)
+
     assert best_pairs is not None
     return Pairing.from_pairs(best_pairs), best
 
@@ -333,15 +367,18 @@ def ma_violation_search(g: Graph, u: int, cap: int = 1 << 20):
 
     For each stable set S the exact LP minimizes b(N(S)) - b(S) over the
     slice of Me(u) with total weight 1; a negative optimum exhibits a
-    weight function proving Ma(u) != Me(u).
+    weight function proving Ma(u) != Me(u).  The slice is built once per u
+    and every S reuses its phase-1 tableau.
     """
     aux = auxiliary_graph(g, u)
     adj = aux.adjacency()
-    for s in stable_sets(aux.n, adj, exclude=(aux.base,), cap=cap):
-        system = me_polytope(g, u)
-        system.add([Fraction(1)] * g.n, EQ, 1)
-        system.minimize([-c for c in _hall_row(g.n, adj, s)])
-        result = system.solve()
+    system = me_polytope(g, u)
+    system.add([Fraction(1)] * g.n, EQ, 1)
+    # the slice is the same for every S, so phase 1 runs once; the stable
+    # sets are still walked lazily, so the cap and the early exit hold
+    sets, walk = tee(stable_sets(aux.n, adj, exclude=(aux.base,), cap=cap))
+    objectives = ([-c for c in _hall_row(g.n, adj, s)] for s in walk)
+    for s, result in zip(sets, system.minimize_each(objectives)):
         if result.status != "optimal":
             raise RuntimeError(f"Me(u) slice LP ended {result.status}")
         if result.value < 0:

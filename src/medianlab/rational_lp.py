@@ -3,7 +3,9 @@
 A small two-phase simplex on Fraction arithmetic with Bland's pivoting rule,
 so feasibility and optimality verdicts are exact.  All variables are
 implicitly nonnegative, which is the shape every caller in this package
-needs (edge weights, vertex weights).
+needs (edge weights, vertex weights).  Phase 1 depends only on the
+constraints, so `RationalLinearSystem.minimize_each` runs it once and starts
+every objective's phase 2 from the same feasible tableau.
 """
 
 from __future__ import annotations
@@ -50,6 +52,20 @@ class RationalLinearSystem:
 
     def solve(self) -> "LPResult":
         return solve_lp(self.num_vars, self.constraints, self.objective)
+
+    def minimize_each(self, objectives):
+        """Yield one LPResult per objective, minimized over these constraints.
+
+        Phase 1 runs once, and each objective's phase 2 starts from a copy
+        of the same feasible tableau, so every result equals what `solve`
+        gives for that objective alone.  Objectives are read lazily.
+        """
+        feasible = _phase_one(self.num_vars, self.constraints)
+        for coeffs in objectives:
+            if feasible is None:
+                yield LPResult("infeasible")
+            else:
+                yield _phase_two(*feasible, self.num_vars, self._dense(coeffs))
 
 
 @dataclass
@@ -128,8 +144,13 @@ class _Tableau:
         return tuple(x)
 
 
-def solve_lp(num_vars, constraints, objective=None) -> LPResult:
-    """Two-phase simplex; objective is minimized when present."""
+def _phase_one(num_vars, constraints):
+    """Normalise the constraints, build the tableau and drive it to a
+    feasible basis with the artificial columns gone.
+
+    Returns (tableau, allowed columns), or None when infeasible.  The
+    tableau is only read afterwards: phase two works on a copy.
+    """
     norm = []
     for con in constraints:
         coeffs, sense, rhs = list(con.coeffs), con.sense, con.rhs
@@ -177,7 +198,7 @@ def solve_lp(num_vars, constraints, objective=None) -> LPResult:
         tab.set_costs(cost1)
         tab.run(allowed)
         if tab.value != 0:
-            return LPResult("infeasible")
+            return None
         # drive leftover artificials out of the basis, dropping redundant rows
         for i in reversed(range(len(tab.basis))):
             if tab.basis[i] in art_set:
@@ -193,11 +214,17 @@ def solve_lp(num_vars, constraints, objective=None) -> LPResult:
                     tab.pivot(i, piv)
         for j in art_cols:
             allowed[j] = False
+    return tab, allowed
 
+
+def _phase_two(start, allowed, num_vars, objective) -> LPResult:
+    """Minimize `objective` from the feasible tableau `start`, leaving it as
+    it is.  `pivot` rebinds rows rather than mutating them, so copying the
+    row list and the basis is enough."""
     if objective is None:
-        return LPResult("optimal", tab.extract(num_vars), Fraction(0))
-
-    cost2 = [Fraction(0)] * ncols
+        return LPResult("optimal", start.extract(num_vars), Fraction(0))
+    tab = _Tableau(list(start.rows), list(start.basis), start.ncols)
+    cost2 = [Fraction(0)] * tab.ncols
     for j, c in enumerate(objective):
         cost2[j] = Fraction(c)
     tab.set_costs(cost2)
@@ -206,3 +233,11 @@ def solve_lp(num_vars, constraints, objective=None) -> LPResult:
     if status == "unbounded":
         return LPResult("unbounded", point, None)
     return LPResult("optimal", point, tab.value)
+
+
+def solve_lp(num_vars, constraints, objective=None) -> LPResult:
+    """Two-phase simplex; objective is minimized when present."""
+    feasible = _phase_one(num_vars, constraints)
+    if feasible is None:
+        return LPResult("infeasible")
+    return _phase_two(*feasible, num_vars, objective)

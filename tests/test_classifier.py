@@ -1,3 +1,4 @@
+import importlib
 import random
 from itertools import combinations
 
@@ -89,6 +90,29 @@ def test_bipartite_helly_examples():
     assert wit == ["not bipartite"]
     helly_h = Hypergraph.from_lists(3, [[0, 1], [1, 2], [0, 1, 2]])
     assert is_bipartite_helly(incidence_graph(helly_h).graph)
+
+
+def test_classify_runs_modularity_once(monkeypatch):
+    # the package exports a function named classify over the module
+    module = importlib.import_module("medianlab.classify")
+    calls = []
+    original = module.is_modular
+
+    def counted(g, witness=None):
+        calls.append(g)
+        return original(g, witness)
+
+    monkeypatch.setattr(module, "is_modular", counted)
+    for g, biphelly_witness in ((cycle(6), (0, 2, 4)), (hypercube(3), (0, 7))):
+        calls.clear()
+        report = classify(g)
+        assert len(calls) == 1
+        assert report.witnesses["bipartite_helly"] == biphelly_witness
+    # on its own, the interval condition still tests modularity itself
+    calls.clear()
+    wit = []
+    assert not is_bipartite_helly(cycle(6), wit)
+    assert len(calls) == 1 and wit == [(0, 2, 4)]
 
 
 def test_bipartite_helly_procedures_agree_on_random_graphs():

@@ -146,7 +146,8 @@ def test_usage_errors_exit_two(capsys, tmp_path):
         code, out, _ = capture(capsys, ["median", "cycle:6", "--profile", profile])
         assert code == 2
         assert reason in json.loads(out)["error"]
-    # argparse usage errors and consensus length budgets below 1 (2 for C)
+    # argparse usage errors, consensus length budgets below 1 (2 for C) and
+    # graphs over the vertex cap
     for argv in (
         ["bogusverb"],
         ["median", "cycle:6"],
@@ -156,6 +157,7 @@ def test_usage_errors_exit_two(capsys, tmp_path):
         ["consensus", "compare", "cycle:6", "--max-len", "0",
          "--left", "med", "--right", "med"],
         ["consensus", "tabulate-med", "cycle:6", "--max-len", "0"],
+        ["classify", "hypercube:14"],  # over the vertex-count cap
     ):
         code, out, _ = capture(capsys, argv)
         assert code == 2, argv

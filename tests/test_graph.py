@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from medianlab.errors import DisconnectedGraphError, InputError
 from medianlab.graph import (
+    MAX_VERTICES,
     Graph,
     bhat,
     bn,
@@ -80,6 +81,16 @@ def test_generators_deterministic():
 def test_generate_rejects_bad_specs():
     for spec in ("cycle", "cycle:2", "nosuch:3", "grid:3", "bn:2", "cycle:x"):
         with pytest.raises(InputError):
+            generate(spec)
+
+
+def test_vertex_count_cap():
+    with pytest.raises(InputError, match="cap"):
+        Graph(MAX_VERTICES + 1, [])
+    # generators refuse before building an edge list of that size
+    for spec in ("hypercube:14", "hypercube:100000", "cycle:100000000", "grid:100000,100000",
+                 "complete:3000", "kmn:2000,100", "bn:1025", "bhat:1024", "path:2049"):
+        with pytest.raises(InputError, match="cap"):
             generate(spec)
 
 

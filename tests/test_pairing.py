@@ -5,7 +5,8 @@ import pytest
 
 from medianlab.combinatorics import maximal_stable_sets, stable_sets
 from medianlab.errors import BudgetError, InputError
-from medianlab.graph import complete, complete_bipartite, cycle, hypercube, path, tree_from_parent_list
+from medianlab.graph import bn, complete, complete_bipartite, cycle, grid, hypercube, path, tree_from_parent_list
+from medianlab.hypergraphs import build_counterexample
 from medianlab.pairing import (
     Pairing,
     auxiliary_graph,
@@ -23,6 +24,7 @@ from medianlab.pairing import (
     scale_to_even_profile,
 )
 from medianlab.profiles import Profile, canonical_profiles, f_vector, median_set, total_distance
+from medianlab.rational_lp import EQ
 
 from conftest import all_pairings, brute_force_max_pairing
 
@@ -48,6 +50,33 @@ def test_maximum_pairing_examples():
     assert maximum_pairing(q3, everyone)[1] == 12
     with pytest.raises(InputError):
         maximum_pairing(c6, Profile.parse("0"))
+
+
+def test_maximum_pairing_deep_profile():
+    # 1500 pairs deep, beyond the default recursion limit
+    best, cost = maximum_pairing(cycle(6), Profile.parse("0:1500 3:1500"))
+    assert cost == 4500
+    assert best.pairs == ((0, 3),) * 1500
+
+
+def test_maximum_pairing_is_first_optimum_of_enumeration(corpus):
+    # the search returns the lexicographically least optimal pair list,
+    # which is its first optimal leaf in depth-first order
+    for name in ("k3", "c4", "c6", "path5", "k23", "b4"):
+        g = corpus[name]
+        for profile in canonical_profiles(g.n, 3, 3, even_only=True):
+            items = sorted(v for v, k in profile.counts for _ in range(k))
+            if len(items) > 8:
+                continue
+            by_cost = {}
+            for pairs in all_pairings(items):
+                key = tuple(sorted(pairs))
+                by_cost.setdefault(sum(g.d(a, b) for a, b in key), set()).add(key)
+            top = max(by_cost)
+            best, cost = maximum_pairing(g, profile)
+            assert cost == top, (name, profile)
+            assert best.pairs == min(by_cost[top]), (name, profile)
+            assert best.covers() == profile
 
 
 def test_maximum_pairing_matches_brute_force(corpus):
@@ -252,6 +281,53 @@ def test_ma_violation_search_trees():
             assert ma_violation_search(g, u) is None
 
 
+def from_scratch_violation(g, u):
+    """The Ma(u) = Me(u) search with a new slice and a full two-phase
+    solve for every stable set of A_u."""
+    adj = auxiliary_graph(g, u).adjacency()
+    for s in stable_sets(g.n, adj, exclude=(u,)):
+        around = frozenset().union(*(adj[v] for v in s))
+        system = me_polytope(g, u)
+        system.add([1] * g.n, EQ, 1)
+        system.minimize([(v in around) - (v in s) for v in range(g.n)])
+        result = system.solve()
+        assert result.status == "optimal"
+        if result.value < 0:
+            return s, result.point, result.value
+    return None
+
+
+def test_ma_violation_search_matches_from_scratch_solves():
+    cx = build_counterexample("double_pairing").graph
+    # every vertex of the small graphs; on the counterexample its vertex 0,
+    # where double_pairing_property stops (a from-scratch walk of one of
+    # its vertices without a violation takes about 40 s)
+    cases = ((bn(4), range(8)), (cycle(8), range(8)), (grid(2, 3), range(6)), (cx, [0]))
+    for g, vertices in cases:
+        first = None
+        for u in vertices:
+            want = from_scratch_violation(g, u)
+            got = ma_violation_search(g, u)
+            assert (got and (got.stable_set, got.point, got.optimum)) == want, u
+            if want is None:
+                continue
+            first = first or (u, want)
+            # the cap counts the same walk, so it fires just before the witness
+            walk = list(stable_sets(g.n, auxiliary_graph(g, u).adjacency(), exclude=(u,)))
+            k = walk.index(want[0]) + 1
+            assert ma_violation_search(g, u, cap=k).stable_set == want[0]
+            with pytest.raises(BudgetError):
+                ma_violation_search(g, u, cap=k - 1)
+        verdict = double_pairing_property(g)
+        if first is None:
+            assert verdict.holds
+        else:
+            u, (s, point, _) = first
+            assert not verdict.holds
+            assert (verdict.vertex, verdict.stable_set) == (u, s)
+            assert verdict.witness == scale_to_even_profile(point)
+
+
 def test_double_pairing_small_graphs():
     assert double_pairing_property(path(2)).holds
     assert double_pairing_property(complete_bipartite(2, 3)).holds
@@ -260,8 +336,6 @@ def test_double_pairing_small_graphs():
 
 def test_double_pairing_fails_on_bn4():
     # the doubled left side of K_{4,4} minus a matching cannot be paired
-    from medianlab.graph import bn
-
     g = bn(4)
     res = double_pairing_property(g)
     assert not res.holds

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import linprog
 
-from medianlab.rational_lp import EQ, GE, LE, RationalLinearSystem
+from medianlab.rational_lp import EQ, GE, LE, RationalLinearSystem, _phase_one
 
 
 def make(num_vars, cons, objective=None):
@@ -140,3 +140,76 @@ def test_feasible_points_satisfy_constraints():
                 or (sense == GE and lhs >= rhs)
                 or (sense == EQ and lhs == rhs)
             )
+
+
+def assert_reuse_matches_fresh(num_vars, cons, objectives):
+    """minimize_each equals one fresh solve per objective, also when the
+    same objectives come again in reverse order after the first pass, so
+    no phase 2 can have changed the shared phase-1 tableau."""
+    fresh = [make(num_vars, cons, obj).solve() for obj in objectives]
+    system = make(num_vars, cons)
+    twice = objectives + objectives[::-1]
+    assert list(system.minimize_each(twice)) == fresh + fresh[::-1]
+    return fresh
+
+
+def test_minimize_each_fixed_cases():
+    # infeasible: every objective reports it
+    got = assert_reuse_matches_fresh(1, [([1], LE, 1), ([1], GE, 2)], [[1], [-1]])
+    assert {r.status for r in got} == {"infeasible"}
+    # one direction unbounded, the other optimal
+    got = assert_reuse_matches_fresh(2, [([1, -1], GE, 1)], [[-1, 0], [1, 0], [0, 1]])
+    assert [r.status for r in got] == ["unbounded", "optimal", "optimal"]
+    # redundant equality rows are dropped after phase 1
+    cons = [([1, 1], EQ, 2), ([2, 2], EQ, 4), ([1, -1], EQ, 0)]
+    tab, _ = _phase_one(2, make(2, cons).constraints)
+    assert len(tab.rows) < len(cons)
+    assert_reuse_matches_fresh(2, cons, [[1, 0], [0, -1], [1, 1]])
+    # the degenerate instance that cycles under naive pivoting
+    cons = [
+        ([Fraction(1, 4), -60, Fraction(-1, 25), 9], LE, 0),
+        ([Fraction(1, 2), -90, Fraction(-1, 50), 3], LE, 0),
+        ([0, 0, 1, 0], LE, 1),
+    ]
+    got = assert_reuse_matches_fresh(
+        4, cons, [[Fraction(-3, 4), 150, Fraction(-1, 50), 6], [0, 0, -1, 0], [1, 1, 1, 1]]
+    )
+    assert got[0].value == Fraction(-1, 20)
+
+
+def test_minimize_each_matches_fresh_solves_on_random_systems():
+    rng = random.Random(31)
+    seen = {"optimal": 0, "unbounded": 0, "infeasible": 0, "rows dropped": 0, "degenerate": 0}
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        cons = []
+        for _ in range(rng.randint(1, 5)):
+            coeffs = [rng.randint(-3, 3) for _ in range(n)]
+            cons.append((coeffs, rng.choice([LE, GE, EQ]), rng.randint(-4, 4)))
+        if rng.random() < 0.3:  # a multiple of some row, redundant as an equality
+            coeffs, _, rhs = rng.choice(cons)
+            k = rng.choice([-2, 2, 3])
+            cons.append(([k * c for c in coeffs], EQ, k * rhs))
+        objectives = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(2, 5))]
+        for result in assert_reuse_matches_fresh(n, cons, objectives):
+            seen[result.status] += 1
+        start = _phase_one(n, make(n, cons).constraints)
+        if start is not None:
+            tab, _ = start
+            seen["rows dropped"] += len(tab.rows) < len(cons)
+            seen["degenerate"] += any(row[-1] == 0 for row in tab.rows)
+    assert all(seen.values()), seen
+
+
+def test_minimize_each_reads_objectives_lazily():
+    taken = []
+
+    def objectives():
+        for obj in ([1, 0], [0, 1], [1, 1]):
+            taken.append(obj)
+            yield obj
+
+    results = make(2, [([1, 1], GE, 1)]).minimize_each(objectives())
+    first = next(results)
+    assert first.status == "optimal" and first.value == 0
+    assert taken == [[1, 0]]
