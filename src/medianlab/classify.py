@@ -48,17 +48,15 @@ def check_conditions_tc_qc(g: Graph):
 
     def closer_common_neighbor(u, v, w):
         k = d[u][v]
-        return any(
-            d[v][x] == 1 and d[w][x] == 1 and d[u][x] == k - 1 for x in range(n)
-        )
+        return any(d[w][x] == 1 and d[u][x] == k - 1 for x in g.adj[v])
 
     tc_bad = next(
         (
             (u, v, w)
             for u in range(n)
             for v in range(n)
-            for w in range(v + 1, n)
-            if d[v][w] == 1 and d[u][v] == d[u][w] >= 2
+            for w in g.adj[v]
+            if w > v and d[u][v] == d[u][w] >= 2
             and not closer_common_neighbor(u, v, w)
         ),
         None,
@@ -71,8 +69,8 @@ def check_conditions_tc_qc(g: Graph):
             for w in range(v + 1, n)
             if d[v][w] == 2 and d[u][v] == d[u][w] >= 2
             and not closer_common_neighbor(u, v, w)
-            for z in range(n)
-            if d[v][z] == 1 and d[w][z] == 1 and d[u][z] == d[u][v] + 1
+            for z in g.adj[v]
+            if d[w][z] == 1 and d[u][z] == d[u][v] + 1
         ),
         None,
     )
@@ -84,52 +82,56 @@ def check_conditions_tc_qc(g: Graph):
     return tc_bad is None, qc_bad is None, witnesses
 
 
-def _triple_interval(g: Graph, x, y, z):
-    return g.interval(x, y) & g.interval(y, z) & g.interval(z, x)
+def _first_triple(g: Graph, bad):
+    """The lexicographically first triple x < y < z whose median count
+    satisfies `bad`, or None.  m is a median exactly when d(x,m) + d(y,m) +
+    d(z,m) is half the perimeter d(x,y) + d(y,z) + d(x,z): the three
+    triangle inequalities such as d(x,m) + d(m,y) >= d(x,y) are then tight.
+    """
+    d = g.dist
+    for x, y, z in combinations(range(g.n), 3):
+        dx, dy, dz = d[x], d[y], d[z]
+        perimeter = dx[y] + dy[z] + dx[z]
+        if bad(sum(2 * (a + b + c) == perimeter for a, b, c in zip(dx, dy, dz))):
+            return x, y, z
+    return None
+
+
+def _holds(witness: list | None, found) -> bool:
+    """True when no violation was `found`; else record it in `witness`."""
+    if found is not None and witness is not None:
+        witness.append(found)
+    return found is None
 
 
 def is_modular(g: Graph, witness: list | None = None) -> bool:
     """Every vertex triple has a median (nonempty triple interval meet)."""
-    for x, y, z in combinations(range(g.n), 3):
-        if not _triple_interval(g, x, y, z):
-            if witness is not None:
-                witness.append((x, y, z))
-            return False
-    return True
+    return _holds(witness, _first_triple(g, lambda medians: medians == 0))
 
 
 def is_median_graph(g: Graph, witness: list | None = None) -> bool:
-    """Every vertex triple has exactly one median."""
-    for x in range(g.n):
-        for y in range(x, g.n):
-            for z in range(y, g.n):
-                meet = _triple_interval(g, x, y, z)
-                if len(meet) != 1:
-                    if witness is not None:
-                        witness.append((x, y, z))
-                    return False
-    return True
+    """Every vertex triple has exactly one median; a triple with a repeated
+    vertex always has exactly one, so only distinct triples are scanned."""
+    return _holds(witness, _first_triple(g, lambda medians: medians != 1))
 
 
 def hypergraph_helly_by_triples(ground: range | list, edges: list[frozenset]):
     """Berge triple criterion on an explicit set family.
 
     Returns (holds, witness); the witness is the index list of a pairwise
-    intersecting subfamily with empty overall intersection.
+    intersecting subfamily with empty overall intersection: the edges that
+    hold two or more elements of the first failing ground triple.
     """
-    universe = sorted(set(ground))
-    for a, b, c in combinations(universe, 3):
-        probe = {a, b, c}
-        picked = [i for i, e in enumerate(edges) if len(e & probe) >= 2]
-        if not picked:
-            continue
-        meet = set(edges[picked[0]])
-        for i in picked[1:]:
-            meet &= edges[i]
-            if not meet:
-                break
-        if not meet:
-            return False, tuple(picked)
+    # masks[x] has bit i set when the element x lies in edges[i]
+    masks: dict = {}
+    for i, e in enumerate(edges):
+        for x in e:
+            masks[x] = masks.get(x, 0) | 1 << i
+    for a, b, c in combinations(sorted(set(ground)), 3):
+        ma, mb, mc = masks.get(a, 0), masks.get(b, 0), masks.get(c, 0)
+        picked = ma & mb | ma & mc | mb & mc
+        if picked and not any(m & picked == picked for m in masks.values()):
+            return False, tuple(i for i in range(len(edges)) if picked >> i & 1)
     return True, None
 
 
@@ -140,10 +142,8 @@ def _ball_family(g: Graph) -> list[frozenset]:
 
 def is_helly(g: Graph, witness: list | None = None) -> bool:
     """The family of balls has the Helly property (triple criterion)."""
-    holds, why = hypergraph_helly_by_triples(range(g.n), _ball_family(g))
-    if not holds and witness is not None:
-        witness.append(why)
-    return holds
+    _, why = hypergraph_helly_by_triples(range(g.n), _ball_family(g))
+    return _holds(witness, why)
 
 
 def bipartite_helly_via_half_balls(g: Graph, witness: list | None = None) -> bool:
@@ -158,10 +158,8 @@ def bipartite_helly_via_half_balls(g: Graph, witness: list | None = None) -> boo
                 half = ball & side
                 if half:
                     family.append(half)
-    holds, why = hypergraph_helly_by_triples(range(g.n), family)
-    if not holds and witness is not None:
-        witness.append(why)
-    return holds
+    _, why = hypergraph_helly_by_triples(range(g.n), family)
+    return _holds(witness, why)
 
 
 def bipartite_helly_via_interval_condition(
@@ -178,9 +176,7 @@ def bipartite_helly_via_interval_condition(
         modular = (is_modular(g, buf), buf[-1] if buf else None)
     holds, why = modular
     if not holds:
-        if witness is not None:
-            witness.append(why)
-        return False
+        return _holds(witness, why)
     d = g.dist
     for u in range(g.n):
         for v in range(g.n):
@@ -192,9 +188,7 @@ def bipartite_helly_via_interval_condition(
                 x != v and all(d[w][x] == 1 for w in fan)
                 for x in sorted(inter)
             ):
-                if witness is not None:
-                    witness.append((u, v))
-                return False
+                return _holds(witness, (u, v))
     return True
 
 
@@ -206,9 +200,7 @@ def is_bipartite_helly(
     `modular` passes a known `is_modular` verdict on to the interval
     condition, as (holds, witness)."""
     if not g.is_bipartite:
-        if witness is not None:
-            witness.append("not bipartite")
-        return False
+        return _holds(witness, "not bipartite")
     by_half_balls = bipartite_helly_via_half_balls(g)
     by_intervals = bipartite_helly_via_interval_condition(g, witness, modular)
     if by_half_balls != by_intervals:
@@ -222,20 +214,20 @@ def is_bipartite_helly(
 def is_meshed(g: Graph, witness: list | None = None) -> bool:
     """For every u and 2-pair (v,w), some common neighbor x of v,w has
     2 d(u,x) <= d(u,v) + d(u,w)."""
-    d = g.dist
-    for u in range(g.n):
-        for v in range(g.n):
-            for w in range(v + 1, g.n):
-                if d[v][w] != 2:
-                    continue
-                if not any(
-                    d[v][x] == 1 and d[w][x] == 1 and 2 * d[u][x] <= d[u][v] + d[u][w]
-                    for x in range(g.n)
-                ):
-                    if witness is not None:
-                        witness.append((u, v, w))
-                    return False
-    return True
+    d, n = g.dist, g.n
+    found = next(
+        (
+            (u, v, w)
+            for u in range(n)
+            for v in range(n)
+            for w in range(v + 1, n)
+            if d[v][w] == 2 and not any(
+                d[w][x] == 1 and 2 * d[u][x] <= d[u][v] + d[u][w] for x in g.adj[v]
+            )
+        ),
+        None,
+    )
+    return _holds(witness, found)
 
 
 def classify(g: Graph) -> ClassReport:

@@ -4,9 +4,11 @@ Every verb prints one JSON report on stdout (schema 1, byte-stable for
 identical inputs) and a short human summary with timing on stderr.  Exit
 codes: 0 when the checked property holds or the command is informational,
 1 when a property fails and a witness is attached, 2 for usage, format or
-budget errors, argparse usage errors included; only `--help` prints plain
-text.  One memoised parser binds each leaf verb to its handler, and `main`
-and `corpus` map the same `USAGE_ERRORS` to exit 2 with a JSON error body.
+budget errors, argparse usage errors included, and 3 for an internal error,
+any other exception (its traceback goes to stderr); only `--help` prints
+plain text.  One memoised parser binds each leaf verb to its handler, and
+`main` and `corpus` turn an exception into an exit code and a JSON error
+body the same way (`_failure`).
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import functools
 import json
 import sys
 import time
+import traceback
 from pathlib import Path
 
 from . import benzenoid as bz
@@ -31,6 +34,15 @@ from .graph import Graph, generate, generator_names
 
 # Exceptions that mean "usage, format or budget error": exit 2 with a JSON body.
 USAGE_ERRORS = (InputError, FormatError, BudgetError, OSError, json.JSONDecodeError)
+
+
+def _failure(exc: Exception) -> tuple[dict, int]:
+    """Error body and exit code: 2 for a usage error, 3 for anything else,
+    an internal error whose traceback goes to stderr."""
+    if isinstance(exc, USAGE_ERRORS):
+        return {"error": str(exc)}, 2
+    traceback.print_exception(exc, file=sys.stderr)
+    return {"error": f"internal error: {type(exc).__name__}: {exc}"}, 3
 
 
 def load_graph(target: str) -> Graph:
@@ -297,10 +309,10 @@ def cmd_corpus(args):
             # a --help entry prints its text to stderr, keeping stdout one report
             with contextlib.redirect_stdout(sys.stderr):
                 body, code = run([str(a) for a in argv])
-        except USAGE_ERRORS as exc:
-            body, code = {"error": str(exc)}, 2
         except SystemExit:  # --help
             body, code = {"error": f"unusable command line {argv!r}"}, 2
+        except Exception as exc:
+            body, code = _failure(exc)
         results.append({"argv": argv, "exit": code, "report": body})
         worst = max(worst, code)
     body = {"verdicts": {"entries": len(results), "exit": worst}, "runs": results}
@@ -428,10 +440,11 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         body, code = run(argv)
-    except USAGE_ERRORS as exc:
-        print(json.dumps({"schema": 1, "command": argv, "error": str(exc)}))
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:
+        body, code = _failure(exc)
+        print(json.dumps({"schema": 1, "command": argv, **body}))
+        print(f"error: {body['error']}", file=sys.stderr)
+        return code
     report = {"schema": 1, "command": argv, **body}
     print(json.dumps(report, sort_keys=True))
     elapsed = time.monotonic() - started

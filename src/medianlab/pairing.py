@@ -97,6 +97,15 @@ def auxiliary_graph(g: Graph, u: int) -> AuxiliaryGraph:
 # Edge lists may contain loops (a,a); a loop covers its vertex twice.
 
 
+def _check_demand(n, demand) -> None:
+    """Reject a demand on a vertex outside 0..n-1, or a negative one."""
+    for v, k in demand.items():
+        if v not in range(n):
+            raise InputError(f"demand vertex {v} out of range 0..{n - 1}")
+        if k < 0:
+            raise InputError("demands must be nonnegative")
+
+
 def perfect_b_matching(n, edges, demand):
     """Backtracking search for an integral perfect b-matching.
 
@@ -105,6 +114,7 @@ def perfect_b_matching(n, edges, demand):
     index, and never revisits a partner smaller than the previous choice
     for the same vertex.
     """
+    _check_demand(n, demand)
     nbr = [set() for _ in range(n)]
     loops = set()
     for a, b in edges:
@@ -162,6 +172,7 @@ def perfect_b_matching(n, edges, demand):
 
 def fractional_b_matching_lp(n, edges, demand) -> RationalLinearSystem:
     """Degree-equality system over nonnegative edge weights."""
+    _check_demand(n, demand)
     system = RationalLinearSystem(len(edges))
     for v in range(n):
         coeffs = {}
@@ -194,9 +205,7 @@ def has_fractional_perfect_b_matching(
 ) -> FractionalMatchingResult:
     """Decide feasibility on A_u; on failure produce a disabling stable set,
     a stable set S with b(S) > b(N(S))."""
-    demand = {v: Fraction(k) for v, k in dict(demand).items() if k}
-    if any(k < 0 for k in demand.values()):
-        raise InputError("demands must be nonnegative")
+    demand = {v: Fraction(k) for v, k in dict(demand).items()}
     edges = list(aux.edges) + [(aux.base, aux.base)]
     cert = fractional_perfect_b_matching(aux.n, edges, demand)
     if cert is not None:
@@ -470,13 +479,14 @@ class MatchingStableSetResult:
         return out
 
 
-def _profile_violates_msp(g: Graph, profile: Profile) -> bool:
-    """True when none of the three escape clauses hold for this profile."""
-    adj = [set(g.neighbors(v)) for v in range(g.n)]
+def _profile_violates_msp(g: Graph, profile: Profile, adj, maximal) -> bool:
+    """True when none of the three escape clauses hold for this profile;
+    `adj` and `maximal` are the graph's neighbour sets and maximal stable
+    sets."""
     for z in range(g.n):
         if profile.multiplicity(z) > profile.weight(adj[z]):
             return False
-    for s in maximal_stable_sets(g.n, adj):
+    for s in maximal:
         if profile.weight(s) > profile.weight(neighborhood(adj, s)):
             return False
     return perfect_b_matching(g.n, g.edges(), dict(profile.counts)) is None
@@ -517,10 +527,11 @@ def matching_stable_set_check(
     if variant == "single":
         if max_support is None or max_mult is None:
             raise InputError("single variant needs a profile budget")
+        maximal = maximal_stable_sets(g.n, adj)
         for profile in canonical_profiles(
             g.n, max_support, max_mult, even_only=True
         ):
-            if _profile_violates_msp(g, profile):
+            if _profile_violates_msp(g, profile, adj, maximal):
                 return MatchingStableSetResult(False, variant, profile)
         return MatchingStableSetResult(True, variant)
     raise InputError(f"unknown variant {variant!r}")

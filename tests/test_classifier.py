@@ -1,6 +1,8 @@
 import importlib
+import json
 import random
 from itertools import combinations
+from pathlib import Path
 
 from medianlab.classify import (
     bipartite_helly_via_half_balls,
@@ -14,7 +16,14 @@ from medianlab.classify import (
     is_meshed,
     is_modular,
 )
-from medianlab.graph import Graph, complete, cycle, hypercube, tree_from_parent_list
+from medianlab.graph import (
+    Graph,
+    complete,
+    complete_bipartite,
+    cycle,
+    hypercube,
+    tree_from_parent_list,
+)
 from medianlab.hypergraphs import Hypergraph, incidence_graph
 
 from conftest import brute_force_helly, random_connected_bipartite
@@ -51,6 +60,10 @@ def test_modular_median_examples():
     assert not is_modular(cycle(6), wit)
     assert wit[0] == (0, 2, 4)
     assert is_median_graph(hypercube(3))
+    # 2, 3, 4 is the first triple of K_{2,3} with two medians (0 and 1)
+    wit = []
+    assert not is_median_graph(complete_bipartite(2, 3), wit)
+    assert wit == [(2, 3, 4)]
 
 
 def test_helly_examples():
@@ -71,6 +84,15 @@ def test_triple_criterion_matches_brute_force():
             edges.append(frozenset(rng.sample(range(n), size)))
         verdict, witness = hypergraph_helly_by_triples(range(n), edges)
         assert verdict == brute_force_helly(edges)
+        # the witness is the subfamily picked by the first failing triple:
+        # every edge holding two of its elements, with an empty meet
+        expected = None
+        for probe in combinations(range(n), 3):
+            picked = [i for i, e in enumerate(edges) if len(e & set(probe)) >= 2]
+            if picked and not frozenset.intersection(*(edges[i] for i in picked)):
+                expected = tuple(picked)
+                break
+        assert witness == expected
         if not verdict:
             picked = [edges[i] for i in witness]
             assert all(a & b for a, b in combinations(picked, 2))
@@ -78,6 +100,17 @@ def test_triple_criterion_matches_brute_force():
             for e in picked[1:]:
                 meet &= e
             assert not meet
+
+
+def test_classify_matches_golden_reports():
+    # classify(g).as_dict() recorded from the implementation that intersected
+    # the picked subfamily per triple and built triple interval meets
+    path = Path(__file__).parent / "data" / "classify_golden.json"
+    golden = json.loads(path.read_text())
+    assert len(golden) == 50
+    for entry in golden:
+        g = Graph(entry["n"], [tuple(e) for e in entry["edges"]])
+        assert classify(g).as_dict() == entry["report"], entry["name"]
 
 
 def test_bipartite_helly_examples():

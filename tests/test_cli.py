@@ -1,4 +1,5 @@
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -180,6 +181,49 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     )
     assert code == 2
     assert "outside" in json.loads(out)["error"]
+
+
+def test_internal_errors_exit_three(capsys, tmp_path, monkeypatch):
+    cli = importlib.import_module("medianlab.cli")
+    classify = importlib.import_module("medianlab.classify")
+
+    def one_report(out):
+        assert out.count("\n") == 1
+        return json.loads(out)
+
+    # the bipartite-Helly self-check fails when the half-ball procedure lies
+    with monkeypatch.context() as m:
+        m.setattr(classify, "bipartite_helly_via_half_balls", lambda g: False)
+        code, out, err = capture(capsys, ["classify", "kmn:2,3"])
+    assert code == 3
+    body = one_report(out)
+    assert body["schema"] == 1 and body["command"] == ["classify", "kmn:2,3"]
+    assert body["error"].startswith("internal error: RuntimeError: bipartite Helly")
+    assert "Traceback" in err
+
+    def crash(g):
+        raise RuntimeError("handler crashed")
+
+    monkeypatch.setattr(cli, "classify_graph", crash)
+    code, out, _ = capture(capsys, ["classify", "cycle:6"])
+    assert code == 3
+    assert one_report(out)["error"] == "internal error: RuntimeError: handler crashed"
+
+    # inside corpus the entry records exit 3 and the run goes on
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"entries": [
+        ["classify", "cycle:6"],
+        ["classify", "missing.graph"],
+        ["median", "cycle:6", "--profile", "0 2 4"],
+    ]}))
+    code, out, _ = capture(capsys, ["corpus", str(manifest)])
+    assert code == 3
+    body = one_report(out)
+    assert [r["exit"] for r in body["runs"]] == [3, 2, 0]
+    assert body["verdicts"] == {"entries": 3, "exit": 3}
+    assert body["runs"][0]["report"] == {
+        "error": "internal error: RuntimeError: handler crashed"
+    }
 
 
 def test_help_prints_text_and_exits_zero(capsys):

@@ -191,6 +191,26 @@ def test_fractional_matching_examples():
         assert x > 0
 
 
+def test_demand_outside_the_graph_is_an_input_error():
+    aux = auxiliary_graph(cycle(6), 0)
+    edges = list(aux.edges) + [(0, 0)]
+    for demand in ({9: 2}, {-1: 2}, {9: 0}, {0: 2, 6: 2}):
+        with pytest.raises(InputError, match="out of range 0..5"):
+            has_fractional_perfect_b_matching(aux, demand)
+        with pytest.raises(InputError, match="out of range 0..5"):
+            perfect_b_matching(aux.n, edges, demand)
+    for demand in ({0: -2}, {1: 2, 4: -1}):
+        with pytest.raises(InputError, match="nonnegative"):
+            has_fractional_perfect_b_matching(aux, demand)
+        with pytest.raises(InputError, match="nonnegative"):
+            perfect_b_matching(aux.n, edges, demand)
+    with pytest.raises(InputError, match="out of range 0..5"):
+        has_perfect_pi_matching(aux, Profile.parse("9:2"))
+    # demands inside the graph still decide as before
+    assert has_fractional_perfect_b_matching(aux, {0: 2, 3: 2}).feasible
+    assert has_perfect_pi_matching(aux, Profile.parse("0 3")) is not None
+
+
 def test_fractional_certificate_satisfies_degrees(corpus):
     rng = random.Random(23)
     for g in corpus.values():
