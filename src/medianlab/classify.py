@@ -2,6 +2,13 @@
 
 Every `False` flag comes with a witness tuple that re-checks as a violation,
 and witnesses are minimal-lexicographic so test expectations stay stable.
+
+Verdicts are read off the distance table through local characterizations
+(Bandelt & Chepoi, "Metric graph theory and geometry: a survey", 2008): a
+graph is modular iff it is bipartite and satisfies the quadrangle
+condition, and a modular graph is median iff no two vertices at distance 2
+have three common neighbours (an induced K_{2,3}).  A scan over vertex
+triples runs only to name the witness of a flag that fails.
 """
 
 from __future__ import annotations
@@ -37,43 +44,54 @@ class ClassReport:
         }
 
 
+def _two_apart(g: Graph) -> list[tuple[int, int, list[int]]]:
+    """(v, w, common neighbours) for every pair v < w at distance 2, in
+    lexicographic order; the common neighbours ascend."""
+    adj = g.adj
+    pairs = []
+    for v, dv in enumerate(g.dist):
+        common: dict[int, list[int]] = {}
+        for x in adj[v]:
+            for w in adj[x]:
+                if w > v and dv[w] == 2:
+                    common.setdefault(w, []).append(x)
+        pairs += [(v, w, common[w]) for w in sorted(common)]
+    return pairs
+
+
+def _first_qc_violation(g: Graph) -> tuple | None:
+    """First (u, v, w, z) in lexicographic order with d(v,w) = 2, z a common
+    neighbour of v and w one step farther from u than both, and no common
+    neighbour one step closer."""
+    pairs = _two_apart(g)
+    for u, du in enumerate(g.dist):
+        for v, w, common in pairs:
+            k = du[v]
+            if k >= 2 and du[w] == k and not any(du[x] == k - 1 for x in common):
+                z = next((z for z in common if du[z] == k + 1), None)
+                if z is not None:
+                    return u, v, w, z
+    return None
+
+
 def check_conditions_tc_qc(g: Graph):
     """Scan the triangle and quadrangle condition premises exhaustively.
 
     Returns (tc_holds, qc_holds, witnesses) where witnesses maps 'tc'/'qc'
     to the first violating vertex tuple in lexicographic order.
     """
-    d = g.dist
-    n = g.n
-
-    def closer_common_neighbor(u, v, w):
-        k = d[u][v]
-        return any(d[w][x] == 1 and d[u][x] == k - 1 for x in g.adj[v])
-
+    d, adj = g.dist, g.adj
     tc_bad = next(
         (
             (u, v, w)
-            for u in range(n)
-            for v in range(n)
-            for w in g.adj[v]
-            if w > v and d[u][v] == d[u][w] >= 2
-            and not closer_common_neighbor(u, v, w)
+            for u, du in enumerate(d)
+            for v, w in g.edges()
+            if du[v] == du[w] >= 2
+            and not any(d[w][x] == 1 and du[x] == du[v] - 1 for x in adj[v])
         ),
         None,
     )
-    qc_bad = next(
-        (
-            (u, v, w, z)
-            for u in range(n)
-            for v in range(n)
-            for w in range(v + 1, n)
-            if d[v][w] == 2 and d[u][v] == d[u][w] >= 2
-            and not closer_common_neighbor(u, v, w)
-            for z in g.adj[v]
-            if d[w][z] == 1 and d[u][z] == d[u][v] + 1
-        ),
-        None,
-    )
+    qc_bad = _first_qc_violation(g)
     witnesses = {}
     if tc_bad is not None:
         witnesses["tc"] = tc_bad
@@ -82,19 +100,33 @@ def check_conditions_tc_qc(g: Graph):
     return tc_bad is None, qc_bad is None, witnesses
 
 
-def _first_triple(g: Graph, bad):
-    """The lexicographically first triple x < y < z whose median count
-    satisfies `bad`, or None.  m is a median exactly when d(x,m) + d(y,m) +
-    d(z,m) is half the perimeter d(x,y) + d(y,z) + d(x,z): the three
-    triangle inequalities such as d(x,m) + d(m,y) >= d(x,y) are then tight.
+def _no_median(medians: int) -> bool:
+    return medians == 0
+
+
+def _not_one_median(medians: int) -> bool:
+    return medians != 1
+
+
+def _first_triple(g: Graph, *bads) -> list:
+    """For each median-count test in `bads`, the lexicographically first
+    triple x < y < z whose count passes it, or None; one walk serves all.
+    m is a median exactly when d(x,m) + d(y,m) + d(z,m) is half the
+    perimeter d(x,y) + d(y,z) + d(x,z): the three triangle inequalities
+    such as d(x,m) + d(m,y) >= d(x,y) are then tight.
     """
     d = g.dist
+    found = [None] * len(bads)
     for x, y, z in combinations(range(g.n), 3):
         dx, dy, dz = d[x], d[y], d[z]
         perimeter = dx[y] + dy[z] + dx[z]
-        if bad(sum(2 * (a + b + c) == perimeter for a, b, c in zip(dx, dy, dz))):
-            return x, y, z
-    return None
+        medians = sum(2 * (a + b + c) == perimeter for a, b, c in zip(dx, dy, dz))
+        for i, bad in enumerate(bads):
+            if found[i] is None and bad(medians):
+                found[i] = (x, y, z)
+        if all(found):
+            break
+    return found
 
 
 def _holds(witness: list | None, found) -> bool:
@@ -104,15 +136,74 @@ def _holds(witness: list | None, found) -> bool:
     return found is None
 
 
+def _fails(g: Graph, witness: list | None, bad) -> bool:
+    """False, after naming in `witness` (when one is asked for) the first
+    triple whose median count passes `bad`."""
+    if witness is not None:
+        witness.append(_first_triple(g, bad)[0])
+    return False
+
+
 def is_modular(g: Graph, witness: list | None = None) -> bool:
-    """Every vertex triple has a median (nonempty triple interval meet)."""
-    return _holds(witness, _first_triple(g, lambda medians: medians == 0))
+    """Every vertex triple has a median: the graph is bipartite and satisfies
+    the quadrangle condition.  The witness is the first triple without one."""
+    if g.is_bipartite and _first_qc_violation(g) is None:
+        return True
+    return _fails(g, witness, _no_median)
 
 
-def is_median_graph(g: Graph, witness: list | None = None) -> bool:
-    """Every vertex triple has exactly one median; a triple with a repeated
-    vertex always has exactly one, so only distinct triples are scanned."""
-    return _holds(witness, _first_triple(g, lambda medians: medians != 1))
+def is_median_graph(
+    g: Graph, witness: list | None = None, modular: bool | None = None
+) -> bool:
+    """Every vertex triple has exactly one median: the graph is modular and
+    no two vertices at distance 2 have three common neighbours.  The witness
+    is the first distinct triple with no or several medians; a triple with a
+    repeated vertex always has exactly one.
+
+    `modular` is an `is_modular` verdict already at hand; without it
+    modularity is tested here.
+    """
+    if modular is None:
+        modular = is_modular(g)
+    if modular and all(len(common) < 3 for _, _, common in _two_apart(g)):
+        return True
+    return _fails(g, witness, _not_one_median)
+
+
+def _berge_failure(ground_masks: list[int], masks) -> tuple | None:
+    """The Berge triple criterion on element-to-member incidence masks.
+
+    `ground_masks` holds the masks of the ground elements in order and
+    `masks` those of every element.  A ground triple picks the members
+    holding two or more of its elements (`ma & mb | ma & mc | mb & mc`);
+    their meet is empty when no element's mask covers the picked mask.
+    Covers are tried in the order: the previous triple's, the last one
+    found for the same third element, then the elements of the lowest
+    picked member.  Returns the picked member indices of the first triple
+    without one, or None.
+    """
+    covers = {}  # lowest picked member -> the elements it holds
+    last = 0  # the element that covered the previous triple
+    hint = [0] * len(ground_masks)  # hint[k]: the last cover found with c = k
+    for i, ma in enumerate(ground_masks):
+        for j in range(i + 1, len(ground_masks)):
+            mb = ground_masks[j]
+            both, either = ma & mb, ma | mb
+            for k in range(j + 1, len(ground_masks)):
+                picked = both | either & ground_masks[k]
+                if not picked or last & picked == picked:
+                    continue
+                last = hint[k]
+                if last & picked == picked:
+                    continue
+                low = (picked & -picked).bit_length() - 1
+                held = covers.get(low)
+                if held is None:
+                    held = covers[low] = [m for m in masks if m >> low & 1]
+                last = hint[k] = next((m for m in held if m & picked == picked), 0)
+                if not last:
+                    return tuple(e for e in range(picked.bit_length()) if picked >> e & 1)
+    return None
 
 
 def hypergraph_helly_by_triples(ground: range | list, edges: list[frozenset]):
@@ -127,39 +218,53 @@ def hypergraph_helly_by_triples(ground: range | list, edges: list[frozenset]):
     for i, e in enumerate(edges):
         for x in e:
             masks[x] = masks.get(x, 0) | 1 << i
-    for a, b, c in combinations(sorted(set(ground)), 3):
-        ma, mb, mc = masks.get(a, 0), masks.get(b, 0), masks.get(c, 0)
-        picked = ma & mb | ma & mc | mb & mc
-        if picked and not any(m & picked == picked for m in masks.values()):
-            return False, tuple(i for i in range(len(edges)) if picked >> i & 1)
-    return True, None
+    ground_masks = [masks.get(x, 0) for x in sorted(set(ground))]
+    why = _berge_failure(ground_masks, list(masks.values()))
+    return why is None, why
 
 
-def _ball_family(g: Graph) -> list[frozenset]:
-    diam = g.diameter
-    return [g.ball(v, r) for v in range(g.n) for r in range(diam + 1)]
+def _column_masks(g: Graph, blocks) -> list[int]:
+    """Incidence masks of a family with one block of members per vertex,
+    read off the distance columns: bits v*w .. v*w + w - 1 of masks[x] are
+    `blocks[x][d(v,x)]`, a binary string of width w, most significant bit
+    first."""
+    return [
+        int("".join(map(blocks[x].__getitem__, reversed(g.dist[x]))), 2)
+        for x in range(g.n)
+    ]
 
 
 def is_helly(g: Graph, witness: list | None = None) -> bool:
-    """The family of balls has the Helly property (triple criterion)."""
-    _, why = hypergraph_helly_by_triples(range(g.n), _ball_family(g))
-    return _holds(witness, why)
+    """The family of balls has the Helly property (triple criterion).
+    Ball (v, r) is member v*(diam+1) + r and holds x iff d(v,x) <= r."""
+    diam = g.diameter
+    # bit r is set when a ball of radius r reaches distance k
+    block = ["1" * (diam + 1 - k) + "0" * k for k in range(diam + 1)]
+    masks = _column_masks(g, [block] * g.n)
+    return _holds(witness, _berge_failure(masks, masks))
 
 
 def bipartite_helly_via_half_balls(g: Graph, witness: list | None = None) -> bool:
-    """Half-ball family Helly test; empty half-balls are dropped."""
-    cls0, cls1 = g.bipartition()
+    """Half-ball family Helly test; empty half-balls are dropped.
+
+    The nonempty half-balls keep the order v, r, side (the side holding
+    vertex 0 first).  Ball (v, 0) = {v} leaves one and every r >= 1 leaves
+    two, so member v*(2 diam + 1) holds v alone and member
+    v*(2 diam + 1) + 2r - 1 + side holds the vertices of that side within
+    distance r of v.
+    """
+    cls0, _ = g.bipartition()
     diam = g.diameter
-    family = []
-    for v in range(g.n):
-        for r in range(diam + 1):
-            ball = g.ball(v, r)
-            for side in (cls0, cls1):
-                half = ball & side
-                if half:
-                    family.append(half)
-    _, why = hypergraph_helly_by_triples(range(g.n), family)
-    return _holds(witness, why)
+    # most significant first, each radius r from diam down to 1 gives bit
+    # 2r (side 1) and bit 2r - 1 (side 0), set on the vertex's side when
+    # r >= k; bit 0, the half-ball (v, 0) = {v}, is set at k = 0 only
+    blocks = [
+        [pair * (diam + 1 - max(k, 1)) + "00" * (max(k, 1) - 1) + "01"[k == 0]
+         for k in range(diam + 1)]
+        for pair in ("01", "10")
+    ]
+    masks = _column_masks(g, [blocks[x not in cls0] for x in range(g.n)])
+    return _holds(witness, _berge_failure(masks, masks))
 
 
 def bipartite_helly_via_interval_condition(
@@ -177,16 +282,18 @@ def bipartite_helly_via_interval_condition(
     holds, why = modular
     if not holds:
         return _holds(witness, why)
-    d = g.dist
-    for u in range(g.n):
-        for v in range(g.n):
-            if d[u][v] < 3:
+    d, adj = g.dist, g.adj
+    for u, du in enumerate(d):
+        for v, k in enumerate(du):
+            if k < 3:
                 continue
-            inter = g.interval(u, v)
-            fan = [w for w in g.neighbors(v) if w in inter]
+            dv = d[v]
+            fan = [w for w in adj[v] if du[w] == k - 1]
+            # in a bipartite graph the second common neighbor lies one step
+            # past fan[0] toward u, so at distance k-2 from u and 2 from v
             if not any(
-                x != v and all(d[w][x] == 1 for w in fan)
-                for x in sorted(inter)
+                du[x] == k - 2 and dv[x] == 2 and all(d[w][x] == 1 for w in fan)
+                for x in adj[fan[0]]
             ):
                 return _holds(witness, (u, v))
     return True
@@ -214,16 +321,13 @@ def is_bipartite_helly(
 def is_meshed(g: Graph, witness: list | None = None) -> bool:
     """For every u and 2-pair (v,w), some common neighbor x of v,w has
     2 d(u,x) <= d(u,v) + d(u,w)."""
-    d, n = g.dist, g.n
+    pairs = _two_apart(g)
     found = next(
         (
             (u, v, w)
-            for u in range(n)
-            for v in range(n)
-            for w in range(v + 1, n)
-            if d[v][w] == 2 and not any(
-                d[w][x] == 1 and 2 * d[u][x] <= d[u][v] + d[u][w] for x in g.adj[v]
-            )
+            for u, du in enumerate(g.dist)
+            for v, w, common in pairs
+            if not any(2 * du[x] <= du[v] + du[w] for x in common)
         ),
         None,
     )
@@ -247,8 +351,16 @@ def classify(g: Graph) -> ClassReport:
             witnesses[key] = (why,) if isinstance(why, str) else why
         return holds
 
-    modular = record("modular", is_modular)
-    median = record("median", is_median_graph)
+    modular = is_modular(g)
+    median = is_median_graph(g, modular=modular)
+    if not median:
+        # a triple without a median has no unique one either, so the median
+        # witness comes no later than the modular one: one walk names both
+        tests = (_not_one_median,) if modular else (_not_one_median, _no_median)
+        first = _first_triple(g, *tests)
+        if not modular:
+            witnesses["modular"] = first[1]
+        witnesses["median"] = first[0]
     helly = record("helly", is_helly)
     known = (modular, witnesses.get("modular"))
     biphelly = record("bipartite_helly", partial(is_bipartite_helly, modular=known))

@@ -20,7 +20,7 @@ from itertools import tee
 from math import lcm
 
 from .combinatorics import adjacency_sets, maximal_stable_sets, stable_sets
-from .errors import InputError
+from .errors import BudgetError, InputError
 from .graph import Graph
 from .profiles import Profile, canonical_profiles, f_vector, median_set
 from .rational_lp import EQ, GE, LE, RationalLinearSystem
@@ -251,12 +251,14 @@ def has_perfect_pairing(g: Graph, profile: Profile):
     return pairing, u
 
 
-def maximum_pairing(g: Graph, profile: Profile):
+def maximum_pairing(g: Graph, profile: Profile, cap: int = 1 << 17):
     """Exact maximum-cost pairing by branch and bound.
 
     Pruning uses the weak duality ceiling min_v F(v), a per-element bound
     of half the sum of largest available distances, and the cost of a
-    greedy pairing as a starting floor.
+    greedy pairing as a starting floor.  The bound is loose once several
+    vertices carry large multiplicities, so the search raises BudgetError
+    once it has visited more than `cap` nodes.
     """
     if not profile.is_even:
         raise InputError("profile must have even total multiplicity")
@@ -296,11 +298,15 @@ def maximum_pairing(g: Graph, profile: Profile):
     # reach it; the search still ends on the first leaf of maximum cost in
     # depth-first order, so the returned pairing does not change.
     best = greedy() - 1
+    nodes = 0
 
     def frame(cost: int):
         """Search frame [a, partners, next partner, cost] for the current
         `need`, or None at a leaf or a pruned node."""
-        nonlocal best, best_pairs
+        nonlocal best, best_pairs, nodes
+        nodes += 1
+        if nodes > cap:
+            raise BudgetError(f"pairing search exceeded cap {cap} nodes", count=nodes)
         if best == ceiling:
             return None
         live = [v for v, k in need.items() if k > 0]

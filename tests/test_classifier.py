@@ -21,12 +21,13 @@ from medianlab.graph import (
     complete,
     complete_bipartite,
     cycle,
+    generate,
     hypercube,
     tree_from_parent_list,
 )
 from medianlab.hypergraphs import Hypergraph, incidence_graph
 
-from conftest import brute_force_helly, random_connected_bipartite
+from conftest import brute_force_helly, random_connected_bipartite, random_tree
 
 
 def test_tc_vacuous_on_bipartite(corpus):
@@ -196,3 +197,156 @@ def test_expected_corpus_flags(corpus):
     assert classify(corpus["b4"]).bipartite
     report = classify(corpus["c6"])
     assert report.bipartite and not report.modular and not report.bipartite_helly
+
+
+# -- oracles over many graphs: the local characterizations and the ball masks
+# read off distance columns against explicit intervals and ball families
+
+NAMED = (
+    "cycle:4", "cycle:5", "cycle:6", "cycle:7", "cycle:8", "path:1", "path:2",
+    "path:6", "complete:3", "complete:4", "kmn:1,3", "kmn:2,2", "kmn:2,3",
+    "kmn:3,3", "kmn:3,4", "hypercube:3", "hypercube:4", "bn:3", "bn:4", "bn:5",
+    "bhat:3", "bhat:4", "grid:2,2", "grid:2,5", "grid:3,3", "grid:3,4",
+    "tree:0,0,1,1,2", "tree:0,1,2,3,3,5",
+)
+
+
+def _induced_connected(rng, host, k):
+    """A random connected induced subgraph of `host` on k vertices."""
+    keep = {rng.randrange(host.n)}
+    while len(keep) < k:
+        keep.add(rng.choice(sorted({y for x in keep for y in host.adj[x]} - keep)))
+    index = {v: i for i, v in enumerate(sorted(keep))}
+    return Graph(k, [(index[u], index[v]) for u, v in host.edges() if u in index and v in index])
+
+
+def _random_connected(rng, n):
+    """A random spanning tree plus extra edges, bipartite or not."""
+    tree = random_tree(rng, n)
+    extra = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.2]
+    return Graph(n, sorted(set(tree.edges()) | set(extra)))
+
+
+def _oracle_graphs():
+    graphs = [(spec, generate(spec)) for spec in NAMED]
+    rng = random.Random(2008)
+    hosts = (hypercube(4), generate("grid:4,4"))
+    for i in range(320):
+        n = rng.randint(3, 12)
+        kind = i % 4
+        if kind == 0:
+            g = random_connected_bipartite(rng, max_n=12)
+        elif kind == 1:
+            g = _random_connected(rng, n)
+        elif kind == 2:
+            g = random_tree(rng, n)
+        else:
+            g = _induced_connected(rng, hosts[i % 8 // 4], n)
+        graphs.append((f"random/{i}", g))
+    return graphs
+
+
+ORACLE_GRAPHS = _oracle_graphs()
+
+
+def _triple_oracle(g):
+    """The first triple x < y < z whose intervals have an empty meet, and the
+    first whose meet is not a single vertex, from `g.interval`."""
+    no_median = not_one = None
+    for x, y, z in combinations(range(g.n), 3):
+        meet = g.interval(x, y) & g.interval(y, z) & g.interval(x, z)
+        if not_one is None and len(meet) != 1:
+            not_one = (x, y, z)
+        if not meet:
+            no_median = (x, y, z)
+            break
+    return no_median, not_one
+
+
+def _named(found):
+    return [] if found is None else [found]
+
+
+def test_modular_and_median_match_the_triple_scan():
+    kinds = set()
+    for name, g in ORACLE_GRAPHS:
+        no_median, not_one = _triple_oracle(g)
+        kinds.add((g.is_bipartite, no_median is None, not_one is None))
+        wit = []
+        assert is_modular(g, wit) == (no_median is None), name
+        assert wit == _named(no_median), name
+        wit = []
+        assert is_median_graph(g, wit) == (not_one is None), name
+        assert wit == _named(not_one), name
+        for known in (True, False):
+            if known == (no_median is None):
+                wit = []
+                assert is_median_graph(g, wit, modular=known) == (not_one is None)
+                assert wit == _named(not_one), name
+        report = classify(g)
+        assert (report.modular, report.median) == (no_median is None, not_one is None)
+        assert report.witnesses.get("modular") == no_median, name
+        assert report.witnesses.get("median") == not_one, name
+    # median, modular but not median, bipartite but not modular, not bipartite
+    assert kinds == {(True, True, True), (True, True, False), (True, False, False),
+                     (False, False, False)}
+
+
+def test_ball_masks_match_explicit_families():
+    verdicts = set()
+    for name, g in ORACLE_GRAPHS:
+        radii = range(g.diameter + 1)
+        balls = [g.ball(v, r) for v in range(g.n) for r in radii]
+        holds, why = hypergraph_helly_by_triples(range(g.n), balls)
+        wit = []
+        assert is_helly(g, wit) == holds, name
+        assert wit == _named(why), name
+        verdicts.add(("helly", holds))
+        if not g.is_bipartite:
+            continue
+        halves = [
+            half
+            for v in range(g.n)
+            for r in radii
+            for side in g.bipartition()
+            if (half := g.ball(v, r) & side)
+        ]
+        holds, why = hypergraph_helly_by_triples(range(g.n), halves)
+        wit = []
+        assert bipartite_helly_via_half_balls(g, wit) == holds, name
+        assert wit == _named(why), name
+        verdicts.add(("half-balls", holds))
+    assert len(verdicts) == 4
+
+
+def _interval_condition_by_intervals(g):
+    """The first (u, v) with d(u,v) >= 3 whose fan in I(u,v) has no second
+    common neighbour there, from `g.interval`; None when there is none."""
+    for u in range(g.n):
+        for v in range(g.n):
+            if g.d(u, v) < 3:
+                continue
+            inter = g.interval(u, v)
+            fan = [w for w in g.neighbors(v) if w in inter]
+            if not any(x != v and all(g.d(w, x) == 1 for w in fan) for x in inter):
+                return u, v
+    return None
+
+
+def test_interval_condition_matches_the_interval_scan():
+    verdicts = set()
+    for name, g in ORACLE_GRAPHS:
+        buf = []
+        modular = is_modular(g, buf)
+        expected = _interval_condition_by_intervals(g) if modular else buf[0]
+        wit = []
+        assert bipartite_helly_via_interval_condition(g, wit) == (expected is None), name
+        assert wit == _named(expected), name
+        if modular:
+            verdicts.add(expected is None)
+            wit = []
+            assert bipartite_helly_via_interval_condition(g, wit, modular=(True, None)) == (
+                expected is None
+            )
+            assert wit == _named(expected), name
+    assert verdicts == {True, False}

@@ -247,6 +247,19 @@ def test_parser_built_once_lazily():
     assert out.strip() == "0"
 
 
+def test_module_entry_point():
+    # `python -m medianlab` runs the CLI from the source tree, without an install
+    src = str(Path(medianlab.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "medianlab", "classify", "cycle:6"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert report["command"] == ["classify", "cycle:6"]
+    assert report["verdicts"]["modular"] is False
+
+
 def test_cap_errors_exit_two(capsys):
     code, out, _ = capture(
         capsys,

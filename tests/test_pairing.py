@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -57,6 +58,22 @@ def test_maximum_pairing_deep_profile():
     best, cost = maximum_pairing(cycle(6), Profile.parse("0:1500 3:1500"))
     assert cost == 4500
     assert best.pairs == ((0, 3),) * 1500
+
+
+def test_maximum_pairing_budget():
+    # three heavy vertices defeat the per-element bound; the search stops at
+    # its node cap instead of running for minutes
+    heavy = Profile.parse("0:40 1:40 3:40")
+    start = time.perf_counter()
+    with pytest.raises(BudgetError) as info:
+        maximum_pairing(cycle(6), heavy)
+    assert time.perf_counter() - start < 5
+    assert info.value.count == (1 << 17) + 1
+    # this search visits 7 nodes: the cap counts every one of them
+    small = Profile.parse("0:2 1:2 3:2")
+    with pytest.raises(BudgetError):
+        maximum_pairing(cycle(6), small, cap=6)
+    assert maximum_pairing(cycle(6), small, cap=7) == maximum_pairing(cycle(6), small)
 
 
 def test_maximum_pairing_is_first_optimum_of_enumeration(corpus):
