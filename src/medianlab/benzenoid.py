@@ -12,12 +12,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import BudgetError, InputError
+from .errors import InputError
 from .graph import Graph
 from .profiles import (
     canonical_profiles,
     connected_in_power,
-    count_canonical_profiles,
     f_vector,
     minimizers,
     peak_failures,
@@ -263,16 +262,12 @@ def verify_benzenoid_properties(
                 opposition_ok = False
                 failures.append({"opposition": [x, ring, opposite]})
 
-    count = count_canonical_profiles(g.n, max_support, max_mult)
-    if count > cap:
-        raise BudgetError(f"profile budget {count} exceeds cap {cap}", count=count)
-
     hex_sets = [set(h) for h in b.hexagons]
     probes = peak_probes(g, 2, 2)
     peakless_ok = True
     connected_ok = True
     checked = 0
-    for profile in canonical_profiles(g.n, max_support, max_mult):
+    for profile in canonical_profiles(g.n, max_support, max_mult, cap=cap):
         checked += 1
         f = f_vector(g, profile)
         for u, v in peak_failures(f, probes):

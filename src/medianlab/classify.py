@@ -9,12 +9,15 @@ graph is modular iff it is bipartite and satisfies the quadrangle
 condition, and a modular graph is median iff no two vertices at distance 2
 have three common neighbours (an induced K_{2,3}).  A scan over vertex
 triples runs only to name the witness of a flag that fails.
+
+Each recognizer has one private core that returns its first violation, or
+None; the public functions record it as their witness, and `classify`
+calls the cores directly so that shared work is done once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import combinations
 
 from .graph import Graph
@@ -59,11 +62,26 @@ def _two_apart(g: Graph) -> list[tuple[int, int, list[int]]]:
     return pairs
 
 
-def _first_qc_violation(g: Graph) -> tuple | None:
-    """First (u, v, w, z) in lexicographic order with d(v,w) = 2, z a common
-    neighbour of v and w one step farther from u than both, and no common
-    neighbour one step closer."""
-    pairs = _two_apart(g)
+def _first_tc_violation(g: Graph) -> tuple | None:
+    """First (u, v, w) in lexicographic order with vw an edge, d(u,v) =
+    d(u,w) >= 2 and no common neighbour of v and w one step closer to u."""
+    d, adj = g.dist, g.adj
+    return next(
+        (
+            (u, v, w)
+            for u, du in enumerate(d)
+            for v, w in g.edges()
+            if du[v] == du[w] >= 2
+            and not any(d[w][x] == 1 and du[x] == du[v] - 1 for x in adj[v])
+        ),
+        None,
+    )
+
+
+def _first_qc_violation(g: Graph, pairs) -> tuple | None:
+    """First (u, v, w, z) in lexicographic order with (v, w, common) in the
+    `_two_apart` list `pairs`, z a common neighbour one step farther from u
+    than v and w, and no common neighbour one step closer."""
     for u, du in enumerate(g.dist):
         for v, w, common in pairs:
             k = du[v]
@@ -74,59 +92,40 @@ def _first_qc_violation(g: Graph) -> tuple | None:
     return None
 
 
+def _first_modular_violation(g: Graph, pairs) -> tuple | str | None:
+    """The string "not bipartite", the first quadrangle-condition violation,
+    or None when the graph is modular."""
+    return _first_qc_violation(g, pairs) if g.is_bipartite else "not bipartite"
+
+
+def _first_k23(pairs) -> tuple | None:
+    """The first pair at distance 2 with three or more common neighbours,
+    the two sides of an induced K_{2,3}, or None."""
+    return next(((v, w) for v, w, common in pairs if len(common) >= 3), None)
+
+
+def _median_counts(g: Graph):
+    """Each triple x < y < z in lexicographic order with its number of
+    medians.  m is a median exactly when d(x,m) + d(y,m) + d(z,m) is half
+    the perimeter d(x,y) + d(y,z) + d(x,z): the three triangle inequalities
+    such as d(x,m) + d(m,y) >= d(x,y) are then tight.
+    """
+    d = g.dist
+    for x, y, z in combinations(range(g.n), 3):
+        dx, dy, dz = d[x], d[y], d[z]
+        perimeter = dx[y] + dy[z] + dx[z]
+        yield (x, y, z), sum(2 * (a + b + c) == perimeter for a, b, c in zip(dx, dy, dz))
+
+
 def check_conditions_tc_qc(g: Graph):
     """Scan the triangle and quadrangle condition premises exhaustively.
 
     Returns (tc_holds, qc_holds, witnesses) where witnesses maps 'tc'/'qc'
     to the first violating vertex tuple in lexicographic order.
     """
-    d, adj = g.dist, g.adj
-    tc_bad = next(
-        (
-            (u, v, w)
-            for u, du in enumerate(d)
-            for v, w in g.edges()
-            if du[v] == du[w] >= 2
-            and not any(d[w][x] == 1 and du[x] == du[v] - 1 for x in adj[v])
-        ),
-        None,
-    )
-    qc_bad = _first_qc_violation(g)
-    witnesses = {}
-    if tc_bad is not None:
-        witnesses["tc"] = tc_bad
-    if qc_bad is not None:
-        witnesses["qc"] = qc_bad
-    return tc_bad is None, qc_bad is None, witnesses
-
-
-def _no_median(medians: int) -> bool:
-    return medians == 0
-
-
-def _not_one_median(medians: int) -> bool:
-    return medians != 1
-
-
-def _first_triple(g: Graph, *bads) -> list:
-    """For each median-count test in `bads`, the lexicographically first
-    triple x < y < z whose count passes it, or None; one walk serves all.
-    m is a median exactly when d(x,m) + d(y,m) + d(z,m) is half the
-    perimeter d(x,y) + d(y,z) + d(x,z): the three triangle inequalities
-    such as d(x,m) + d(m,y) >= d(x,y) are then tight.
-    """
-    d = g.dist
-    found = [None] * len(bads)
-    for x, y, z in combinations(range(g.n), 3):
-        dx, dy, dz = d[x], d[y], d[z]
-        perimeter = dx[y] + dy[z] + dx[z]
-        medians = sum(2 * (a + b + c) == perimeter for a, b, c in zip(dx, dy, dz))
-        for i, bad in enumerate(bads):
-            if found[i] is None and bad(medians):
-                found[i] = (x, y, z)
-        if all(found):
-            break
-    return found
+    found = {"tc": _first_tc_violation(g), "qc": _first_qc_violation(g, _two_apart(g))}
+    witnesses = {key: why for key, why in found.items() if why is not None}
+    return found["tc"] is None, found["qc"] is None, witnesses
 
 
 def _holds(witness: list | None, found) -> bool:
@@ -136,38 +135,28 @@ def _holds(witness: list | None, found) -> bool:
     return found is None
 
 
-def _fails(g: Graph, witness: list | None, bad) -> bool:
-    """False, after naming in `witness` (when one is asked for) the first
-    triple whose median count passes `bad`."""
-    if witness is not None:
-        witness.append(_first_triple(g, bad)[0])
-    return False
-
-
 def is_modular(g: Graph, witness: list | None = None) -> bool:
     """Every vertex triple has a median: the graph is bipartite and satisfies
     the quadrangle condition.  The witness is the first triple without one."""
-    if g.is_bipartite and _first_qc_violation(g) is None:
+    if _first_modular_violation(g, _two_apart(g)) is None:
         return True
-    return _fails(g, witness, _no_median)
+    if witness is not None:
+        witness.append(next(t for t, medians in _median_counts(g) if not medians))
+    return False
 
 
-def is_median_graph(
-    g: Graph, witness: list | None = None, modular: bool | None = None
-) -> bool:
+def is_median_graph(g: Graph, witness: list | None = None) -> bool:
     """Every vertex triple has exactly one median: the graph is modular and
     no two vertices at distance 2 have three common neighbours.  The witness
     is the first distinct triple with no or several medians; a triple with a
     repeated vertex always has exactly one.
-
-    `modular` is an `is_modular` verdict already at hand; without it
-    modularity is tested here.
     """
-    if modular is None:
-        modular = is_modular(g)
-    if modular and all(len(common) < 3 for _, _, common in _two_apart(g)):
+    pairs = _two_apart(g)
+    if _first_modular_violation(g, pairs) is None and _first_k23(pairs) is None:
         return True
-    return _fails(g, witness, _not_one_median)
+    if witness is not None:
+        witness.append(next(t for t, medians in _median_counts(g) if medians != 1))
+    return False
 
 
 def _berge_failure(ground_masks: list[int], masks) -> tuple | None:
@@ -223,25 +212,84 @@ def hypergraph_helly_by_triples(ground: range | list, edges: list[frozenset]):
     return why is None, why
 
 
-def _column_masks(g: Graph, blocks) -> list[int]:
-    """Incidence masks of a family with one block of members per vertex,
-    read off the distance columns: bits v*w .. v*w + w - 1 of masks[x] are
-    `blocks[x][d(v,x)]`, a binary string of width w, most significant bit
-    first."""
-    return [
+def _first_column_failure(g: Graph, blocks) -> tuple | None:
+    """The Berge triple criterion on a family with one block of members per
+    vertex, its incidence masks read off the distance columns: bits
+    v*w .. v*w + w - 1 of the mask of x are `blocks[x][d(v,x)]`, a binary
+    string of width w, most significant bit first."""
+    masks = [
         int("".join(map(blocks[x].__getitem__, reversed(g.dist[x]))), 2)
         for x in range(g.n)
     ]
+    return _berge_failure(masks, masks)
 
 
-def is_helly(g: Graph, witness: list | None = None) -> bool:
-    """The family of balls has the Helly property (triple criterion).
-    Ball (v, r) is member v*(diam+1) + r and holds x iff d(v,x) <= r."""
+def _first_ball_failure(g: Graph) -> tuple | None:
+    """Berge failure of the ball family: ball (v, r) is member
+    v*(diam+1) + r and holds x iff d(v,x) <= r."""
     diam = g.diameter
     # bit r is set when a ball of radius r reaches distance k
     block = ["1" * (diam + 1 - k) + "0" * k for k in range(diam + 1)]
-    masks = _column_masks(g, [block] * g.n)
-    return _holds(witness, _berge_failure(masks, masks))
+    return _first_column_failure(g, [block] * g.n)
+
+
+def _first_long_interval_violation(g: Graph) -> tuple | None:
+    """On a modular graph, the first (u, v) with d(u,v) >= 3 whose fan, the
+    neighbours of v inside I(u,v), has no second common neighbour there."""
+    d, adj = g.dist, g.adj
+    for u, du in enumerate(d):
+        for v, k in enumerate(du):
+            if k < 3:
+                continue
+            dv = d[v]
+            fan = [w for w in adj[v] if du[w] == k - 1]
+            # in a bipartite graph the second common neighbor lies one step
+            # past fan[0] toward u, so at distance k-2 from u and 2 from v
+            if not any(
+                du[x] == k - 2 and dv[x] == 2 and all(d[w][x] == 1 for w in fan)
+                for x in adj[fan[0]]
+            ):
+                return u, v
+    return None
+
+
+def _first_bipartite_helly_violation(g: Graph, no_median: tuple | None):
+    """Decide bipartite Hellyness two independent ways and insist they agree.
+
+    `no_median` is the first triple without a median, None on a modular
+    graph; the interval condition reports it before the long intervals.
+    The result is "not bipartite", a violation or None.
+    """
+    if not g.is_bipartite:
+        return "not bipartite"
+    by_half_balls = bipartite_helly_via_half_balls(g)
+    found = no_median if no_median is not None else _first_long_interval_violation(g)
+    by_intervals = found is None
+    if by_half_balls != by_intervals:
+        raise RuntimeError(
+            f"bipartite Helly procedures disagree: half-balls={by_half_balls} "
+            f"interval-condition={by_intervals}"
+        )
+    return found
+
+
+def _first_meshed_violation(g: Graph, pairs) -> tuple | None:
+    """First (u, v, w) with (v, w, common) in `pairs` and no common
+    neighbour x with 2 d(u,x) <= d(u,v) + d(u,w)."""
+    return next(
+        (
+            (u, v, w)
+            for u, du in enumerate(g.dist)
+            for v, w, common in pairs
+            if not any(2 * du[x] <= du[v] + du[w] for x in common)
+        ),
+        None,
+    )
+
+
+def is_helly(g: Graph, witness: list | None = None) -> bool:
+    """The family of balls has the Helly property (triple criterion)."""
+    return _holds(witness, _first_ball_failure(g))
 
 
 def bipartite_helly_via_half_balls(g: Graph, witness: list | None = None) -> bool:
@@ -263,116 +311,63 @@ def bipartite_helly_via_half_balls(g: Graph, witness: list | None = None) -> boo
          for k in range(diam + 1)]
         for pair in ("01", "10")
     ]
-    masks = _column_masks(g, [blocks[x not in cls0] for x in range(g.n)])
-    return _holds(witness, _berge_failure(masks, masks))
+    sides = [blocks[x not in cls0] for x in range(g.n)]
+    return _holds(witness, _first_column_failure(g, sides))
 
 
-def bipartite_helly_via_interval_condition(
-    g: Graph, witness: list | None = None, modular: tuple | None = None
-) -> bool:
+def bipartite_helly_via_interval_condition(g: Graph, witness: list | None = None) -> bool:
     """Modularity plus the long-interval condition: for d(u,v) >= 3 the
-    neighbors of v inside I(u,v) must have a second common neighbor there.
-
-    `modular` is an `is_modular` verdict already at hand, as (holds,
-    witness); without it modularity is tested here.
-    """
-    if modular is None:
-        buf: list = []
-        modular = (is_modular(g, buf), buf[-1] if buf else None)
-    holds, why = modular
-    if not holds:
-        return _holds(witness, why)
-    d, adj = g.dist, g.adj
-    for u, du in enumerate(d):
-        for v, k in enumerate(du):
-            if k < 3:
-                continue
-            dv = d[v]
-            fan = [w for w in adj[v] if du[w] == k - 1]
-            # in a bipartite graph the second common neighbor lies one step
-            # past fan[0] toward u, so at distance k-2 from u and 2 from v
-            if not any(
-                du[x] == k - 2 and dv[x] == 2 and all(d[w][x] == 1 for w in fan)
-                for x in adj[fan[0]]
-            ):
-                return _holds(witness, (u, v))
-    return True
+    neighbors of v inside I(u,v) must have a second common neighbor there."""
+    buf: list = []
+    modular = is_modular(g, buf)
+    return _holds(witness, _first_long_interval_violation(g) if modular else buf[0])
 
 
-def is_bipartite_helly(
-    g: Graph, witness: list | None = None, modular: tuple | None = None
-) -> bool:
-    """Decide bipartite Hellyness two independent ways and insist they agree.
-
-    `modular` passes a known `is_modular` verdict on to the interval
-    condition, as (holds, witness)."""
-    if not g.is_bipartite:
-        return _holds(witness, "not bipartite")
-    by_half_balls = bipartite_helly_via_half_balls(g)
-    by_intervals = bipartite_helly_via_interval_condition(g, witness, modular)
-    if by_half_balls != by_intervals:
-        raise RuntimeError(
-            f"bipartite Helly procedures disagree: half-balls={by_half_balls} "
-            f"interval-condition={by_intervals}"
-        )
-    return by_intervals
+def is_bipartite_helly(g: Graph, witness: list | None = None) -> bool:
+    """Decide bipartite Hellyness two independent ways and insist they agree."""
+    buf: list = []
+    if g.is_bipartite:
+        is_modular(g, buf)
+    return _holds(witness, _first_bipartite_helly_violation(g, buf[0] if buf else None))
 
 
 def is_meshed(g: Graph, witness: list | None = None) -> bool:
     """For every u and 2-pair (v,w), some common neighbor x of v,w has
     2 d(u,x) <= d(u,v) + d(u,w)."""
-    pairs = _two_apart(g)
-    found = next(
-        (
-            (u, v, w)
-            for u, du in enumerate(g.dist)
-            for v, w, common in pairs
-            if not any(2 * du[x] <= du[v] + du[w] for x in common)
-        ),
-        None,
-    )
-    return _holds(witness, found)
+    return _holds(witness, _first_meshed_violation(g, _two_apart(g)))
 
 
 def classify(g: Graph) -> ClassReport:
+    pairs = _two_apart(g)
+    tc_bad, qc_bad = _first_tc_violation(g), _first_qc_violation(g, pairs)
+    modular = g.is_bipartite and qc_bad is None
+    median = modular and _first_k23(pairs) is None
     witnesses = {}
-    tc, qc, tcqc_wit = check_conditions_tc_qc(g)
-    if "tc" in tcqc_wit:
-        witnesses["weakly_modular"] = tcqc_wit["tc"]
-    elif "qc" in tcqc_wit:
-        witnesses["weakly_modular"] = tcqc_wit["qc"]
-
-    def record(key, test):
-        """Run a recognizer, keeping its last witness when it fails."""
-        buf: list = []
-        holds = test(g, buf)
-        if not holds:
-            why = buf[-1]  # a tuple, or the string "not bipartite"
-            witnesses[key] = (why,) if isinstance(why, str) else why
-        return holds
-
-    modular = is_modular(g)
-    median = is_median_graph(g, modular=modular)
+    if tc_bad is not None or qc_bad is not None:
+        witnesses["weakly_modular"] = tc_bad if tc_bad is not None else qc_bad
     if not median:
         # a triple without a median has no unique one either, so the median
         # witness comes no later than the modular one: one walk names both
-        tests = (_not_one_median,) if modular else (_not_one_median, _no_median)
-        first = _first_triple(g, *tests)
+        walk = _median_counts(g)
+        first, medians = next((t, m) for t, m in walk if m != 1)
         if not modular:
-            witnesses["modular"] = first[1]
-        witnesses["median"] = first[0]
-    helly = record("helly", is_helly)
-    known = (modular, witnesses.get("modular"))
-    biphelly = record("bipartite_helly", partial(is_bipartite_helly, modular=known))
-    meshed = record("meshed", is_meshed)
-
+            witnesses["modular"] = first if not medians else next(t for t, m in walk if not m)
+        witnesses["median"] = first
+    found = {
+        "helly": _first_ball_failure(g),
+        "bipartite_helly": _first_bipartite_helly_violation(g, witnesses.get("modular")),
+        "meshed": _first_meshed_violation(g, pairs),
+    }
+    for key, why in found.items():
+        if why is not None:
+            witnesses[key] = (why,) if isinstance(why, str) else why
     return ClassReport(
         bipartite=g.is_bipartite,
-        weakly_modular=tc and qc,
+        weakly_modular=tc_bad is None and qc_bad is None,
         modular=modular,
         median=median,
-        helly=helly,
-        bipartite_helly=biphelly,
-        meshed=meshed,
+        helly=found["helly"] is None,
+        bipartite_helly=found["bipartite_helly"] is None,
+        meshed=found["meshed"] is None,
         witnesses=witnesses,
     )

@@ -4,6 +4,7 @@ consensus rule on the 6-cycle that disagrees with the median function."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
@@ -63,6 +64,16 @@ def table_size(n: int, max_len: int) -> int:
 def profile_keys(n: int, max_len: int):
     for k in range(1, max_len + 1):
         yield from combinations_with_replacement(range(n), k)
+
+
+def _concatenation_pairs(n: int, max_len: int):
+    """Every pair of profile keys (left, right) with left <= right whose
+    concatenation has length at most max_len, left in key order."""
+    keys = list(profile_keys(n, max_len - 1))
+    for left in keys:
+        for right in keys:
+            if right >= left and len(left) + len(right) <= max_len:
+                yield left, right
 
 
 def tabulate_function(g: Graph, max_len: int, fn, cap: int = 200_000) -> TabulatedConsensus:
@@ -134,18 +145,10 @@ def check_axiom(f: TabulatedConsensus, axiom: str, k: int | None = None) -> Axio
     if axiom == "C":
         if f.max_len < 2:
             raise BudgetError("axiom C needs profiles of length 2")
-        keys = list(profile_keys(g.n, f.max_len - 1))
-        for left in keys:
-            for right in keys:
-                if right < left or len(left) + len(right) > f.max_len:
-                    continue
-                lv, rv = f.table[left], f.table[right]
-                meet = lv & rv
-                if not meet:
-                    continue
-                combined = f.value(left + right)
-                if combined != meet:
-                    return AxiomResult("C", False, (left, right, combined, meet))
+        for left, right in _concatenation_pairs(g.n, f.max_len):
+            meet = f.table[left] & f.table[right]
+            if meet and (combined := f.value(left + right)) != meet:
+                return AxiomResult("C", False, (left, right, combined, meet))
         return AxiomResult("C", True)
     if axiom in ("T", "Tminus"):
         if f.max_len < 3:
@@ -230,14 +233,9 @@ def table_from_text(g: Graph, text: str) -> TabulatedConsensus:
 # -- the six-cycle rule -------------------------------------------------------------
 
 
-_C6: Graph | None = None
-
-
+@cache
 def c6_graph() -> Graph:
-    global _C6
-    if _C6 is None:
-        _C6 = cycle(6)
-    return _C6
+    return cycle(6)
 
 
 @dataclass(frozen=True)
@@ -340,6 +338,10 @@ def verify_l6_is_abc(max_len: int = 6, cap: int = 200_000) -> L6Report:
     concatenation pairs, and the agreement with the median function on
     non-alternate profiles; also report where the two functions part ways.
     """
+    if max_len < 3:
+        raise BudgetError(
+            f"the divergence witness needs profiles of length 3, got {max_len}"
+        )
     g = c6_graph()
     table = tabulate_function(
         g, max_len, lambda key: l6_eval(Profile.from_vertices(key)), cap=cap
@@ -353,20 +355,14 @@ def verify_l6_is_abc(max_len: int = 6, cap: int = 200_000) -> L6Report:
             failures.append(res.as_dict())
 
     reduction_ok = True
-    keys = list(profile_keys(6, max_len - 1))
-    for left in keys:
-        for right in keys:
-            if right < left or len(left) + len(right) > max_len:
-                continue
-            pi = C6Profile.from_profile(Profile.from_vertices(left))
-            rho = C6Profile.from_profile(Profile.from_vertices(right))
-            sigma = C6Profile.from_profile(Profile.from_vertices(left + right))
-            tau = C6Profile(
-                tuple(a + b for a, b in zip(pi.reduced(), rho.reduced()))
-            )
-            if sigma.reduced() != tau.reduced():
-                reduction_ok = False
-                failures.append({"reduction": [left, right]})
+    for left, right in _concatenation_pairs(6, max_len):
+        pi = C6Profile.from_profile(Profile.from_vertices(left))
+        rho = C6Profile.from_profile(Profile.from_vertices(right))
+        sigma = C6Profile.from_profile(Profile.from_vertices(left + right))
+        tau = C6Profile(tuple(a + b for a, b in zip(pi.reduced(), rho.reduced())))
+        if sigma.reduced() != tau.reduced():
+            reduction_ok = False
+            failures.append({"reduction": [left, right]})
 
     med = tabulate_median(g, max_len, cap=cap)
     non_alt_ok = True

@@ -401,16 +401,11 @@ def ma_violation_search(g: Graph, u: int, cap: int = 1 << 20):
     return None
 
 
-def scale_to_even_profile(point, vertices=None) -> Profile:
+def scale_to_even_profile(point) -> Profile:
     """Clear denominators and double, turning a rational weight vector into
     an even integral profile."""
     scale = 2 * lcm(*(x.denominator for x in point), 1)
-    counts = {}
-    for idx, x in enumerate(point):
-        if x:
-            v = idx if vertices is None else vertices[idx]
-            counts[v] = int(x * scale)
-    return Profile.from_counts(counts)
+    return Profile.from_counts({v: int(x * scale) for v, x in enumerate(point) if x})
 
 
 @dataclass
@@ -535,7 +530,7 @@ def matching_stable_set_check(
             raise InputError("single variant needs a profile budget")
         maximal = maximal_stable_sets(g.n, adj)
         for profile in canonical_profiles(
-            g.n, max_support, max_mult, even_only=True
+            g.n, max_support, max_mult, even_only=True, cap=cap
         ):
             if _profile_violates_msp(g, profile, adj, maximal):
                 return MatchingStableSetResult(False, variant, profile)

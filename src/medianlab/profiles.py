@@ -160,11 +160,16 @@ def count_canonical_profiles(n: int, max_support: int, max_mult: int,
 
 
 def canonical_profiles(n: int, max_support: int, max_mult: int,
-                       even_only: bool = False):
+                       even_only: bool = False, cap: int = 2_000_000):
     """Yield nonempty profiles in canonical order: supports in lexicographic
-    order of their sorted tuples, multiplicity vectors in lexicographic order."""
+    order of their sorted tuples, multiplicity vectors in lexicographic order.
+    Raises BudgetError before the first profile when there are more than
+    `cap` of them."""
     if max_support < 1 or max_mult < 1:
         raise InputError("budget must allow at least one vertex")
+    count = count_canonical_profiles(n, max_support, max_mult, even_only)
+    if count > cap:
+        raise BudgetError(f"profile budget {count} exceeds cap {cap}", count=count)
     s = min(max_support, n)
     supports = sorted(
         (sup for k in range(1, s + 1) for sup in combinations(range(n), k))
@@ -265,14 +270,9 @@ def check_unimodal_equals_connected(
     """
     if p < 1:
         raise InputError(f"power must be >= 1, got {p}")
-    count = count_canonical_profiles(g.n, max_support, max_mult)
-    if count > cap:
-        raise BudgetError(
-            f"profile budget {count} exceeds cap {cap}", count=count
-        )
     report = MedianVerificationReport(p, max_support, max_mult, 0)
     probes = peak_probes(g, p + 1, 2 * p)
-    for profile in canonical_profiles(g.n, max_support, max_mult):
+    for profile in canonical_profiles(g.n, max_support, max_mult, cap=cap):
         f = f_vector(g, profile)
         med = minimizers(f)
         # unimodal: every local minimum in the p-th power is a global one

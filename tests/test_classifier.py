@@ -130,13 +130,13 @@ def test_classify_runs_modularity_once(monkeypatch):
     # the package exports a function named classify over the module
     module = importlib.import_module("medianlab.classify")
     calls = []
-    original = module.is_modular
+    original = module._first_qc_violation
 
-    def counted(g, witness=None):
+    def counted(g, pairs):
         calls.append(g)
-        return original(g, witness)
+        return original(g, pairs)
 
-    monkeypatch.setattr(module, "is_modular", counted)
+    monkeypatch.setattr(module, "_first_qc_violation", counted)
     for g, biphelly_witness in ((cycle(6), (0, 2, 4)), (hypercube(3), (0, 7))):
         calls.clear()
         report = classify(g)
@@ -147,6 +147,22 @@ def test_classify_runs_modularity_once(monkeypatch):
     wit = []
     assert not is_bipartite_helly(cycle(6), wit)
     assert len(calls) == 1 and wit == [(0, 2, 4)]
+
+
+def test_classify_builds_the_pair_list_once(monkeypatch):
+    module = importlib.import_module("medianlab.classify")
+    calls = []
+    original = module._two_apart
+
+    def counted(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(module, "_two_apart", counted)
+    for g in (cycle(6), hypercube(3), complete(4), generate("bhat:3")):
+        calls.clear()
+        classify(g)
+        assert len(calls) == 1
 
 
 def test_bipartite_helly_procedures_agree_on_random_graphs():
@@ -278,11 +294,6 @@ def test_modular_and_median_match_the_triple_scan():
         wit = []
         assert is_median_graph(g, wit) == (not_one is None), name
         assert wit == _named(not_one), name
-        for known in (True, False):
-            if known == (no_median is None):
-                wit = []
-                assert is_median_graph(g, wit, modular=known) == (not_one is None)
-                assert wit == _named(not_one), name
         report = classify(g)
         assert (report.modular, report.median) == (no_median is None, not_one is None)
         assert report.witnesses.get("modular") == no_median, name
@@ -344,9 +355,4 @@ def test_interval_condition_matches_the_interval_scan():
         assert wit == _named(expected), name
         if modular:
             verdicts.add(expected is None)
-            wit = []
-            assert bipartite_helly_via_interval_condition(g, wit, modular=(True, None)) == (
-                expected is None
-            )
-            assert wit == _named(expected), name
     assert verdicts == {True, False}

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -275,6 +276,21 @@ def test_cap_errors_exit_two(capsys):
     code, out, _ = capture(capsys, ["pairing", "double", "kmn:2,3", "--cap", "3"])
     assert code == 2
     assert "cap" in json.loads(out)["error"]
+
+
+def test_budget_errors_exit_two_at_once(capsys):
+    for argv, reason in (
+        # 499,999,999 even profiles, refused before the first is tried
+        (["pairing", "search", "grid:3,3", "--support", "9", "--mult", "9"], "exceeds cap"),
+        # the divergence witness 0 2 4 is a profile of length 3
+        (["consensus", "verify-l6", "--max-len", "2"], "length 3"),
+    ):
+        start = time.perf_counter()
+        code, out, _ = capture(capsys, argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        body = json.loads(out)
+        assert body["command"] == argv and reason in body["error"]
 
 
 def test_construct_counterexample_roundtrip(capsys, tmp_path):

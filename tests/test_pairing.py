@@ -422,6 +422,15 @@ def test_matching_stable_set_tree_and_star():
         matching_stable_set_check(local.graph, "single")
 
 
+def test_single_variant_profile_budget():
+    # the budget is counted before the first profile is checked
+    with pytest.raises(BudgetError) as info:
+        matching_stable_set_check(grid(3, 3), "single", max_support=9, max_mult=9)
+    assert info.value.count == 499_999_999
+    with pytest.raises(BudgetError):
+        pairing_property_bounded_search(grid(3, 3), 9, 9)
+
+
 def test_single_vertex_neighborhood_local_check():
     # base with a single neighbor: profiles must route through it trivially
     p2 = path(2)
