@@ -22,6 +22,7 @@ from .profiles import (
     peak_failures,
     peak_probes,
 )
+from .report import Report
 
 _CORNERS = ((0, 2), (1, 1), (1, -1), (0, -2), (-1, -1), (-1, 1))
 _CELL_NEIGHBORS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))
@@ -190,7 +191,7 @@ def tree_embedding(b: Benzenoid) -> TreeEmbedding:
 
 
 @dataclass
-class BenzenoidReport:
+class BenzenoidReport(Report):
     cells: int
     gated_ok: bool
     opposition_ok: bool
@@ -207,18 +208,6 @@ class BenzenoidReport:
             and self.peakless_pairs_in_hexagons
             and self.medians_g2_connected
         )
-
-    def as_dict(self) -> dict:
-        return {
-            "cells": self.cells,
-            "gated_ok": self.gated_ok,
-            "opposition_ok": self.opposition_ok,
-            "peakless_pairs_in_hexagons": self.peakless_pairs_in_hexagons,
-            "medians_g2_connected": self.medians_g2_connected,
-            "profiles_checked": self.profiles_checked,
-            "failures": self.failures,
-            "ok": self.ok,
-        }
 
 
 def verify_benzenoid_properties(
@@ -241,11 +230,11 @@ def verify_benzenoid_properties(
     for hexa in b.hexagons:
         if not g.is_gated(hexa):
             gated_ok = False
-            failures.append({"not_gated_hexagon": list(hexa)})
+            failures.append({"not_gated_hexagon": hexa})
     for pth in incomplete_hexagons(b):
         if not g.is_gated(pth):
             gated_ok = False
-            failures.append({"not_gated_incomplete_hexagon": list(pth)})
+            failures.append({"not_gated_incomplete_hexagon": pth})
 
     opposition_ok = True
     for hexa in b.hexagons:
@@ -274,13 +263,13 @@ def verify_benzenoid_properties(
             if not any({u, v} <= h for h in hex_sets):
                 peakless_ok = False
                 failures.append(
-                    {"peakless_pair_outside_hexagon": [u, v, profile.format()]}
+                    {"peakless_pair_outside_hexagon": [u, v, profile]}
                 )
         med = minimizers(f)
         if not connected_in_power(g, med, 2):
             connected_ok = False
             failures.append(
-                {"median_not_g2_connected": [profile.format(), sorted(med)]}
+                {"median_not_g2_connected": [profile, med]}
             )
 
     return BenzenoidReport(

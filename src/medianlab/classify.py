@@ -21,10 +21,11 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .graph import Graph
+from .report import Report
 
 
 @dataclass
-class ClassReport:
+class ClassReport(Report):
     bipartite: bool
     weakly_modular: bool
     modular: bool
@@ -33,18 +34,6 @@ class ClassReport:
     bipartite_helly: bool
     meshed: bool
     witnesses: dict = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        return {
-            "bipartite": self.bipartite,
-            "weakly_modular": self.weakly_modular,
-            "modular": self.modular,
-            "median": self.median,
-            "helly": self.helly,
-            "bipartite_helly": self.bipartite_helly,
-            "meshed": self.meshed,
-            "witnesses": {k: list(v) for k, v in self.witnesses.items()},
-        }
 
 
 def _two_apart(g: Graph) -> list[tuple[int, int, list[int]]]:

@@ -31,6 +31,7 @@ from . import profiles as pf
 from .classify import classify as classify_graph
 from .errors import BudgetError, FormatError, InputError
 from .graph import Graph, generate, generator_names
+from .report import jsonable
 
 # Exceptions that mean "usage, format or budget error": exit 2 with a JSON body.
 USAGE_ERRORS = (InputError, FormatError, BudgetError, OSError, json.JSONDecodeError)
@@ -63,26 +64,24 @@ def _maybe_write(args, payload: str) -> None:
 # -- command handlers; each returns (body, exit_code) ---------------------------
 
 
+def _report(g: Graph, verdicts, holds: bool = True, **extra) -> tuple[dict, int]:
+    """The body of a verb on graph g, made JSON-able, and its exit code:
+    1 when the checked property fails, else 0."""
+    body = {"graph": g.fingerprint(), **jsonable({"verdicts": verdicts, **extra})}
+    return body, 0 if holds else 1
+
+
 def cmd_classify(args):
     g = load_graph(args.target)
-    report = classify_graph(g)
-    return {"graph": g.fingerprint(), "verdicts": report.as_dict()}, 0
+    return _report(g, classify_graph(g))
 
 
 def cmd_median(args):
     g = load_graph(args.target)
     profile = pf.Profile.parse(args.profile)
-    med = sorted(pf.median_set(g, profile))
-    body = {
-        "graph": g.fingerprint(),
-        "verdicts": {
-            "median_set": med,
-            "min_total_distance": (
-                pf.total_distance(g, profile, med[0]) if profile.counts else 0
-            ),
-        },
-    }
-    return body, 0
+    med = pf.median_set(g, profile)
+    total = pf.total_distance(g, profile, min(med)) if profile.counts else 0
+    return _report(g, {"median_set": med, "min_total_distance": total})
 
 
 def cmd_verify_connected_medians(args):
@@ -90,7 +89,7 @@ def cmd_verify_connected_medians(args):
     report = pf.check_unimodal_equals_connected(
         g, args.power, args.support, args.mult, cap=args.cap
     )
-    return {"graph": g.fingerprint(), "verdicts": report.as_dict()}, 0 if report.ok else 1
+    return _report(g, report, report.ok)
 
 
 def cmd_pairing_check(args):
@@ -100,44 +99,34 @@ def cmd_pairing_check(args):
         raise InputError("pairing check needs a nonempty even profile")
     hit = pr.has_perfect_pairing(g, profile)
     if hit is None:
-        body = {
-            "graph": g.fingerprint(),
-            "verdicts": {"perfect_pairing": False},
-            "witnesses": {"profile": profile.format()},
-        }
-        return body, 1
+        return _report(g, {"perfect_pairing": False}, False, witnesses={"profile": profile})
     pairing, vertex = hit
-    body = {
-        "graph": g.fingerprint(),
-        "verdicts": {
-            "perfect_pairing": True,
-            "pairing": [list(p) for p in pairing.pairs],
-            "median_vertex": vertex,
-            "cost": pairing.cost(g),
-        },
+    verdicts = {
+        "perfect_pairing": True,
+        "pairing": pairing.pairs,
+        "median_vertex": vertex,
+        "cost": pairing.cost(g),
     }
-    return body, 0
+    return _report(g, verdicts)
 
 
 def cmd_pairing_search(args):
     g = load_graph(args.target)
     witness = pr.pairing_property_bounded_search(g, args.support, args.mult)
-    body = {
-        "graph": g.fingerprint(),
-        "verdicts": {"unpairable_profile_found": witness is not None},
-        "budget": {"support": args.support, "mult": args.mult},
-    }
-    if witness is None:
-        return body, 0
-    body["witnesses"] = {"profile": witness.format()}
-    return body, 1
+    found = {} if witness is None else {"witnesses": {"profile": witness}}
+    return _report(
+        g,
+        {"unpairable_profile_found": witness is not None},
+        witness is None,
+        budget={"support": args.support, "mult": args.mult},
+        **found,
+    )
 
 
 def cmd_pairing_double(args):
     g = load_graph(args.target)
     result = pr.double_pairing_property(g, cap=args.cap)
-    body = {"graph": g.fingerprint(), "verdicts": result.as_dict()}
-    return body, 0 if result.holds else 1
+    return _report(g, result, result.holds)
 
 
 def cmd_pairing_local(args):
@@ -148,14 +137,7 @@ def cmd_pairing_local(args):
     result = pr.matching_stable_set_check(
         local.graph, args.variant, args.support, args.mult, cap=args.cap
     )
-    body = {
-        "graph": g.fingerprint(),
-        "verdicts": {
-            "local_vertices": list(local.vertices),
-            **result.as_dict(),
-        },
-    }
-    return body, 0 if result.holds else 1
+    return _report(g, {"local_vertices": local.vertices, **jsonable(result)}, result.holds)
 
 
 def cmd_construct(args):
@@ -172,7 +154,7 @@ def cmd_construct(args):
         g, verdicts = cx.graph, cx.as_dict()
     text = formats.graph_to_text(g)
     _maybe_write(args, text)
-    return {"graph": g.fingerprint(), "verdicts": {**verdicts, "graph_text": text}}, 0
+    return _report(g, {**verdicts, "graph_text": text})
 
 
 def _load_consensus(g: Graph, name: str, max_len: int) -> cs.TabulatedConsensus:
@@ -192,39 +174,25 @@ def cmd_consensus_tabulate_med(args):
     table = cs.tabulate_median(g, args.max_len)
     text = cs.table_to_text(table)
     _maybe_write(args, text)
-    body = {
-        "graph": g.fingerprint(),
-        "verdicts": {"entries": len(table.table), "table_text": text},
-    }
-    return body, 0
+    return _report(g, {"entries": len(table.table), "table_text": text})
 
 
 def cmd_consensus_check(args):
     g = load_graph(args.target)
     table = _load_consensus(g, args.function, args.max_len)
     result = cs.check_axiom(table, args.axiom, k=args.k)
-    body = {"graph": g.fingerprint(), "verdicts": result.as_dict()}
-    return body, 0 if result.holds else 1
+    return _report(g, result, result.holds)
 
 
 def cmd_consensus_l6(args):
     profile = pf.Profile.parse(args.profile)
-    value = sorted(cs.l6_eval(profile))
-    med = sorted(pf.median_set(cs.c6_graph(), profile))
-    body = {
-        "graph": cs.c6_graph().fingerprint(),
-        "verdicts": {"l6": value, "median": med},
-    }
-    return body, 0
+    g = cs.c6_graph()
+    return _report(g, {"l6": cs.l6_eval(profile), "median": pf.median_set(g, profile)})
 
 
 def cmd_consensus_verify_l6(args):
     report = cs.verify_l6_is_abc(args.max_len)
-    body = {
-        "graph": cs.c6_graph().fingerprint(),
-        "verdicts": report.as_dict(),
-    }
-    return body, 0 if report.ok else 1
+    return _report(cs.c6_graph(), report, report.ok)
 
 
 def cmd_consensus_compare(args):
@@ -232,58 +200,36 @@ def cmd_consensus_compare(args):
     left = _load_consensus(g, args.left, args.max_len)
     right = _load_consensus(g, args.right, args.max_len)
     diffs = cs.compare_functions(left, right)
-    body = {
-        "graph": g.fingerprint(),
-        "verdicts": {"divergences": len(diffs)},
-        "witnesses": {
-            "profiles": [
-                {
-                    "profile": list(key),
-                    "left": sorted(a),
-                    "right": sorted(b),
-                }
-                for key, a, b in diffs[:50]
-            ]
-        },
-    }
-    return body, 0 if not diffs else 1
+    profiles = [{"profile": key, "left": a, "right": b} for key, a, b in diffs[:50]]
+    return _report(
+        g, {"divergences": len(diffs)}, not diffs, witnesses={"profiles": profiles}
+    )
 
 
 def cmd_benzenoid_build(args):
     b = formats.cells_from_text(Path(args.cells).read_text())
-    body = {
-        "graph": b.graph.fingerprint(),
-        "verdicts": {
-            "cells": len(b.cells),
-            "vertices": b.graph.n,
-            "edges": b.graph.edge_count,
-            "hexagons": [list(h) for h in b.hexagons],
-            "incomplete_hexagons": [list(p) for p in bz.incomplete_hexagons(b)],
-            "graph_text": formats.graph_to_text(b.graph),
-        },
+    verdicts = {
+        "cells": len(b.cells),
+        "vertices": b.graph.n,
+        "edges": b.graph.edge_count,
+        "hexagons": b.hexagons,
+        "incomplete_hexagons": bz.incomplete_hexagons(b),
+        "graph_text": formats.graph_to_text(b.graph),
     }
-    return body, 0
+    return _report(b.graph, verdicts)
 
 
 def cmd_benzenoid_embed(args):
     b = formats.cells_from_text(Path(args.cells).read_text())
     emb = bz.tree_embedding(b)
-    body = {
-        "graph": b.graph.fingerprint(),
-        "verdicts": {
-            "tree_sizes": [t.n for t in emb.trees],
-            "phi": [list(t) for t in emb.phi],
-            "isometric": True,
-        },
-    }
-    return body, 0
+    verdicts = {"tree_sizes": [t.n for t in emb.trees], "phi": emb.phi, "isometric": True}
+    return _report(b.graph, verdicts)
 
 
 def cmd_benzenoid_verify(args):
     b = formats.cells_from_text(Path(args.cells).read_text())
     report = bz.verify_benzenoid_properties(b, args.support, args.mult, cap=args.cap)
-    body = {"graph": b.graph.fingerprint(), "verdicts": report.as_dict()}
-    return body, 0 if report.ok else 1
+    return _report(b.graph, report, report.ok)
 
 
 def _corpus_argv(entry) -> list:

@@ -12,6 +12,7 @@ from .errors import BudgetError, FormatError, InputError
 from .formats import _payload_lines
 from .graph import Graph, cycle
 from .profiles import Profile, median_set
+from .report import Report
 
 AXIOMS = ("A", "B", "C", "T", "Tminus", "T2", "Ek")
 
@@ -58,7 +59,9 @@ class TabulatedConsensus:
 
 
 def table_size(n: int, max_len: int) -> int:
-    return sum(comb(n + k - 1, k) for k in range(1, max_len + 1))
+    """Multisets of size 1..max_len over n vertices: the sum of
+    comb(n + k - 1, k) for k = 1..max_len, in closed form (hockey stick)."""
+    return comb(n + max_len, n) - 1 if max_len > 0 else 0
 
 
 def profile_keys(n: int, max_len: int):
@@ -94,22 +97,11 @@ def tabulate_median(g: Graph, max_len: int, cap: int = 200_000) -> TabulatedCons
 
 
 @dataclass
-class AxiomResult:
+class AxiomResult(Report):
     axiom: str
     holds: bool
     witness: tuple | None = None
-    note: str = ""
-
-    def as_dict(self) -> dict:
-        out = {"axiom": self.axiom, "holds": self.holds}
-        if self.witness is not None:
-            out["witness"] = [
-                list(part) if isinstance(part, (tuple, frozenset)) else part
-                for part in self.witness
-            ]
-        if self.note:
-            out["note"] = self.note
-        return out
+    note: str | None = None
 
 
 def equilateral_metric_triangles(g: Graph, k: int):
@@ -123,64 +115,62 @@ def equilateral_metric_triangles(g: Graph, k: int):
     return out
 
 
+# shortest profile each axiom reads
+_MIN_LEN = {"B": 2, "C": 2, "T": 3, "Tminus": 3, "T2": 3, "Ek": 3}
+
+
+def _splits(value, s) -> bool:
+    """Meets the triple s without containing it."""
+    return bool(value & s) and not value >= s
+
+
+# triple axioms: metric-triangle size (None: the k of Ek) and violation test
+_TRIPLE_AXIOMS = {
+    "T": (1, lambda value, s: value != s),
+    "Tminus": (1, _splits),
+    "T2": (2, lambda value, s: not value >= s),
+    "Ek": (None, _splits),
+}
+
+
 def check_axiom(f: TabulatedConsensus, axiom: str, k: int | None = None) -> AxiomResult:
     """Check one consensus axiom against the whole table.
 
     The witness is the first violating instance in canonical order.  Axioms
-    that need profiles longer than the table supports are rejected.
+    that need profiles longer than the table supports are rejected.  The
+    triple axioms walk equilateral metric triangles; those of size 1 are
+    exactly the triangles of the graph.
     """
     g = f.graph
     if axiom == "A":
         return AxiomResult(
             "A", True, note="holds by construction: table keyed on sorted multisets"
         )
+    if axiom == "Ek" and (k is None or k < 1):
+        raise InputError("axiom Ek needs a positive size parameter k")
+    if axiom not in _MIN_LEN:
+        raise InputError(f"unknown axiom {axiom!r}; choose from {AXIOMS}")
+    if f.max_len < _MIN_LEN[axiom]:
+        raise BudgetError(f"axiom {axiom} needs profiles of length {_MIN_LEN[axiom]}")
     if axiom == "B":
-        if f.max_len < 2:
-            raise BudgetError("axiom B needs profiles of length 2")
         for u in range(g.n):
             for v in range(u, g.n):
                 if f.value((u, v)) != g.interval(u, v):
                     return AxiomResult("B", False, ((u, v), f.value((u, v))))
         return AxiomResult("B", True)
     if axiom == "C":
-        if f.max_len < 2:
-            raise BudgetError("axiom C needs profiles of length 2")
         for left, right in _concatenation_pairs(g.n, f.max_len):
             meet = f.table[left] & f.table[right]
             if meet and (combined := f.value(left + right)) != meet:
                 return AxiomResult("C", False, (left, right, combined, meet))
         return AxiomResult("C", True)
-    if axiom in ("T", "Tminus"):
-        if f.max_len < 3:
-            raise BudgetError(f"axiom {axiom} needs profiles of length 3")
-        for u, v, w in combinations(range(g.n), 3):
-            if not (g.is_adjacent(u, v) and g.is_adjacent(u, w) and g.is_adjacent(v, w)):
-                continue
-            value = f.value((u, v, w))
-            if axiom == "T" and value != {u, v, w}:
-                return AxiomResult("T", False, ((u, v, w), value))
-            if axiom == "Tminus" and value & {u, v, w} and not value >= {u, v, w}:
-                return AxiomResult("Tminus", False, ((u, v, w), value))
-        return AxiomResult(axiom, True)
-    if axiom == "T2":
-        if f.max_len < 3:
-            raise BudgetError("axiom T2 needs profiles of length 3")
-        for u, v, w in equilateral_metric_triangles(g, 2):
-            value = f.value((u, v, w))
-            if not value >= {u, v, w}:
-                return AxiomResult("T2", False, ((u, v, w), value))
-        return AxiomResult("T2", True)
-    if axiom == "Ek":
-        if k is None or k < 1:
-            raise InputError("axiom Ek needs a positive size parameter k")
-        if f.max_len < 3:
-            raise BudgetError("axiom Ek needs profiles of length 3")
-        for u, v, w in equilateral_metric_triangles(g, k):
-            value = f.value((u, v, w))
-            if value & {u, v, w} and not value >= {u, v, w}:
-                return AxiomResult("Ek", False, ((u, v, w), value), note=f"k={k}")
-        return AxiomResult("Ek", True, note=f"k={k}")
-    raise InputError(f"unknown axiom {axiom!r}; choose from {AXIOMS}")
+    size, fails = _TRIPLE_AXIOMS[axiom]
+    note = f"k={k}" if axiom == "Ek" else None
+    for triple in equilateral_metric_triangles(g, size or k):
+        value = f.value(triple)
+        if fails(value, set(triple)):
+            return AxiomResult(axiom, False, (triple, value), note)
+    return AxiomResult(axiom, True, note=note)
 
 
 def compare_functions(f1: TabulatedConsensus, f2: TabulatedConsensus):
@@ -291,7 +281,7 @@ def l6_eval(profile: Profile) -> frozenset[int]:
 
 
 @dataclass
-class L6Report:
+class L6Report(Report):
     max_len: int
     axiom_a: bool
     axiom_b: bool
@@ -312,24 +302,6 @@ class L6Report:
             and self.reduction_identity
             and self.non_alternate_matches_median
         )
-
-    def as_dict(self) -> dict:
-        return {
-            "max_len": self.max_len,
-            "axiom_a": self.axiom_a,
-            "axiom_b": self.axiom_b,
-            "axiom_c": self.axiom_c,
-            "reduction_identity": self.reduction_identity,
-            "non_alternate_matches_median": self.non_alternate_matches_median,
-            "divergence_witness": [
-                list(part) if isinstance(part, (tuple, frozenset)) else part
-                for part in self.divergence_witness
-            ],
-            "profiles_checked": self.profiles_checked,
-            "failures": self.failures,
-            "ok": self.ok,
-            "note": self.note,
-        }
 
 
 def verify_l6_is_abc(max_len: int = 6, cap: int = 200_000) -> L6Report:
@@ -352,7 +324,7 @@ def verify_l6_is_abc(max_len: int = 6, cap: int = 200_000) -> L6Report:
     res_c = check_axiom(table, "C")
     for res in (res_a, res_b, res_c):
         if not res.holds:
-            failures.append(res.as_dict())
+            failures.append(res)
 
     reduction_ok = True
     for left, right in _concatenation_pairs(6, max_len):
@@ -372,7 +344,7 @@ def verify_l6_is_abc(max_len: int = 6, cap: int = 200_000) -> L6Report:
         cp = C6Profile.from_profile(Profile.from_vertices(key))
         if not cp.is_alternate and table.table[key] != med.table[key]:
             non_alt_ok = False
-            failures.append({"non_alternate_mismatch": list(key)})
+            failures.append({"non_alternate_mismatch": key})
 
     witness_key = (0, 2, 4)
     divergence = (witness_key, table.value(witness_key), med.value(witness_key))

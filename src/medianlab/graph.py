@@ -56,7 +56,12 @@ class Graph:
         self.adj = tuple(tuple(sorted(nbrs)) for nbrs in adj)
         self._edges = tuple(sorted(seen))
         self.dist = tuple(self._bfs(s) for s in range(n))
-        self._bipartition = self._two_color()
+        # bipartite iff no edge joins two vertices equally far from vertex 0;
+        # the sides are then the even and the odd distances
+        d0 = self.dist[0]
+        even = frozenset(v for v, d in enumerate(d0) if d % 2 == 0)
+        bipartite = all(d0[u] != d0[v] for u, v in self._edges)
+        self._bipartition = (even, frozenset(range(n)) - even) if bipartite else None
 
     def _bfs(self, source: int) -> tuple[int, ...]:
         dist = [-1] * self.n
@@ -72,21 +77,6 @@ class Graph:
             if d < 0:
                 raise DisconnectedGraphError(source, v)
         return tuple(dist)
-
-    def _two_color(self):
-        color = [-1] * self.n
-        color[0] = 0
-        queue = deque([0])
-        while queue:
-            x = queue.popleft()
-            for y in self.adj[x]:
-                if color[y] < 0:
-                    color[y] = 1 - color[x]
-                    queue.append(y)
-                elif color[y] == color[x]:
-                    return None
-        side0 = frozenset(v for v in range(self.n) if color[v] == 0)
-        return (side0, frozenset(range(self.n)) - side0)
 
     # -- basic accessors ---------------------------------------------------
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from .classify import hypergraph_helly_by_triples
 from .combinatorics import adjacency_sets, maximal_cliques, maximal_stable_sets
 from .errors import InputError
-from .graph import Graph
+from .graph import Graph, _within_cap
 from .pairing import fractional_perfect_b_matching, perfect_b_matching
 from .profiles import Profile
 
@@ -99,6 +99,7 @@ class IncidenceGraph:
 
 def incidence_graph(h: Hypergraph) -> IncidenceGraph:
     n, k = h.ground_size, len(h.edges)
+    _within_cap(1 + n + k)  # before the edge list is built
     edges = [(0, 1 + x) for x in range(n)]
     for i, e in enumerate(h.edges):
         edges.extend((1 + n + i, 1 + x) for x in sorted(e))

@@ -24,6 +24,7 @@ from .errors import BudgetError, InputError
 from .graph import Graph
 from .profiles import Profile, canonical_profiles, f_vector, median_set
 from .rational_lp import EQ, GE, LE, RationalLinearSystem
+from .report import Report
 
 
 @dataclass(frozen=True)
@@ -409,19 +410,11 @@ def scale_to_even_profile(point) -> Profile:
 
 
 @dataclass
-class DoublePairingResult:
+class DoublePairingResult(Report):
     holds: bool
     vertex: int | None = None
     stable_set: frozenset[int] | None = None
     witness: Profile | None = None
-
-    def as_dict(self) -> dict:
-        out = {"holds": self.holds}
-        if not self.holds:
-            out["vertex"] = self.vertex
-            out["stable_set"] = sorted(self.stable_set)
-            out["witness"] = self.witness.format()
-        return out
 
 
 def double_pairing_property(g: Graph, cap: int = 1 << 20) -> DoublePairingResult:
@@ -465,19 +458,11 @@ def local_graph(g: Graph, u: int) -> LocalGraph:
 
 
 @dataclass
-class MatchingStableSetResult:
+class MatchingStableSetResult(Report):
     holds: bool
     variant: str
     witness: Profile | None = None
     stable_set: frozenset[int] | None = None
-
-    def as_dict(self) -> dict:
-        out = {"holds": self.holds, "variant": self.variant}
-        if not self.holds:
-            out["witness"] = self.witness.format()
-            if self.stable_set is not None:
-                out["stable_set"] = sorted(self.stable_set)
-        return out
 
 
 def _profile_violates_msp(g: Graph, profile: Profile, adj, maximal) -> bool:

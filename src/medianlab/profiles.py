@@ -9,6 +9,7 @@ from math import comb
 
 from .errors import BudgetError, FormatError, InputError
 from .graph import Graph
+from .report import Report
 
 
 @dataclass(frozen=True)
@@ -223,7 +224,7 @@ def peak_failures(f: list[int], probes):
 
 
 @dataclass
-class MedianVerificationReport:
+class MedianVerificationReport(Report):
     power: int
     max_support: int
     max_mult: int
@@ -234,25 +235,6 @@ class MedianVerificationReport:
     @property
     def ok(self) -> bool:
         return not self.failures
-
-    def as_dict(self) -> dict:
-        return {
-            "power": self.power,
-            "max_support": self.max_support,
-            "max_mult": self.max_mult,
-            "profiles_checked": self.profiles_checked,
-            "failures": [
-                {
-                    "profile": rec["profile"].format(),
-                    "unimodal": rec["unimodal"],
-                    "connected": rec["connected"],
-                    "peakless": rec["peakless"],
-                }
-                for rec in self.failures
-            ],
-            "ok": self.ok,
-            "note": self.note,
-        }
 
 
 def check_unimodal_equals_connected(

@@ -278,12 +278,22 @@ def test_cap_errors_exit_two(capsys):
     assert "cap" in json.loads(out)["error"]
 
 
-def test_budget_errors_exit_two_at_once(capsys):
+def test_budget_errors_exit_two_at_once(capsys, tmp_path):
+    huge_table = tmp_path / "huge.table"
+    huge_table.write_text("6 1000000000\n")
+    huge_hypergraph = tmp_path / "huge.hypergraph"
+    huge_hypergraph.write_text("100000000 0\n")
     for argv, reason in (
         # 499,999,999 even profiles, refused before the first is tried
         (["pairing", "search", "grid:3,3", "--support", "9", "--mult", "9"], "exceeds cap"),
         # the divergence witness 0 2 4 is a profile of length 3
         (["consensus", "verify-l6", "--max-len", "2"], "length 3"),
+        # table sizes come in closed form, not a sum over every length
+        (["consensus", "tabulate-med", "cycle:6", "--max-len", "1000000000"], "cap"),
+        (["consensus", "check", "cycle:6", "--axiom", "A", "--max-len", "3",
+          "--function", str(huge_table)], "expected"),
+        # the vertex cap is checked before the incidence edge list is built
+        (["construct", "incidence", str(huge_hypergraph)], "exceed the cap"),
     ):
         start = time.perf_counter()
         code, out, _ = capture(capsys, argv)

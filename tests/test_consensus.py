@@ -238,3 +238,36 @@ def test_median_axioms_on_random_graphs():
             assert check_axiom(table, axiom).holds, (g.edges(), axiom)
         for k in range(1, g.diameter + 1):
             assert check_axiom(table, "Ek", k=k).holds
+
+
+def test_table_size_closed_form():
+    from math import comb
+
+    from medianlab.consensus import table_size
+
+    for n in range(12):
+        for length in range(-2, 12):
+            expected = sum(comb(n + k - 1, k) for k in range(1, length + 1))
+            assert table_size(n, length) == expected, (n, length)
+            if length <= 3:
+                assert table_size(n, length) == len(list(profile_keys(n, length)))
+
+
+def test_size_one_metric_triangles_are_the_triangles():
+    # axioms T and Tminus walk equilateral_metric_triangles(g, 1)
+    import random
+    from itertools import combinations
+
+    from medianlab.graph import Graph
+
+    rng = random.Random(41)
+    for _ in range(200):
+        n = rng.randint(3, 9)
+        edges = {(rng.randint(0, i), i + 1) for i in range(n - 1)}
+        edges |= {(u, v) for u, v in combinations(range(n), 2) if rng.random() < 0.4}
+        g = Graph(n, sorted(edges))
+        triangles = [
+            t for t in combinations(range(n), 3)
+            if all(g.is_adjacent(a, b) for a, b in combinations(t, 2))
+        ]
+        assert equilateral_metric_triangles(g, 1) == triangles

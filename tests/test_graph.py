@@ -187,3 +187,22 @@ def test_distances_match_networkx(k, data):
     u = data.draw(st.integers(0, g.n - 1))
     v = data.draw(st.integers(0, g.n - 1))
     assert g.d(u, v) == nx.shortest_path_length(to_networkx(g), u, v)
+
+
+def test_bipartition_matches_networkx():
+    import random
+
+    rng = random.Random(97)
+    for _ in range(300):
+        n = rng.randint(1, 11)
+        parents = [rng.randint(0, i) for i in range(n - 1)]
+        edges = {(p, i + 1) for i, p in enumerate(parents)}
+        p = rng.random() * 0.4
+        edges |= {(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < p}
+        g = Graph(n, sorted(edges))
+        h = to_networkx(g)
+        assert g.is_bipartite == nx.is_bipartite(h), g.edges()
+        if g.is_bipartite:
+            side0, side1 = g.bipartition()
+            assert 0 in side0 and side0 | side1 == set(range(n))
+            assert all((u in side0) != (v in side0) for u, v in g.edges())

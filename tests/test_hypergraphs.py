@@ -153,3 +153,16 @@ def test_counterexample_double_kind():
 def test_counterexample_unknown_kind():
     with pytest.raises(InputError):
         build_counterexample("oops")
+
+
+def test_incidence_graph_checks_the_cap_before_allocating():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match="exceed the cap"):
+            incidence_graph(Hypergraph(10**8, ()))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
