@@ -15,7 +15,8 @@ def adjacency_sets(n, edges):
 
 
 def stable_sets(n, adj, exclude=(), cap=1 << 20):
-    """Yield every nonempty stable set, lexicographically by element list.
+    """Yield every nonempty stable set, lexicographically by element list,
+    walking an explicit stack so that large sets cannot overflow.
 
     `adj` maps each vertex to a set of neighbors; vertices in `exclude`
     (typically looped ones) are never used.  Raises BudgetError once more
@@ -23,38 +24,39 @@ def stable_sets(n, adj, exclude=(), cap=1 << 20):
     """
     usable = [v for v in range(n) if v not in set(exclude)]
     produced = 0
-
-    def walk(current, candidates):
-        nonlocal produced
-        for idx, v in enumerate(candidates):
-            produced += 1
-            if produced > cap:
-                raise BudgetError(
-                    f"stable-set enumeration exceeded cap {cap}", count=produced
-                )
-            picked = current + [v]
-            yield frozenset(picked)
-            rest = [w for w in candidates[idx + 1:] if w not in adj[v]]
-            yield from walk(picked, rest)
-
-    yield from walk([], usable)
+    # (current, candidates); siblings go under the extension: pre-order
+    stack = [([], usable)]
+    while stack:
+        current, candidates = stack.pop()
+        if not candidates:
+            continue
+        v, rest = candidates[0], candidates[1:]
+        produced += 1
+        if produced > cap:
+            raise BudgetError(
+                f"stable-set enumeration exceeded cap {cap}", count=produced
+            )
+        picked = current + [v]
+        yield frozenset(picked)
+        stack.append((current, rest))
+        stack.append((picked, [w for w in rest if w not in adj[v]]))
 
 
 def maximal_cliques(n, adj):
-    """All maximal cliques (Bron-Kerbosch with pivoting), canonically sorted."""
+    """All maximal cliques (Bron-Kerbosch with pivoting, on an explicit
+    stack), canonically sorted."""
     found = []
-
-    def expand(r, p, x):
+    stack = [(frozenset(), set(range(n)), set())]
+    while stack:
+        r, p, x = stack.pop()
         if not p and not x:
-            found.append(frozenset(r))
-            return
+            found.append(r)
+            continue
         pivot = max(p | x, key=lambda v: len(adj[v] & p))
         for v in sorted(p - adj[pivot]):
-            expand(r | {v}, p & adj[v], x & adj[v])
+            stack.append((r | {v}, p & adj[v], x & adj[v]))
             p = p - {v}
             x = x | {v}
-
-    expand(frozenset(), set(range(n)), set())
     return sorted(found, key=sorted)
 
 

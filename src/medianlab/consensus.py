@@ -304,7 +304,7 @@ class L6Report(Report):
         )
 
 
-def verify_l6_is_abc(max_len: int = 6, cap: int = 200_000) -> L6Report:
+def verify_l6_is_abc(max_len: int = 6) -> L6Report:
     """Tabulate the 6-cycle rule up to max_len and run the anonymity,
     betweenness and consistency checks, the reduction identity over all
     concatenation pairs, and the agreement with the median function on
@@ -316,7 +316,7 @@ def verify_l6_is_abc(max_len: int = 6, cap: int = 200_000) -> L6Report:
         )
     g = c6_graph()
     table = tabulate_function(
-        g, max_len, lambda key: l6_eval(Profile.from_vertices(key)), cap=cap
+        g, max_len, lambda key: l6_eval(Profile.from_vertices(key))
     )
     failures = []
     res_a = check_axiom(table, "A")
@@ -336,7 +336,7 @@ def verify_l6_is_abc(max_len: int = 6, cap: int = 200_000) -> L6Report:
             reduction_ok = False
             failures.append({"reduction": [left, right]})
 
-    med = tabulate_median(g, max_len, cap=cap)
+    med = tabulate_median(g, max_len)
     non_alt_ok = True
     count = 0
     for key in profile_keys(6, max_len):

@@ -15,7 +15,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import tee
 from math import lcm
 
@@ -59,22 +58,15 @@ class AuxiliaryGraph:
     def adjacency(self) -> list[set[int]]:
         return adjacency_sets(self.n, self.edges)
 
-    @cached_property
-    def _adj(self) -> list[set[int]]:
-        return self.adjacency()
-
-    def neighborhood(self, members) -> frozenset[int]:
-        return neighborhood(self._adj, members)
-
 
 def neighborhood(adj, members) -> frozenset[int]:
     """N(S): every vertex adjacent to some member of S."""
     return frozenset().union(*(adj[v] for v in members))
 
 
-def _hall_row(n: int, adj, members) -> list[Fraction]:
+def _hall_row(n: int, adj, members) -> list[int]:
     """Coefficients of b(S) - b(N(S)) over the n vertex weights."""
-    row = [Fraction(0)] * n
+    row = [0] * n
     for v in members:
         row[v] += 1
     for v in neighborhood(adj, members):
@@ -82,15 +74,26 @@ def _hall_row(n: int, adj, members) -> list[Fraction]:
     return row
 
 
-def auxiliary_graph(g: Graph, u: int) -> AuxiliaryGraph:
+def _hall_excess(adj, members, weight):
+    """b(S) - b(N(S)) for the vertex weights in the mapping `weight`
+    (absent vertices weigh 0), summed over S and N(S) only."""
+    inside = sum(weight.get(v, 0) for v in members)
+    return inside - sum(weight.get(v, 0) for v in neighborhood(adj, members))
+
+
+def _between(g: Graph, u: int, vertices):
+    """Pairs v < w of the sorted `vertices` with u on a shortest v-w path."""
     d = g.dist
-    edges = tuple(
+    return [
         (v, w)
-        for v in range(g.n)
-        for w in range(v + 1, g.n)
+        for i, v in enumerate(vertices)
+        for w in vertices[i + 1:]
         if d[v][u] + d[u][w] == d[v][w]
-    )
-    return AuxiliaryGraph(u, g.n, edges)
+    ]
+
+
+def auxiliary_graph(g: Graph, u: int) -> AuxiliaryGraph:
+    return AuxiliaryGraph(u, g.n, tuple(_between(g, u, range(g.n))))
 
 
 # -- exact b-matchings on explicit edge lists ----------------------------------
@@ -171,24 +174,19 @@ def perfect_b_matching(n, edges, demand):
     return None
 
 
-def fractional_b_matching_lp(n, edges, demand) -> RationalLinearSystem:
-    """Degree-equality system over nonnegative edge weights."""
-    _check_demand(n, demand)
-    system = RationalLinearSystem(len(edges))
-    for v in range(n):
-        coeffs = {}
-        for j, (a, b) in enumerate(edges):
-            if a == v and b == v:
-                coeffs[j] = Fraction(2)
-            elif a == v or b == v:
-                coeffs[j] = coeffs.get(j, Fraction(0)) + 1
-        system.add(coeffs, EQ, Fraction(demand.get(v, 0)))
-    return system
-
-
 def fractional_perfect_b_matching(n, edges, demand):
-    """Exact feasibility; returns the edge-weight certificate or None."""
-    result = fractional_b_matching_lp(n, edges, demand).solve()
+    """Exact feasibility of the degree equalities over nonnegative edge
+    weights; returns the edge-weight certificate or None.  Each endpoint
+    of an edge adds 1 to its vertex's row, so a loop counts twice."""
+    _check_demand(n, demand)
+    rows = [[0] * len(edges) for _ in range(n)]
+    for j, (a, b) in enumerate(edges):
+        rows[a][j] += 1
+        rows[b][j] += 1
+    system = RationalLinearSystem(len(edges))
+    for v, row in enumerate(rows):
+        system.add(row, EQ, demand.get(v, 0))
+    result = system.solve()
     if result.status == "infeasible":
         return None
     return {edges[j]: x for j, x in enumerate(result.point) if x}
@@ -202,20 +200,18 @@ class FractionalMatchingResult:
 
 
 def has_fractional_perfect_b_matching(
-    aux: AuxiliaryGraph, demand, cap: int = 1 << 20
+    aux: AuxiliaryGraph, demand
 ) -> FractionalMatchingResult:
     """Decide feasibility on A_u; on failure produce a disabling stable set,
     a stable set S with b(S) > b(N(S))."""
-    demand = {v: Fraction(k) for v, k in dict(demand).items()}
+    demand = dict(demand)
     edges = list(aux.edges) + [(aux.base, aux.base)]
     cert = fractional_perfect_b_matching(aux.n, edges, demand)
     if cert is not None:
         return FractionalMatchingResult(True, certificate=cert)
     adj = aux.adjacency()
-    for s in stable_sets(aux.n, adj, exclude=(aux.base,), cap=cap):
-        inside = sum(demand.get(v, 0) for v in s)
-        around = sum(demand.get(v, 0) for v in neighborhood(adj, s))
-        if inside > around:
+    for s in stable_sets(aux.n, adj, exclude=(aux.base,)):
+        if _hall_excess(adj, s, demand) > 0:
             return FractionalMatchingResult(False, disabling_set=s)
     raise RuntimeError("infeasible b-matching without disabling stable set")
 
@@ -367,7 +363,7 @@ def me_polytope(g: Graph, u: int) -> RationalLinearSystem:
     system = RationalLinearSystem(g.n)
     d = g.dist
     for v in range(g.n):
-        system.add([Fraction(d[v][w] - d[u][w]) for w in range(g.n)], GE, 0)
+        system.add([d[v][w] - d[u][w] for w in range(g.n)], GE, 0)
     return system
 
 
@@ -389,7 +385,7 @@ def ma_violation_search(g: Graph, u: int, cap: int = 1 << 20):
     aux = auxiliary_graph(g, u)
     adj = aux.adjacency()
     system = me_polytope(g, u)
-    system.add([Fraction(1)] * g.n, EQ, 1)
+    system.add([1] * g.n, EQ, 1)
     # the slice is the same for every S, so phase 1 runs once; the stable
     # sets are still walked lazily, so the cap and the early exit hold
     sets, walk = tee(stable_sets(aux.n, adj, exclude=(aux.base,), cap=cap))
@@ -447,13 +443,7 @@ class LocalGraph:
 def local_graph(g: Graph, u: int) -> LocalGraph:
     members = sorted(g.ball(u, 2))
     index = {v: i for i, v in enumerate(members)}
-    d = g.dist
-    edges = [
-        (i, j)
-        for i, v in enumerate(members)
-        for j, w in enumerate(members[i + 1:], start=i + 1)
-        if d[v][u] + d[u][w] == d[v][w]
-    ]
+    edges = [(index[v], index[w]) for v, w in _between(g, u, members)]
     return LocalGraph(Graph(len(members), edges), tuple(members), index[u])
 
 
@@ -463,19 +453,6 @@ class MatchingStableSetResult(Report):
     variant: str
     witness: Profile | None = None
     stable_set: frozenset[int] | None = None
-
-
-def _profile_violates_msp(g: Graph, profile: Profile, adj, maximal) -> bool:
-    """True when none of the three escape clauses hold for this profile;
-    `adj` and `maximal` are the graph's neighbour sets and maximal stable
-    sets."""
-    for z in range(g.n):
-        if profile.multiplicity(z) > profile.weight(adj[z]):
-            return False
-    for s in maximal:
-        if profile.weight(s) > profile.weight(neighborhood(adj, s)):
-            return False
-    return perfect_b_matching(g.n, g.edges(), dict(profile.counts)) is None
 
 
 def matching_stable_set_check(
@@ -493,31 +470,33 @@ def matching_stable_set_check(
     feasible point scales to an even integral counterexample profile.  The
     single variant is a bounded exhaustive search over even profiles.
     """
+    if variant not in ("double", "single"):
+        raise InputError(f"unknown variant {variant!r}")
+    if variant == "single" and (max_support is None or max_mult is None):
+        raise InputError("single variant needs a profile budget")
     adj = [set(g.neighbors(v)) for v in range(g.n)]
+    # a profile escapes through any vertex or maximal stable set whose
+    # weight exceeds its neighborhood's
+    escapes = [(z,) for z in range(g.n)] + maximal_stable_sets(g.n, adj)
     if variant == "double":
-        # every vertex and every maximal stable set stays within its
-        # neighborhood weight; these rows are the same for every S
-        within = [_hall_row(g.n, adj, (z,)) for z in range(g.n)] + [
-            _hall_row(g.n, adj, t) for t in maximal_stable_sets(g.n, adj)
-        ]
+        # no escape may work, and these rows are the same for every S
+        bounds = RationalLinearSystem(g.n)
+        for t in escapes:
+            bounds.add(_hall_row(g.n, adj, t), LE, 0)
         for s in stable_sets(g.n, adj, cap=cap):
             system = RationalLinearSystem(g.n)
             system.add(_hall_row(g.n, adj, s), GE, 1)
-            for row in within:
-                system.add(row, LE, 0)
+            system.constraints += bounds.constraints
             result = system.solve()
             if result.feasible:
                 witness = scale_to_even_profile(result.point)
                 return MatchingStableSetResult(False, variant, witness, s)
         return MatchingStableSetResult(True, variant)
-    if variant == "single":
-        if max_support is None or max_mult is None:
-            raise InputError("single variant needs a profile budget")
-        maximal = maximal_stable_sets(g.n, adj)
-        for profile in canonical_profiles(
-            g.n, max_support, max_mult, even_only=True, cap=cap
-        ):
-            if _profile_violates_msp(g, profile, adj, maximal):
-                return MatchingStableSetResult(False, variant, profile)
-        return MatchingStableSetResult(True, variant)
-    raise InputError(f"unknown variant {variant!r}")
+    for profile in canonical_profiles(
+        g.n, max_support, max_mult, even_only=True, cap=cap
+    ):
+        demand = dict(profile.counts)
+        escaped = any(_hall_excess(adj, t, demand) > 0 for t in escapes)
+        if not escaped and perfect_b_matching(g.n, g.edges(), demand) is None:
+            return MatchingStableSetResult(False, variant, profile)
+    return MatchingStableSetResult(True, variant)

@@ -35,17 +35,21 @@ class RationalLinearSystem:
     objective: tuple[Fraction, ...] | None = None
 
     def _dense(self, coeffs) -> tuple[Fraction, ...]:
-        """A full coefficient tuple from a sequence or a sparse {index: c} dict."""
-        dense = [Fraction(0)] * self.num_vars
-        items = coeffs.items() if isinstance(coeffs, dict) else enumerate(coeffs)
-        for j, c in items:
-            dense[j] = Fraction(c)
-        return tuple(dense)
+        """The coefficients as a tuple of exactly `num_vars` Fractions."""
+        if len(coeffs) != self.num_vars:
+            raise InputError("constraint width does not match variable count")
+        return tuple(Fraction(coeffs[j]) for j in range(self.num_vars))
 
     def add(self, coeffs, sense: str, rhs) -> None:
+        """Store the row with a negative right-hand side flipped (LE <-> GE)."""
         if sense not in (LE, GE, EQ):
             raise InputError(f"unknown constraint sense {sense!r}")
-        self.constraints.append(Constraint(self._dense(coeffs), sense, Fraction(rhs)))
+        coeffs, rhs = self._dense(coeffs), Fraction(rhs)
+        if rhs < 0:
+            coeffs = tuple(-c for c in coeffs)
+            rhs = -rhs
+            sense = {LE: GE, GE: LE, EQ: EQ}[sense]
+        self.constraints.append(Constraint(coeffs, sense, rhs))
 
     def minimize(self, coeffs) -> None:
         self.objective = self._dense(coeffs)
@@ -145,40 +149,28 @@ class _Tableau:
 
 
 def _phase_one(num_vars, constraints):
-    """Normalise the constraints, build the tableau and drive it to a
-    feasible basis with the artificial columns gone.
+    """Build the tableau from constraints as `RationalLinearSystem.add`
+    stores them (exactly num_vars wide, right-hand side nonnegative) and
+    drive it to a feasible basis with the artificial columns gone.
 
     Returns (tableau, allowed columns), or None when infeasible.  The
     tableau is only read afterwards: phase two works on a copy.
     """
-    norm = []
-    for con in constraints:
-        coeffs, sense, rhs = list(con.coeffs), con.sense, con.rhs
-        if len(coeffs) != num_vars:
-            raise InputError("constraint width does not match variable count")
-        if rhs < 0:
-            coeffs = [-c for c in coeffs]
-            rhs = -rhs
-            sense = {LE: GE, GE: LE, EQ: EQ}[sense]
-        norm.append((coeffs, sense, rhs))
-
-    n_slack = sum(1 for _, s, _ in norm if s != EQ)
-    n_art = sum(1 for _, s, _ in norm if s != LE)
+    n_slack = sum(1 for con in constraints if con.sense != EQ)
+    n_art = sum(1 for con in constraints if con.sense != LE)
     ncols = num_vars + n_slack + n_art
+    padding = [Fraction(0)] * (n_slack + n_art)
 
     rows, basis, art_cols = [], [], []
     slack_at, art_at = num_vars, num_vars + n_slack
-    for coeffs, sense, rhs in norm:
-        row = [Fraction(0)] * (ncols + 1)
-        for j, c in enumerate(coeffs):
-            row[j] = Fraction(c)
-        row[-1] = Fraction(rhs)
-        if sense == LE:
+    for con in constraints:
+        row = [*con.coeffs, *padding, con.rhs]
+        if con.sense == LE:
             row[slack_at] = Fraction(1)
             basis.append(slack_at)
             slack_at += 1
         else:
-            if sense == GE:
+            if con.sense == GE:
                 row[slack_at] = Fraction(-1)
                 slack_at += 1
             row[art_at] = Fraction(1)
@@ -224,10 +216,7 @@ def _phase_two(start, allowed, num_vars, objective) -> LPResult:
     if objective is None:
         return LPResult("optimal", start.extract(num_vars), Fraction(0))
     tab = _Tableau(list(start.rows), list(start.basis), start.ncols)
-    cost2 = [Fraction(0)] * tab.ncols
-    for j, c in enumerate(objective):
-        cost2[j] = Fraction(c)
-    tab.set_costs(cost2)
+    tab.set_costs([*objective, *[Fraction(0)] * (tab.ncols - num_vars)])
     status = tab.run(allowed)
     point = tab.extract(num_vars)
     if status == "unbounded":

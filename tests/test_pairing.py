@@ -1,10 +1,13 @@
+import inspect
 import random
+import sys
 import time
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
-from medianlab.combinatorics import maximal_stable_sets, stable_sets
+from medianlab.combinatorics import maximal_cliques, maximal_stable_sets, stable_sets
 from medianlab.errors import BudgetError, InputError
 from medianlab.graph import bn, complete, complete_bipartite, cycle, grid, hypercube, path, tree_from_parent_list
 from medianlab.hypergraphs import build_counterexample
@@ -20,6 +23,7 @@ from medianlab.pairing import (
     matching_stable_set_check,
     maximum_pairing,
     me_polytope,
+    neighborhood,
     pairing_property_bounded_search,
     perfect_b_matching,
     scale_to_even_profile,
@@ -239,7 +243,7 @@ def test_fractional_certificate_satisfies_degrees(corpus):
             if not res.feasible:
                 s = res.disabling_set
                 inside = sum(b.get(v, 0) for v in s)
-                around = sum(b.get(v, 0) for v in aux.neighborhood(s))
+                around = sum(b.get(v, 0) for v in neighborhood(aux.adjacency(), s))
                 assert inside > around
                 continue
             degree = {v: Fraction(0) for v in range(g.n)}
@@ -462,3 +466,17 @@ def test_stable_set_enumeration():
     with pytest.raises(BudgetError):
         list(stable_sets(4, adj, cap=2))
     assert maximal_stable_sets(4, adj) == [frozenset({0, 2}), frozenset({1, 3})]
+
+
+def test_enumerators_do_not_recurse_per_element():
+    # a 300-vertex clique and a 300-element stable set, with far fewer
+    # than 300 free interpreter frames
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        k300 = [set(range(300)) - {v} for v in range(300)]
+        assert maximal_cliques(300, k300) == [frozenset(range(300))]
+        edgeless = [set() for _ in range(300)]
+        assert next(islice(stable_sets(300, edgeless), 299, None)) == frozenset(range(300))
+    finally:
+        sys.setrecursionlimit(limit)

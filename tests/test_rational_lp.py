@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from scipy.optimize import linprog
 
-from medianlab.rational_lp import EQ, GE, LE, RationalLinearSystem, _phase_one
+from medianlab.errors import InputError
+from medianlab.rational_lp import EQ, GE, LE, Constraint, RationalLinearSystem, _phase_one
 
 
 def make(num_vars, cons, objective=None):
@@ -213,3 +215,21 @@ def test_minimize_each_reads_objectives_lazily():
     first = next(results)
     assert first.status == "optimal" and first.value == 0
     assert taken == [[1, 0]]
+
+
+def test_rows_are_exactly_num_vars_wide_and_stored_normalised():
+    system = RationalLinearSystem(3)
+    for coeffs in ([1, 2], [1, 2, 3, 4]):
+        with pytest.raises(InputError, match="width"):
+            system.add(coeffs, LE, 1)
+    with pytest.raises(InputError, match="width"):
+        system.minimize([1, 2])
+    with pytest.raises(InputError, match="width"):
+        list(system.minimize_each([[1, 2]]))
+    assert system.constraints == []
+    # a negative right-hand side is flipped once, when the row is added
+    system = RationalLinearSystem(2)
+    system.add([1, -1], GE, -2)
+    assert system.constraints == [Constraint((-1, 1), LE, 2)]
+    stored = system.constraints[0]
+    assert all(type(c) is Fraction for c in (*stored.coeffs, stored.rhs))
