@@ -19,11 +19,11 @@ from .classify import (
     is_modular,
 )
 from .consensus import (
-    C6Profile,
     TabulatedConsensus,
     check_axiom,
     compare_functions,
     l6_eval,
+    tabulate_l6,
     tabulate_median,
     verify_l6_is_abc,
 )

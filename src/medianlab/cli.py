@@ -151,7 +151,14 @@ def cmd_construct(args):
     else:  # counterexample
         kind = "double_pairing" if args.kind == "double" else "pairing"
         cx = hg.build_counterexample(kind)
-        g, verdicts = cx.graph, cx.as_dict()
+        g = cx.graph
+        verdicts = {
+            "kind": cx.kind,
+            "vertices": g.n,
+            "hub": cx.hub,
+            "profile": cx.profile,
+            "labels": cx.incidence.labels(),
+        }
     text = formats.graph_to_text(g)
     _maybe_write(args, text)
     return _report(g, {**verdicts, "graph_text": text})
@@ -163,16 +170,20 @@ def _load_consensus(g: Graph, name: str, max_len: int) -> cs.TabulatedConsensus:
     if name == "l6":
         if g.edges() != cs.c6_graph().edges():
             raise InputError("the l6 rule is defined on cycle:6 only")
-        return cs.tabulate_function(
-            g, max_len, lambda key: cs.l6_eval(pf.Profile.from_vertices(key))
+        return cs.tabulate_l6(max_len)
+    table = formats.table_from_text(g, Path(name).read_text())
+    if table.max_len != max_len:
+        raise InputError(
+            f"table {name} holds profiles up to length {table.max_len}, "
+            f"expected --max-len {max_len}"
         )
-    return cs.table_from_text(g, Path(name).read_text())
+    return table
 
 
 def cmd_consensus_tabulate_med(args):
     g = load_graph(args.target)
     table = cs.tabulate_median(g, args.max_len)
-    text = cs.table_to_text(table)
+    text = formats.table_to_text(table)
     _maybe_write(args, text)
     return _report(g, {"entries": len(table.table), "table_text": text})
 

@@ -7,9 +7,9 @@ from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations, combinations_with_replacement
 from math import comb
+from operator import add
 
-from .errors import BudgetError, FormatError, InputError
-from .formats import _payload_lines
+from .errors import BudgetError, InputError
 from .graph import Graph, cycle
 from .profiles import Profile, median_set
 from .report import Report
@@ -49,13 +49,6 @@ class TabulatedConsensus:
 
     def value(self, vertices) -> frozenset[int]:
         return self.table[tuple(sorted(vertices))]
-
-    def same_domain(self, other: "TabulatedConsensus") -> bool:
-        return (
-            self.max_len == other.max_len
-            and self.graph.n == other.graph.n
-            and self.graph.edges() == other.graph.edges()
-        )
 
 
 def table_size(n: int, max_len: int) -> int:
@@ -175,49 +168,15 @@ def check_axiom(f: TabulatedConsensus, axiom: str, k: int | None = None) -> Axio
 
 def compare_functions(f1: TabulatedConsensus, f2: TabulatedConsensus):
     """All canonical profiles where the two tables differ, in order."""
-    if not f1.same_domain(f2):
+    if (f1.max_len, f1.graph.n, f1.graph.edges()) != (
+        f2.max_len, f2.graph.n, f2.graph.edges()
+    ):
         raise InputError("consensus functions live on different domains")
     return [
         (key, f1.table[key], f2.table[key])
         for key in profile_keys(f1.graph.n, f1.max_len)
         if f1.table[key] != f2.table[key]
     ]
-
-
-# -- table serialization -----------------------------------------------------------
-
-
-def table_to_text(f: TabulatedConsensus) -> str:
-    lines = [f"{f.graph.n} {f.max_len}"]
-    for key in profile_keys(f.graph.n, f.max_len):
-        verts = " ".join(map(str, key))
-        value = " ".join(map(str, sorted(f.table[key])))
-        lines.append(f"{verts} | {value}")
-    return "\n".join(lines) + "\n"
-
-
-def table_from_text(g: Graph, text: str) -> TabulatedConsensus:
-    lines = _payload_lines(text)
-    if not lines:
-        raise FormatError("empty consensus table")
-    try:
-        n, max_len = map(int, lines[0].split())
-    except ValueError:
-        raise FormatError(f"bad table header {lines[0]!r}") from None
-    if n != g.n:
-        raise FormatError(f"table is for {n} vertices, graph has {g.n}")
-    table = {}
-    for ln in lines[1:]:
-        left, sep, right = ln.partition("|")
-        if not sep:
-            raise FormatError(f"missing '|' in table line {ln!r}")
-        try:
-            key = tuple(sorted(int(t) for t in left.split()))
-            value = frozenset(int(t) for t in right.split())
-        except ValueError:
-            raise FormatError(f"bad table line {ln!r}") from None
-        table[key] = value
-    return TabulatedConsensus(g, max_len, table)
 
 
 # -- the six-cycle rule -------------------------------------------------------------
@@ -228,38 +187,24 @@ def c6_graph() -> Graph:
     return cycle(6)
 
 
-@dataclass(frozen=True)
-class C6Profile:
-    """Profile on the 6-cycle as a vector of six multiplicities."""
-
-    counts: tuple[int, int, int, int, int, int]
-
-    def __post_init__(self):
-        if len(self.counts) != 6 or any(k < 0 for k in self.counts):
-            raise InputError("need six nonnegative multiplicities")
-
-    @classmethod
-    def from_profile(cls, profile: Profile) -> "C6Profile":
-        if any(v > 5 for v in profile.support):
+def _c6_counts(profile: Profile) -> tuple[int, ...]:
+    """The six multiplicities of a profile on the 6-cycle."""
+    c = [0] * 6
+    for v, k in profile.counts:
+        if v > 5:
             raise InputError("profile does not live on the 6-cycle")
-        return cls(tuple(profile.multiplicity(v) for v in range(6)))
+        c[v] = k
+    return tuple(c)
 
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
 
-    def reduced(self) -> tuple[int, ...]:
-        """Cancel opposite vertices: entry i drops by min(count_i, count_{i+3})."""
-        c = self.counts
-        return tuple(c[i] - min(c[i], c[(i + 3) % 6]) for i in range(6))
+def _reduced(c) -> tuple[int, ...]:
+    """Cancel opposite vertices: entry i drops by min(c_i, c_{i+3})."""
+    return tuple(c[i] - min(c[i], c[(i + 3) % 6]) for i in range(6))
 
-    @property
-    def is_alternate(self) -> bool:
-        r = self.reduced()
-        return any(
-            r[i] > 0 and r[(i + 2) % 6] > 0 and r[(i + 4) % 6] > 0
-            for i in (0, 1)
-        )
+
+def _is_alternate(r) -> bool:
+    """One parity class of the reduced vector r is all positive."""
+    return all(r[0::2]) or all(r[1::2])
 
 
 def l6_eval(profile: Profile) -> frozenset[int]:
@@ -271,13 +216,19 @@ def l6_eval(profile: Profile) -> frozenset[int]:
     """
     if not profile.counts:
         raise InputError("profile must be nonempty")
-    cp = C6Profile.from_profile(profile)
-    if cp.is_alternate:
-        r = cp.reduced()
+    r = _reduced(_c6_counts(profile))
+    if _is_alternate(r):
         cls = (0, 2, 4) if r[0] > 0 else (1, 3, 5)
         top = max(r[i] for i in cls)
         return frozenset({min(i for i in cls if r[i] == top)})
     return median_set(c6_graph(), profile)
+
+
+def tabulate_l6(max_len: int) -> TabulatedConsensus:
+    """The 6-cycle rule on every profile of length 1..max_len."""
+    return tabulate_function(
+        c6_graph(), max_len, lambda key: l6_eval(Profile.from_vertices(key))
+    )
 
 
 @dataclass
@@ -315,9 +266,7 @@ def verify_l6_is_abc(max_len: int = 6) -> L6Report:
             f"the divergence witness needs profiles of length 3, got {max_len}"
         )
     g = c6_graph()
-    table = tabulate_function(
-        g, max_len, lambda key: l6_eval(Profile.from_vertices(key))
-    )
+    table = tabulate_l6(max_len)
     failures = []
     res_a = check_axiom(table, "A")
     res_b = check_axiom(table, "B")
@@ -326,23 +275,19 @@ def verify_l6_is_abc(max_len: int = 6) -> L6Report:
         if not res.holds:
             failures.append(res)
 
+    counts = {key: tuple(map(key.count, range(6))) for key in table.table}
     reduction_ok = True
     for left, right in _concatenation_pairs(6, max_len):
-        pi = C6Profile.from_profile(Profile.from_vertices(left))
-        rho = C6Profile.from_profile(Profile.from_vertices(right))
-        sigma = C6Profile.from_profile(Profile.from_vertices(left + right))
-        tau = C6Profile(tuple(a + b for a, b in zip(pi.reduced(), rho.reduced())))
-        if sigma.reduced() != tau.reduced():
+        merged = tuple(map(add, counts[left], counts[right]))
+        via_reduced = tuple(map(add, _reduced(counts[left]), _reduced(counts[right])))
+        if _reduced(merged) != _reduced(via_reduced):
             reduction_ok = False
             failures.append({"reduction": [left, right]})
 
     med = tabulate_median(g, max_len)
     non_alt_ok = True
-    count = 0
-    for key in profile_keys(6, max_len):
-        count += 1
-        cp = C6Profile.from_profile(Profile.from_vertices(key))
-        if not cp.is_alternate and table.table[key] != med.table[key]:
+    for key, value in table.table.items():
+        if not _is_alternate(_reduced(counts[key])) and value != med.table[key]:
             non_alt_ok = False
             failures.append({"non_alternate_mismatch": key})
 
@@ -356,6 +301,6 @@ def verify_l6_is_abc(max_len: int = 6) -> L6Report:
         reduction_identity=reduction_ok,
         non_alternate_matches_median=non_alt_ok,
         divergence_witness=divergence,
-        profiles_checked=count,
+        profiles_checked=len(table.table),
         failures=failures,
     )

@@ -1,12 +1,16 @@
-"""Line-based text formats for graphs, hypergraphs and benzenoid cell sets.
+"""Line-based text formats for graphs, hypergraphs, benzenoid cell sets and
+tabulated consensus functions.
 
 Every writer/parser pair round-trips: parsing written output reproduces an
-identical object.  Lines starting with '#' are comments.
+identical object.  Lines starting with '#' are comments.  A consensus table
+is a header `n max_len` followed by one `profile vertices | value vertices`
+line per profile, each profile exactly once.
 """
 
 from __future__ import annotations
 
 from .benzenoid import Benzenoid, build_benzenoid
+from .consensus import TabulatedConsensus, profile_keys
 from .errors import FormatError
 from .graph import Graph
 from .hypergraphs import Hypergraph
@@ -86,3 +90,38 @@ def cells_from_text(text: str) -> Benzenoid:
     if not cells:
         raise FormatError("empty benzenoid cell file")
     return build_benzenoid(cells)
+
+
+def table_to_text(f: TabulatedConsensus) -> str:
+    lines = [f"{f.graph.n} {f.max_len}"]
+    for key in profile_keys(f.graph.n, f.max_len):
+        verts = " ".join(map(str, key))
+        value = " ".join(map(str, sorted(f.table[key])))
+        lines.append(f"{verts} | {value}")
+    return "\n".join(lines) + "\n"
+
+
+def table_from_text(g: Graph, text: str) -> TabulatedConsensus:
+    lines = _payload_lines(text)
+    if not lines:
+        raise FormatError("empty consensus table")
+    try:
+        n, max_len = map(int, lines[0].split())
+    except ValueError:
+        raise FormatError(f"bad table header {lines[0]!r}") from None
+    if n != g.n:
+        raise FormatError(f"table is for {n} vertices, graph has {g.n}")
+    table = {}
+    for ln in lines[1:]:
+        left, sep, right = ln.partition("|")
+        if not sep:
+            raise FormatError(f"missing '|' in table line {ln!r}")
+        try:
+            key = tuple(sorted(int(t) for t in left.split()))
+            value = frozenset(int(t) for t in right.split())
+        except ValueError:
+            raise FormatError(f"bad table line {ln!r}") from None
+        if key in table:
+            raise FormatError(f"profile {' '.join(map(str, key))} listed twice")
+        table[key] = value
+    return TabulatedConsensus(g, max_len, table)

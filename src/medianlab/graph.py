@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 from collections import deque
 from collections.abc import Iterable
+from itertools import chain
 
 from .errors import DisconnectedGraphError, InputError
 
@@ -17,13 +18,6 @@ from .errors import DisconnectedGraphError, InputError
 # every procedure above it is polynomial of degree 2 or more in n, so the
 # cap turns an input that would exhaust memory into an InputError.
 MAX_VERTICES = 2048
-
-
-def _within_cap(n: int) -> None:
-    """Reject a vertex count over MAX_VERTICES; generators call this
-    before they build an edge list of that size."""
-    if n > MAX_VERTICES:
-        raise InputError(f"{n} vertices exceed the cap of {MAX_VERTICES}")
 
 
 class Graph:
@@ -34,7 +28,9 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 1:
             raise InputError(f"vertex count must be positive, got {n}")
-        _within_cap(n)
+        # checked before `edges` is read, so callers may pass a lazy iterable
+        if n > MAX_VERTICES:
+            raise InputError(f"{n} vertices exceed the cap of {MAX_VERTICES}")
         seen = set()
         adj = [[] for _ in range(n)]
         for e in edges:
@@ -226,29 +222,25 @@ class Graph:
 def cycle(k: int) -> Graph:
     if k < 3:
         raise InputError(f"cycle needs at least 3 vertices, got {k}")
-    _within_cap(k)
-    return Graph(k, [(i, (i + 1) % k) for i in range(k)])
+    return Graph(k, ((i, (i + 1) % k) for i in range(k)))
 
 
 def path(k: int) -> Graph:
     if k < 1:
         raise InputError(f"path needs at least 1 vertex, got {k}")
-    _within_cap(k)
-    return Graph(k, [(i, i + 1) for i in range(k - 1)])
+    return Graph(k, ((i, i + 1) for i in range(k - 1)))
 
 
 def complete(k: int) -> Graph:
     if k < 1:
         raise InputError(f"complete graph needs at least 1 vertex, got {k}")
-    _within_cap(k)
-    return Graph(k, [(i, j) for i in range(k) for j in range(i + 1, k)])
+    return Graph(k, ((i, j) for i in range(k) for j in range(i + 1, k)))
 
 
 def complete_bipartite(m: int, n: int) -> Graph:
     if m < 1 or n < 1:
         raise InputError(f"complete bipartite needs positive parts, got {m},{n}")
-    _within_cap(m + n)
-    return Graph(m + n, [(i, m + j) for i in range(m) for j in range(n)])
+    return Graph(m + n, ((i, m + j) for i in range(m) for j in range(n)))
 
 
 def hypercube(d: int) -> Graph:
@@ -269,10 +261,9 @@ def bn(n: int) -> Graph:
     """K_{n,n} minus a perfect matching: a_i ~ b_j iff i != j."""
     if n < 3:
         raise InputError(f"bn needs n >= 3 to stay connected, got {n}")
-    _within_cap(2 * n)
     return Graph(
         2 * n,
-        [(i, n + j) for i in range(n) for j in range(n) if i != j],
+        ((i, n + j) for i in range(n) for j in range(n) if i != j),
     )
 
 
@@ -280,26 +271,23 @@ def bhat(n: int) -> Graph:
     """bn(n) extended by two adjacent apexes covering the two sides."""
     if n < 3:
         raise InputError(f"bhat needs n >= 3, got {n}")
-    _within_cap(2 * n + 2)
-    edges = [(i, n + j) for i in range(n) for j in range(n) if i != j]
     a, b = 2 * n, 2 * n + 1
-    edges += [(a, n + j) for j in range(n)]
-    edges += [(b, i) for i in range(n)]
-    edges.append((a, b))
+    edges = chain(
+        ((i, n + j) for i in range(n) for j in range(n) if i != j),
+        ((a, n + j) for j in range(n)),
+        ((b, i) for i in range(n)),
+        [(a, b)],
+    )
     return Graph(2 * n + 2, edges)
 
 
 def grid(m: int, n: int) -> Graph:
     if m < 1 or n < 1:
         raise InputError(f"grid needs positive sides, got {m},{n}")
-    _within_cap(m * n)
-    edges = []
-    for i in range(m):
-        for j in range(n):
-            if j + 1 < n:
-                edges.append((i * n + j, i * n + j + 1))
-            if i + 1 < m:
-                edges.append((i * n + j, (i + 1) * n + j))
+    edges = chain(
+        ((i * n + j, i * n + j + 1) for i in range(m) for j in range(n - 1)),
+        ((i * n + j, (i + 1) * n + j) for i in range(m - 1) for j in range(n)),
+    )
     return Graph(m * n, edges)
 
 

@@ -4,11 +4,12 @@ incidence graphs, and the two counterexample builds they support."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .classify import hypergraph_helly_by_triples
 from .combinatorics import adjacency_sets, maximal_cliques, maximal_stable_sets
 from .errors import InputError
-from .graph import Graph, _within_cap
+from .graph import Graph
 from .pairing import fractional_perfect_b_matching, perfect_b_matching
 from .profiles import Profile
 
@@ -99,10 +100,11 @@ class IncidenceGraph:
 
 def incidence_graph(h: Hypergraph) -> IncidenceGraph:
     n, k = h.ground_size, len(h.edges)
-    _within_cap(1 + n + k)  # before the edge list is built
-    edges = [(0, 1 + x) for x in range(n)]
-    for i, e in enumerate(h.edges):
-        edges.extend((1 + n + i, 1 + x) for x in sorted(e))
+    # lazy, so Graph checks the vertex cap before any edge is built
+    edges = chain(
+        ((0, 1 + x) for x in range(n)),
+        ((1 + n + i, 1 + x) for i, e in enumerate(h.edges) for x in sorted(e)),
+    )
     return IncidenceGraph(
         Graph(1 + n + k, edges),
         hub=0,
@@ -123,15 +125,6 @@ class Counterexample:
     incidence: IncidenceGraph
     seed_vertices: int
     seed_edges: tuple[tuple[int, int], ...]
-
-    def as_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "vertices": self.graph.n,
-            "hub": self.hub,
-            "profile": self.profile.format(),
-            "labels": self.incidence.labels(),
-        }
 
 
 def _complement(n: int, edges) -> list[tuple[int, int]]:

@@ -74,11 +74,12 @@ def _hall_row(n: int, adj, members) -> list[int]:
     return row
 
 
-def _hall_excess(adj, members, weight):
-    """b(S) - b(N(S)) for the vertex weights in the mapping `weight`
-    (absent vertices weigh 0), summed over S and N(S) only."""
+def _hall_excess(members, hood, weight):
+    """b(S) - b(N(S)) for S = members with neighbourhood hood, under the
+    vertex weights in the mapping `weight` (absent vertices weigh 0),
+    summed over S and N(S) only."""
     inside = sum(weight.get(v, 0) for v in members)
-    return inside - sum(weight.get(v, 0) for v in neighborhood(adj, members))
+    return inside - sum(weight.get(v, 0) for v in hood)
 
 
 def _between(g: Graph, u: int, vertices):
@@ -211,7 +212,7 @@ def has_fractional_perfect_b_matching(
         return FractionalMatchingResult(True, certificate=cert)
     adj = aux.adjacency()
     for s in stable_sets(aux.n, adj, exclude=(aux.base,)):
-        if _hall_excess(adj, s, demand) > 0:
+        if _hall_excess(s, neighborhood(adj, s), demand) > 0:
             return FractionalMatchingResult(False, disabling_set=s)
     raise RuntimeError("infeasible b-matching without disabling stable set")
 
@@ -492,11 +493,12 @@ def matching_stable_set_check(
                 witness = scale_to_even_profile(result.point)
                 return MatchingStableSetResult(False, variant, witness, s)
         return MatchingStableSetResult(True, variant)
+    hoods = [(t, neighborhood(adj, t)) for t in escapes]
     for profile in canonical_profiles(
         g.n, max_support, max_mult, even_only=True, cap=cap
     ):
         demand = dict(profile.counts)
-        escaped = any(_hall_excess(adj, t, demand) > 0 for t in escapes)
+        escaped = any(_hall_excess(t, hood, demand) > 0 for t, hood in hoods)
         if not escaped and perfect_b_matching(g.n, g.edges(), demand) is None:
             return MatchingStableSetResult(False, variant, profile)
     return MatchingStableSetResult(True, variant)

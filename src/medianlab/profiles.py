@@ -56,12 +56,6 @@ class Profile:
     def format(self) -> str:
         return " ".join(f"{v}:{k}" if k > 1 else str(v) for v, k in self.counts)
 
-    def multiplicity(self, v: int) -> int:
-        for w, k in self.counts:
-            if w == v:
-                return k
-        return 0
-
     @property
     def total(self) -> int:
         return sum(k for _, k in self.counts)
@@ -69,10 +63,6 @@ class Profile:
     @property
     def is_even(self) -> bool:
         return self.total % 2 == 0
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(v for v, _ in self.counts)
 
     def vertices(self):
         for v, k in self.counts:
@@ -88,10 +78,6 @@ class Profile:
         if k < 1:
             raise InputError("profile power must be >= 1")
         return Profile(tuple((v, m * k) for v, m in self.counts))
-
-    def weight(self, vertex_set) -> int:
-        vs = set(vertex_set)
-        return sum(k for v, k in self.counts if v in vs)
 
 
 def _check_in_graph(g: Graph, profile: Profile) -> None:

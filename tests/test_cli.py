@@ -370,6 +370,32 @@ def test_consensus_check_and_compare(capsys, tmp_path):
     assert code == 1
 
 
+def test_consensus_table_file_is_checked_against_its_use(capsys, tmp_path):
+    table_file = tmp_path / "table.txt"
+    capture(
+        capsys,
+        ["consensus", "tabulate-med", "path:2", "--max-len", "2",
+         "--out", str(table_file)],
+    )
+    text = table_file.read_text()
+    check = ["consensus", "check", "path:2", "--axiom", "B", "--function", str(table_file)]
+    # the header's length budget must be the one asked for
+    code, out, _ = capture(capsys, check + ["--max-len", "7"])
+    assert code == 2
+    assert "--max-len 7" in json.loads(out)["error"]
+    compare = ["consensus", "compare", "path:2", "--max-len", "3"]
+    for sides in (["--left", str(table_file), "--right", "med"],
+                  ["--left", "med", "--right", str(table_file)]):
+        code, out, _ = capture(capsys, compare + sides)
+        assert code == 2, sides
+        assert "--max-len 3" in json.loads(out)["error"], sides
+    # a profile listed twice is refused, not overwritten by its last line
+    table_file.write_text(text + "0 1 | 0\n")
+    code, out, _ = capture(capsys, check + ["--max-len", "2"])
+    assert code == 2
+    assert "twice" in json.loads(out)["error"]
+
+
 def test_benzenoid_verbs(capsys, tmp_path):
     cells = tmp_path / "cells.txt"
     cells.write_text("0 0\n1 0\n")

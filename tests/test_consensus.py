@@ -1,21 +1,22 @@
 import pytest
 
 from medianlab.consensus import (
-    C6Profile,
     TabulatedConsensus,
+    _c6_counts,
+    _is_alternate,
+    _reduced,
     c6_graph,
     check_axiom,
     compare_functions,
     equilateral_metric_triangles,
     l6_eval,
     profile_keys,
-    table_from_text,
-    table_to_text,
-    tabulate_function,
+    tabulate_l6,
     tabulate_median,
     verify_l6_is_abc,
 )
-from medianlab.errors import BudgetError, InputError
+from medianlab.errors import BudgetError, FormatError, InputError
+from medianlab.formats import table_from_text, table_to_text
 from medianlab.graph import complete, cycle, path
 from medianlab.profiles import Profile, median_set
 
@@ -89,14 +90,16 @@ def test_equilateral_triangles_on_c6():
 
 
 def test_c6_profile_reduction():
-    p = C6Profile((2, 0, 1, 1, 0, 3))
-    r = p.reduced()
+    r = _reduced((2, 0, 1, 1, 0, 3))
     assert r == (1, 0, 0, 0, 0, 2)
     assert all(r[i] * r[(i + 3) % 6] == 0 for i in range(6))
-    assert not p.is_alternate
-    assert C6Profile((1, 0, 2, 0, 1, 0)).is_alternate
-    assert C6Profile((0, 1, 0, 1, 0, 1)).is_alternate
-    assert C6Profile((1, 1, 1, 1, 1, 1)).is_alternate is False  # reduces to zero
+    assert not _is_alternate(r)
+    assert _is_alternate(_reduced((1, 0, 2, 0, 1, 0)))
+    assert _is_alternate(_reduced((0, 1, 0, 1, 0, 1)))
+    assert _is_alternate(_reduced((1, 1, 1, 1, 1, 1))) is False  # reduces to zero
+    assert _c6_counts(Profile.parse("0:2 2 3 5:3")) == (2, 0, 1, 1, 0, 3)
+    with pytest.raises(InputError):
+        _c6_counts(Profile.parse("6"))
 
 
 def test_l6_examples():
@@ -139,9 +142,8 @@ def test_l6_and_median_follow_case_table():
     g = c6_graph()
     for key in profile_keys(6, 5):
         profile = Profile.from_vertices(key)
-        cp = C6Profile.from_profile(profile)
-        r = cp.reduced()
-        if cp.is_alternate or not any(r):
+        r = _reduced(_c6_counts(profile))
+        if _is_alternate(r) or not any(r):
             continue
         expected = abc_case_value(r)
         assert median_set(g, profile) == expected, key
@@ -151,13 +153,11 @@ def test_l6_and_median_follow_case_table():
 def test_reduction_commutes_with_concatenation():
     for key_a in profile_keys(6, 3):
         for key_b in profile_keys(6, 3):
-            pa = C6Profile.from_profile(Profile.from_vertices(key_a))
-            pb = C6Profile.from_profile(Profile.from_vertices(key_b))
-            merged = C6Profile.from_profile(Profile.from_vertices(key_a + key_b))
-            via_reduced = C6Profile(
-                tuple(x + y for x, y in zip(pa.reduced(), pb.reduced()))
-            )
-            assert merged.reduced() == via_reduced.reduced()
+            pa = _c6_counts(Profile.from_vertices(key_a))
+            pb = _c6_counts(Profile.from_vertices(key_b))
+            merged = _c6_counts(Profile.from_vertices(key_a + key_b))
+            via_reduced = tuple(x + y for x, y in zip(_reduced(pa), _reduced(pb)))
+            assert _reduced(merged) == _reduced(via_reduced)
 
 
 def test_verify_l6_report():
@@ -170,8 +170,7 @@ def test_verify_l6_report():
 
 
 def test_l6_violates_the_triangle2_axioms():
-    g = c6_graph()
-    table = tabulate_function(g, 3, lambda key: l6_eval(Profile.from_vertices(key)))
+    table = tabulate_l6(3)
     res = check_axiom(table, "T2")
     assert not res.holds and res.witness[0] == (0, 2, 4)
     res = check_axiom(table, "Ek", k=2)
@@ -181,10 +180,7 @@ def test_l6_violates_the_triangle2_axioms():
 def test_membership_propagates_through_extension():
     # x' in F(pi, x) forces x' in F(pi, x') inside F(pi, x)
     g = c6_graph()
-    for table in (
-        tabulate_median(g, 4),
-        tabulate_function(g, 4, lambda key: l6_eval(Profile.from_vertices(key))),
-    ):
+    for table in (tabulate_median(g, 4), tabulate_l6(4)):
         for key in profile_keys(6, 3):
             for x in range(6):
                 value = table.value(key + (x,))
@@ -197,7 +193,7 @@ def test_membership_propagates_through_extension():
 def test_compare_functions():
     g = c6_graph()
     med = tabulate_median(g, 3)
-    l6 = tabulate_function(g, 3, lambda key: l6_eval(Profile.from_vertices(key)))
+    l6 = tabulate_l6(3)
     diffs = compare_functions(l6, med)
     assert ((0, 2, 4), frozenset({0}), frozenset({0, 2, 4})) in diffs
     assert compare_functions(med, med) == []
@@ -215,6 +211,9 @@ def test_table_serialization_roundtrip():
     text = table_to_text(table)
     again = table_from_text(g, text)
     assert again.table == table.table and again.max_len == table.max_len
+    # a profile listed twice is refused, whatever its vertex order
+    with pytest.raises(FormatError, match="twice"):
+        table_from_text(g, text + "1 0 | 0\n")
 
 
 def test_median_axioms_on_random_graphs():
