@@ -52,12 +52,25 @@ def maximal_cliques(n, adj):
         if not p and not x:
             found.append(r)
             continue
-        pivot = max(p | x, key=lambda v: len(adj[v] & p))
-        for v in sorted(p - adj[pivot]):
+        for v in sorted(p - adj[_pivot(adj, p, x)]):
             stack.append((r | {v}, p & adj[v], x & adj[v]))
             p = p - {v}
             x = x | {v}
     return sorted(found, key=sorted)
+
+
+def _pivot(adj, p, x):
+    """A vertex of P | X with the most neighbours in P.  No vertex of P
+    has more than |P| - 1 of them and no vertex of X more than |P|, so the
+    scan stops at the first vertex that reaches its bound."""
+    best, most = None, -1
+    for v in p | x:
+        k = len(adj[v] & p)
+        if k > most:
+            best, most = v, k
+            if k == len(p) - (v in p):
+                break
+    return best
 
 
 def maximal_stable_sets(n, adj):

@@ -176,21 +176,73 @@ def perfect_b_matching(n, edges, demand):
 
 
 def fractional_perfect_b_matching(n, edges, demand):
-    """Exact feasibility of the degree equalities over nonnegative edge
-    weights; returns the edge-weight certificate or None.  Each endpoint
-    of an edge adds 1 to its vertex's row, so a loop counts twice."""
+    """A fractional perfect b-matching on the edge list, as a dict from
+    edge to positive Fraction weight, or None when there is none.  Each
+    endpoint of an edge adds its weight to its vertex's degree, so a loop
+    counts twice.
+
+    Decided by an integral maximum flow on the bipartite double cover
+    (Schrijver, Combinatorial Optimization, 2003): the source feeds v' and
+    v'' drains to the sink, each with capacity b(v); an edge vw becomes
+    the arcs v'->w'' and w'->v'', and a loop at v the arc v'->v''.  A
+    flow saturating every source arc gives the half-integral certificate
+    x_vw = (f(v'w'') + f(w'v''))/2 and x_vv = f(v'v'')/2, and a fractional
+    perfect b-matching x gives such a flow (x_vw on both arcs, 2x_vv on
+    the loop's), so the two exist together.
+    """
     _check_demand(n, demand)
-    rows = [[0] * len(edges) for _ in range(n)]
-    for j, (a, b) in enumerate(edges):
-        rows[a][j] += 1
-        rows[b][j] += 1
-    system = RationalLinearSystem(len(edges))
-    for v, row in enumerate(rows):
-        system.add(row, EQ, demand.get(v, 0))
-    result = system.solve()
-    if result.status == "infeasible":
+    need = {v: k for v, k in demand.items() if k}
+    # nodes: v' is v, v'' is n + v, then the source and the sink
+    source, sink = 2 * n, 2 * n + 1
+    residual = [{} for _ in range(2 * n + 2)]
+    for v, k in need.items():
+        residual[source][v] = k
+        residual[n + v] = {sink: k}
+    used = {}  # the edges that can carry weight, each unordered pair once
+    for a, b in edges:
+        if a in need and b in need and (a, b) not in used and (b, a) not in used:
+            used[(a, b)] = None
+            residual[a][n + b] = need[a]
+            residual[b][n + a] = need[b]
+    for x in range(2 * n + 2):  # reverse arcs start empty
+        for y in list(residual[x]):
+            residual[y].setdefault(x, 0)
+    flow = 0
+    while path := _augmenting_path(residual, source, sink):
+        push = min(residual[x][y] for x, y in path)
+        for x, y in path:
+            residual[x][y] -= push
+            residual[y][x] += push
+        flow += push
+    if flow != sum(need.values()):
         return None
-    return {edges[j]: x for j, x in enumerate(result.point) if x}
+    cert = {}
+    for a, b in used:
+        # the flow on a'->b'' sits on its reverse arc; a loop's one arc
+        # is read twice here
+        x = Fraction(residual[n + b][a] + residual[n + a][b]) / (4 if a == b else 2)
+        if x:
+            cert[(a, b)] = x
+    return cert
+
+
+def _augmenting_path(residual, source, sink):
+    """Arcs of a shortest source-sink path with residual capacity left
+    (breadth first, neighbours in insertion order), or None."""
+    parent = {source: None}
+    queue = [source]
+    for x in queue:
+        for y, room in residual[x].items():
+            if room and y not in parent:
+                parent[y] = x
+                if y == sink:
+                    path = []
+                    while parent[y] is not None:
+                        path.append((parent[y], y))
+                        y = parent[y]
+                    return path
+                queue.append(y)
+    return None
 
 
 @dataclass
@@ -380,23 +432,31 @@ def ma_violation_search(g: Graph, u: int, cap: int = 1 << 20):
 
     For each stable set S the exact LP minimizes b(N(S)) - b(S) over the
     slice of Me(u) with total weight 1; a negative optimum exhibits a
-    weight function proving Ma(u) != Me(u).  The slice is built once per u
-    and every S reuses its phase-1 tableau.
+    weight function proving Ma(u) != Me(u).  The slice is built once per u,
+    its phase 1 runs once, and each S starts phase 2 where the previous S
+    ended; the first S with a negative optimum is solved again from the
+    phase-1 tableau, so its point is the one a fresh solve gives.
     """
     aux = auxiliary_graph(g, u)
     adj = aux.adjacency()
     system = me_polytope(g, u)
     system.add([1] * g.n, EQ, 1)
-    # the slice is the same for every S, so phase 1 runs once; the stable
-    # sets are still walked lazily, so the cap and the early exit hold
-    sets, walk = tee(stable_sets(aux.n, adj, exclude=(aux.base,), cap=cap))
-    objectives = ([-c for c in _hall_row(g.n, adj, s)] for s in walk)
-    for s, result in zip(sets, system.minimize_each(objectives)):
+    sets = stable_sets(aux.n, adj, exclude=(aux.base,), cap=cap)
+    for s, result in _hall_minima(system, adj, sets):
         if result.status != "optimal":
             raise RuntimeError(f"Me(u) slice LP ended {result.status}")
         if result.value < 0:
             return MaViolation(s, result.point, result.value)
     return None
+
+
+def _hall_minima(system, adj, sets):
+    """Pairs (S, minimum of b(N(S)) - b(S) over `system`) for the stable
+    sets S of `sets`, from `RationalLinearSystem.minimize_warm`.  The sets
+    are read lazily, so a cap on them and an early exit both hold."""
+    sets, walk = tee(sets)
+    objectives = ([-c for c in _hall_row(system.num_vars, adj, s)] for s in walk)
+    return zip(sets, system.minimize_warm(objectives))
 
 
 def scale_to_even_profile(point) -> Profile:
@@ -465,11 +525,16 @@ def matching_stable_set_check(
 ) -> MatchingStableSetResult:
     """Check the (double-)matching-stable-set property of a graph.
 
-    The double variant is decided exactly: for each stable set S an LP asks
-    for a weight vector whose only Hall violation is at S while every vertex
-    and every maximal stable set stays within its neighborhood weight; a
-    feasible point scales to an even integral counterexample profile.  The
-    single variant is a bounded exhaustive search over even profiles.
+    The double variant is decided exactly: a stable set S is a witness when
+    some weight vector violates Hall at S (b(S) >= b(N(S)) + 1) while every
+    vertex and every maximal stable set stays within its neighborhood
+    weight.  Those escape rows are homogeneous, so S is a witness exactly
+    when hall(S) = b(S) - b(N(S)) has a positive maximum over the one
+    polytope {escape rows <= 0, sum of b = 1, b >= 0}; the stable sets are
+    walked over it with warm-started phase 2s, and only the first witness
+    is solved again in the per-S form above, whose feasible point scales to
+    an even integral counterexample profile.  The single variant is a
+    bounded exhaustive search over even profiles.
     """
     if variant not in ("double", "single"):
         raise InputError(f"unknown variant {variant!r}")
@@ -481,16 +546,17 @@ def matching_stable_set_check(
     escapes = [(z,) for z in range(g.n)] + maximal_stable_sets(g.n, adj)
     if variant == "double":
         # no escape may work, and these rows are the same for every S
-        bounds = RationalLinearSystem(g.n)
+        cone = RationalLinearSystem(g.n)
         for t in escapes:
-            bounds.add(_hall_row(g.n, adj, t), LE, 0)
-        for s in stable_sets(g.n, adj, cap=cap):
-            system = RationalLinearSystem(g.n)
-            system.add(_hall_row(g.n, adj, s), GE, 1)
-            system.constraints += bounds.constraints
-            result = system.solve()
-            if result.feasible:
-                witness = scale_to_even_profile(result.point)
+            cone.add(_hall_row(g.n, adj, t), LE, 0)
+        bounds = list(cone.constraints)
+        cone.add([1] * g.n, EQ, 1)
+        for s, result in _hall_minima(cone, adj, stable_sets(g.n, adj, cap=cap)):
+            if result.feasible and result.value < 0:
+                system = RationalLinearSystem(g.n)
+                system.add(_hall_row(g.n, adj, s), GE, 1)
+                system.constraints += bounds
+                witness = scale_to_even_profile(system.solve().point)
                 return MatchingStableSetResult(False, variant, witness, s)
         return MatchingStableSetResult(True, variant)
     hoods = [(t, neighborhood(adj, t)) for t in escapes]

@@ -5,7 +5,9 @@ so feasibility and optimality verdicts are exact.  All variables are
 implicitly nonnegative, which is the shape every caller in this package
 needs (edge weights, vertex weights).  Phase 1 depends only on the
 constraints, so `RationalLinearSystem.minimize_each` runs it once and starts
-every objective's phase 2 from the same feasible tableau.
+every objective's phase 2 from the same feasible tableau, and
+`RationalLinearSystem.minimize_warm` runs it once and starts each phase 2
+where the previous objective's ended.
 """
 
 from __future__ import annotations
@@ -71,6 +73,35 @@ class RationalLinearSystem:
             else:
                 yield _phase_two(*feasible, self.num_vars, self._dense(coeffs))
 
+    def minimize_warm(self, objectives):
+        """Yield one LPResult per objective, minimized over these constraints.
+
+        Phase 1 runs once.  Each objective's phase 2 starts from the basis
+        where the previous objective's phase 2 stopped, which is still
+        feasible, and Bland's rule terminates from any feasible basis; so
+        every status and value equals what `solve` gives for that objective
+        alone.  The point a warm start reaches depends on the objectives
+        before it, so it is not handed out: the point is None, except for
+        an objective whose minimum is negative or unbounded, which is solved
+        again from the phase-1 tableau and carries the point of a fresh
+        solve.  Objectives are read lazily.
+        """
+        start = _phase_one(self.num_vars, self.constraints)
+        if start is not None:
+            tab, allowed = start
+            warm = _Tableau(list(tab.rows), list(tab.basis), tab.ncols)
+            padding = [Fraction(0)] * (tab.ncols - self.num_vars)
+        for coeffs in objectives:
+            coeffs = self._dense(coeffs)
+            if start is None:
+                yield LPResult("infeasible")
+                continue
+            warm.set_costs([*coeffs, *padding])
+            if warm.run(allowed) == "optimal" and warm.value >= 0:
+                yield LPResult("optimal", None, warm.value)
+            else:
+                yield _phase_two(tab, allowed, self.num_vars, coeffs)
+
 
 @dataclass
 class LPResult:
@@ -95,22 +126,22 @@ class _Tableau:
         for i, b in enumerate(self.basis):
             cb = cost[b]
             if cb:
-                row = self.rows[i]
-                for j in range(self.ncols + 1):
-                    obj[j] -= cb * row[j]
+                for j, c in enumerate(self.rows[i]):
+                    if c:
+                        obj[j] -= cb * c
         self.obj = obj
 
     def pivot(self, r, j):
         row = self.rows[r]
         inv = Fraction(1) / row[j]
-        self.rows[r] = row = [c * inv for c in row]
+        self.rows[r] = row = [c * inv if c else c for c in row]
+        # slack columns keep rows sparse: eliminate on the nonzeros only
+        support = [(k, c) for k, c in enumerate(row) if c]
         for i, other in enumerate(self.rows):
             if i != r and other[j]:
-                f = other[j]
-                self.rows[i] = [a - f * b for a, b in zip(other, row)]
-        f = self.obj[j]
-        if f:
-            self.obj = [a - f * b for a, b in zip(self.obj, row)]
+                self.rows[i] = _eliminate(other, other[j], support)
+        if self.obj[j]:
+            self.obj = _eliminate(self.obj, self.obj[j], support)
         self.basis[r] = j
 
     def run(self, allowed):
@@ -146,6 +177,15 @@ class _Tableau:
             if b < num_vars:
                 x[b] = self.rows[i][-1]
         return tuple(x)
+
+
+def _eliminate(row, f, support):
+    """row - f * pivot row, given the pivot row's nonzeros as (column,
+    value) pairs; a new list, so tableaux sharing `row` keep it."""
+    row = list(row)
+    for k, c in support:
+        row[k] -= f * c
+    return row
 
 
 def _phase_one(num_vars, constraints):

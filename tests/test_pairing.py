@@ -5,16 +5,31 @@ import time
 from fractions import Fraction
 from itertools import islice
 
+import networkx as nx
+import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from medianlab.combinatorics import maximal_cliques, maximal_stable_sets, stable_sets
 from medianlab.errors import BudgetError, InputError
-from medianlab.graph import bn, complete, complete_bipartite, cycle, grid, hypercube, path, tree_from_parent_list
+from medianlab.graph import (
+    Graph,
+    bn,
+    complete,
+    complete_bipartite,
+    cycle,
+    generate,
+    grid,
+    hypercube,
+    path,
+    tree_from_parent_list,
+)
 from medianlab.hypergraphs import build_counterexample
 from medianlab.pairing import (
     Pairing,
     auxiliary_graph,
     double_pairing_property,
+    fractional_perfect_b_matching,
     has_fractional_perfect_b_matching,
     has_perfect_pairing,
     has_perfect_pi_matching,
@@ -29,7 +44,7 @@ from medianlab.pairing import (
     scale_to_even_profile,
 )
 from medianlab.profiles import Profile, canonical_profiles, f_vector, median_set, total_distance
-from medianlab.rational_lp import EQ
+from medianlab.rational_lp import EQ, GE, LE, RationalLinearSystem, _Tableau
 
 from conftest import all_pairings, brute_force_max_pairing
 
@@ -287,6 +302,100 @@ def test_half_integrality_small(corpus):
             assert frac == integral
 
 
+def lp_fractional_perfect_b_matching(n, edges, demand):
+    """The degree equalities over nonnegative edge weights as an exact LP,
+    one column per edge entry; each endpoint adds 1 to its vertex's row,
+    so a loop counts twice.  Returns the nonzero weights, or None."""
+    system = RationalLinearSystem(len(edges))
+    for v in range(n):
+        system.add([(a == v) + (b == v) for a, b in edges], EQ, demand.get(v, 0))
+    result = system.solve()
+    if result.status == "infeasible":
+        return None
+    return {edges[j]: x for j, x in enumerate(result.point) if x}
+
+
+def scipy_has_fractional_perfect_b_matching(n, edges, demand):
+    if not edges:
+        return not any(demand.values())
+    a_eq = [[(a == v) + (b == v) for a, b in edges] for v in range(n)]
+    b_eq = [demand.get(v, 0) for v in range(n)]
+    ref = linprog(
+        np.zeros(len(edges)), A_eq=np.array(a_eq), b_eq=np.array(b_eq),
+        bounds=[(0, None)] * len(edges), method="highs",
+    )
+    assert ref.status in (0, 2)
+    return ref.status == 0
+
+
+def assert_half_integral_certificate(n, edges, demand, cert):
+    """Exact positive half-integral weights on listed edges that meet
+    every degree."""
+    degree = [Fraction(0)] * n
+    for (a, b), x in cert.items():
+        assert (a, b) in edges
+        assert type(x) is Fraction and x > 0 and (2 * x).denominator == 1
+        degree[a] += x
+        degree[b] += x
+    assert degree == [Fraction(demand.get(v, 0)) for v in range(n)]
+
+
+def random_connected_graph(rng, n, p):
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    edges |= {(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p}
+    return Graph(n, sorted(edges))
+
+
+def test_max_flow_matches_lp_and_scipy():
+    """The double-cover max-flow verdict equals the exact LP's and scipy's,
+    on auxiliary graphs, on edge lists with loops anywhere and on the
+    counterexample seed graphs, and every certificate checks exactly."""
+    rng = random.Random(2003)
+    cases = []
+    while len(cases) < 500:
+        g = random_connected_graph(rng, rng.randint(2, 9), rng.choice([0.1, 0.3, 0.6]))
+        u = rng.randrange(g.n)
+        edges = list(auxiliary_graph(g, u).edges) + [(u, u)]
+        if rng.random() < 0.5:  # the degrees of some weighting
+            demand = {}
+            for a, b in rng.choices(edges, k=rng.randint(1, 6)):
+                demand[a] = demand.get(a, 0) + 1
+                demand[b] = demand.get(b, 0) + 1
+        else:
+            demand = {v: rng.randint(0, 3) for v in range(g.n)}
+        cases.append((g.n, edges, demand, (g, u)))
+    for _ in range(150):  # loops at several vertices, a repeated edge
+        n = rng.randint(1, 7)
+        edges = sorted({
+            tuple(sorted(rng.sample(range(n), 2))) if n > 1 and rng.random() < 0.7
+            else (v, v)
+            for v in rng.choices(range(n), k=rng.randint(1, 10))
+        })
+        if rng.random() < 0.2:
+            edges.append(edges[0])
+        cases.append((n, edges, {v: rng.randint(0, 4) for v in range(n)}, None))
+    for kind in ("pairing", "double_pairing"):
+        cx = build_counterexample(kind)
+        ones = dict.fromkeys(range(cx.seed_vertices), 1)
+        cases.append((cx.seed_vertices, list(cx.seed_edges), ones, None))
+    verdicts = []
+    for n, edges, demand, aux_of in cases:
+        cert = fractional_perfect_b_matching(n, edges, demand)
+        oracle = lp_fractional_perfect_b_matching(n, edges, demand)
+        assert (cert is not None) == (oracle is not None), (n, edges, demand)
+        assert (cert is not None) == scipy_has_fractional_perfect_b_matching(n, edges, demand)
+        if cert is not None:
+            assert_half_integral_certificate(n, edges, demand, cert)
+        if aux_of is not None:
+            g, u = aux_of
+            res = has_fractional_perfect_b_matching(auxiliary_graph(g, u), demand)
+            assert res.feasible == (cert is not None)
+            assert res.certificate == cert
+        verdicts.append(cert is not None)
+    assert verdicts[-2:] == [True, False]  # the seeds, as build_counterexample needs
+    assert 150 < sum(verdicts) < len(verdicts) - 150
+
+
 def test_me_polytope_structure():
     g = path(3)
     system = me_polytope(g, 1)
@@ -369,6 +478,31 @@ def test_ma_violation_search_matches_from_scratch_solves():
             assert verdict.witness == scale_to_even_profile(point)
 
 
+def test_ma_violation_search_warm_starts_phase_two(monkeypatch):
+    # grid(3,3) at a corner: 111 stable sets and no violation, so the walk
+    # runs to the end; warm phase 2s pivot far less than cold ones
+    g, u = grid(3, 3), 0
+    count = [0]
+    pivot = _Tableau.pivot
+
+    def counted(tab, r, j):
+        count[0] += 1
+        return pivot(tab, r, j)
+
+    monkeypatch.setattr(_Tableau, "pivot", counted)
+    assert ma_violation_search(g, u) is None
+    warm, count[0] = count[0], 0
+    adj = auxiliary_graph(g, u).adjacency()
+    system = me_polytope(g, u)
+    system.add([1] * g.n, EQ, 1)
+    objectives = [
+        [(v in neighborhood(adj, s)) - (v in s) for v in range(g.n)]
+        for s in stable_sets(g.n, adj, exclude=(u,))
+    ]
+    assert min(r.value for r in system.minimize_each(objectives)) >= 0
+    assert 4 * warm < count[0], (warm, count[0])
+
+
 def test_double_pairing_small_graphs():
     assert double_pairing_property(path(2)).holds
     assert double_pairing_property(complete_bipartite(2, 3)).holds
@@ -426,6 +560,50 @@ def test_matching_stable_set_tree_and_star():
         matching_stable_set_check(local.graph, "single")
 
 
+def from_scratch_double_check(g):
+    """The double matching-stable-set check with one full solve per stable
+    set S: a point with b(S) - b(N(S)) >= 1 while every vertex and every
+    maximal stable set T keeps b(T) - b(N(T)) <= 0."""
+    adj = [set(g.neighbors(v)) for v in range(g.n)]
+
+    def hall(members):
+        hood = set().union(*(adj[v] for v in members))
+        return [(v in members) - (v in hood) for v in range(g.n)]
+
+    escapes = [(z,) for z in range(g.n)] + maximal_stable_sets(g.n, adj)
+    for s in stable_sets(g.n, adj):
+        system = RationalLinearSystem(g.n)
+        system.add(hall(s), GE, 1)
+        for t in escapes:
+            system.add(hall(t), LE, 0)
+        result = system.solve()
+        if result.feasible:
+            return False, scale_to_even_profile(result.point), s
+    return True, None, None
+
+
+def test_double_check_matches_from_scratch_solves():
+    rng = random.Random(211)
+    graphs = [
+        local_graph(g, u).graph
+        for spec in ("kmn:2,3", "cycle:8", "path:6", "hypercube:3", "grid:3,3", "bn:4")
+        for g in [generate(spec)]
+        for u in range(g.n)
+    ]
+    graphs += [random_connected_graph(rng, rng.randint(3, 9), rng.choice([0.15, 0.3, 0.5]))
+               for _ in range(100)]
+    # a failing graph whose witness differs when scaled from the point of
+    # the one polytope instead of the per-S system
+    graphs.append(Graph(9, [(0, 1), (0, 2), (0, 5), (1, 4), (1, 5), (2, 3), (2, 6), (2, 7),
+                            (2, 8), (3, 4), (3, 6), (3, 7), (5, 8)]))
+    failures = 0
+    for g in graphs:
+        got = matching_stable_set_check(g, "double")
+        assert (got.holds, got.witness, got.stable_set) == from_scratch_double_check(g)
+        failures += not got.holds
+    assert failures >= 5  # failing graphs are among the cases
+
+
 def test_single_variant_profile_budget():
     # the budget is counted before the first profile is checked
     with pytest.raises(BudgetError) as info:
@@ -466,6 +644,23 @@ def test_stable_set_enumeration():
     with pytest.raises(BudgetError):
         list(stable_sets(4, adj, cap=2))
     assert maximal_stable_sets(4, adj) == [frozenset({0, 2}), frozenset({1, 3})]
+
+
+def test_maximal_cliques_match_networkx():
+    rng = random.Random(47)
+    for _ in range(200):
+        n = rng.randint(1, 14)
+        p = rng.choice([0.1, 0.4, 0.8, 0.95])
+        edges = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p]
+        adj = [set() for _ in range(n)]
+        for a, b in edges:
+            adj[a].add(b)
+            adj[b].add(a)
+        want = nx.Graph()
+        want.add_nodes_from(range(n))
+        want.add_edges_from(edges)
+        expected = sorted((frozenset(c) for c in nx.find_cliques(want)), key=sorted)
+        assert maximal_cliques(n, adj) == expected
 
 
 def test_enumerators_do_not_recurse_per_element():

@@ -6,7 +6,7 @@ import pytest
 from scipy.optimize import linprog
 
 from medianlab.errors import InputError
-from medianlab.rational_lp import EQ, GE, LE, Constraint, RationalLinearSystem, _phase_one
+from medianlab.rational_lp import EQ, GE, LE, Constraint, RationalLinearSystem, _phase_one, _Tableau
 
 
 def make(num_vars, cons, objective=None):
@@ -201,6 +201,72 @@ def test_minimize_each_matches_fresh_solves_on_random_systems():
             seen["rows dropped"] += len(tab.rows) < len(cons)
             seen["degenerate"] += any(row[-1] == 0 for row in tab.rows)
     assert all(seen.values()), seen
+
+
+def random_systems(seed, count):
+    """(num_vars, constraints, objectives) drawn as the minimize_each test
+    draws them, redundant equality rows included."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 5)
+        cons = []
+        for _ in range(rng.randint(1, 5)):
+            coeffs = [rng.randint(-3, 3) for _ in range(n)]
+            cons.append((coeffs, rng.choice([LE, GE, EQ]), rng.randint(-4, 4)))
+        if rng.random() < 0.3:
+            coeffs, _, rhs = rng.choice(cons)
+            k = rng.choice([-2, 2, 3])
+            cons.append(([k * c for c in coeffs], EQ, k * rhs))
+        objectives = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(2, 5))]
+        yield n, cons, objectives
+
+
+def assert_warm_matches_fresh(num_vars, cons, objectives):
+    """Every status and value of minimize_warm equals a fresh solve's; a
+    negative or unbounded minimum carries the fresh point, any other the
+    point None.  Returns the fresh results."""
+    fresh = [make(num_vars, cons, obj).solve() for obj in objectives]
+    warm = list(make(num_vars, cons).minimize_warm(objectives))
+    assert [(r.status, r.value) for r in warm] == [(r.status, r.value) for r in fresh]
+    for w, f in zip(warm, fresh):
+        resolved = f.status == "unbounded" or (f.status == "optimal" and f.value < 0)
+        assert w.point == (f.point if resolved else None)
+    return fresh
+
+
+def test_minimize_warm_matches_fresh_solves_on_random_systems():
+    seen = {"optimal": 0, "unbounded": 0, "infeasible": 0, "negative": 0}
+    for n, cons, objectives in random_systems(31, 300):
+        fresh = assert_warm_matches_fresh(n, cons, objectives)
+        for result in fresh:
+            seen[result.status] += 1
+            seen["negative"] += result.status == "optimal" and result.value < 0
+        # a caller stops at the first negative minimum: that hit carries
+        # the fresh point
+        hits = [k for k, r in enumerate(fresh) if r.status == "optimal" and r.value < 0]
+        if hits:
+            walk = make(n, cons).minimize_warm(objectives[:hits[0] + 1])
+            assert list(walk)[-1] == fresh[hits[0]]
+    assert all(seen.values()), seen
+
+
+def test_minimize_warm_fixed_cases():
+    # infeasible: every objective reports it
+    got = assert_warm_matches_fresh(1, [([1], LE, 1), ([1], GE, 2)], [[1], [-1]])
+    assert {r.status for r in got} == {"infeasible"}
+    # unbounded between two optima: the walk goes on from a feasible basis
+    got = assert_warm_matches_fresh(2, [([1, -1], GE, 1)], [[1, 0], [-1, 0], [0, 1], [1, 1]])
+    assert [r.status for r in got] == ["optimal", "unbounded", "optimal", "optimal"]
+    # the degenerate instance that cycles under naive pivoting, warm
+    cons = [
+        ([Fraction(1, 4), -60, Fraction(-1, 25), 9], LE, 0),
+        ([Fraction(1, 2), -90, Fraction(-1, 50), 3], LE, 0),
+        ([0, 0, 1, 0], LE, 1),
+    ]
+    got = assert_warm_matches_fresh(
+        4, cons, [[1, 1, 1, 1], [Fraction(-3, 4), 150, Fraction(-1, 50), 6], [0, 0, -1, 0]]
+    )
+    assert got[1].value == Fraction(-1, 20)
 
 
 def test_minimize_each_reads_objectives_lazily():
