@@ -251,8 +251,10 @@ def verify_benzenoid_properties(
                 opposition_ok = False
                 failures.append({"opposition": [x, ring, opposite]})
 
+    # check (c) probes only the 2-pairs that lie in no common hexagon
     hex_sets = [set(h) for h in b.hexagons]
-    probes = peak_probes(g, 2, 2)
+    probes = [(u, v, inside) for u, v, inside in peak_probes(g, 2, 2)
+              if not any({u, v} <= h for h in hex_sets)]
     peakless_ok = True
     connected_ok = True
     checked = 0
@@ -260,11 +262,8 @@ def verify_benzenoid_properties(
         checked += 1
         f = f_vector(g, profile)
         for u, v in peak_failures(f, probes):
-            if not any({u, v} <= h for h in hex_sets):
-                peakless_ok = False
-                failures.append(
-                    {"peakless_pair_outside_hexagon": [u, v, profile]}
-                )
+            peakless_ok = False
+            failures.append({"peakless_pair_outside_hexagon": [u, v, profile]})
         med = minimizers(f)
         if not connected_in_power(g, med, 2):
             connected_ok = False

@@ -106,6 +106,18 @@ def _median_counts(g: Graph):
         yield (x, y, z), sum(2 * (a + b + c) == perimeter for a, b, c in zip(dx, dy, dz))
 
 
+def _median_witnesses(g: Graph, find_modular: bool) -> tuple:
+    """(first triple with no median, first triple without exactly one) of
+    a graph that has a triple of the second kind; the first is None unless
+    `find_modular`.  A triple without a median has no unique one either,
+    so the second comes no later than the first: one walk names both."""
+    walk = _median_counts(g)
+    not_one, medians = next((t, m) for t, m in walk if m != 1)
+    if not find_modular:
+        return None, not_one
+    return (not_one if not medians else next(t for t, m in walk if not m)), not_one
+
+
 def check_conditions_tc_qc(g: Graph):
     """Scan the triangle and quadrangle condition premises exhaustively.
 
@@ -130,7 +142,7 @@ def is_modular(g: Graph, witness: list | None = None) -> bool:
     if _first_modular_violation(g, _two_apart(g)) is None:
         return True
     if witness is not None:
-        witness.append(next(t for t, medians in _median_counts(g) if not medians))
+        witness.append(_median_witnesses(g, True)[0])
     return False
 
 
@@ -144,7 +156,7 @@ def is_median_graph(g: Graph, witness: list | None = None) -> bool:
     if _first_modular_violation(g, pairs) is None and _first_k23(pairs) is None:
         return True
     if witness is not None:
-        witness.append(next(t for t, medians in _median_counts(g) if medians != 1))
+        witness.append(_median_witnesses(g, False)[1])
     return False
 
 
@@ -335,13 +347,9 @@ def classify(g: Graph) -> ClassReport:
     if tc_bad is not None or qc_bad is not None:
         witnesses["weakly_modular"] = tc_bad if tc_bad is not None else qc_bad
     if not median:
-        # a triple without a median has no unique one either, so the median
-        # witness comes no later than the modular one: one walk names both
-        walk = _median_counts(g)
-        first, medians = next((t, m) for t, m in walk if m != 1)
+        no_median, witnesses["median"] = _median_witnesses(g, not modular)
         if not modular:
-            witnesses["modular"] = first if not medians else next(t for t, m in walk if not m)
-        witnesses["median"] = first
+            witnesses["modular"] = no_median
     found = {
         "helly": _first_ball_failure(g),
         "bipartite_helly": _first_bipartite_helly_violation(g, witnesses.get("modular")),

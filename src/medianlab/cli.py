@@ -95,8 +95,6 @@ def cmd_verify_connected_medians(args):
 def cmd_pairing_check(args):
     g = load_graph(args.target)
     profile = pf.Profile.parse(args.profile)
-    if not profile.counts or not profile.is_even:
-        raise InputError("pairing check needs a nonempty even profile")
     hit = pr.has_perfect_pairing(g, profile)
     if hit is None:
         return _report(g, {"perfect_pairing": False}, False, witnesses={"profile": profile})

@@ -48,9 +48,12 @@ class Profile:
         for tok in text.split():
             v, _, k = tok.partition(":")
             try:
-                counts[int(v)] += int(k) if k else 1
+                v, k = int(v), int(k) if k else 1
             except ValueError:
                 raise FormatError(f"bad profile token {tok!r}") from None
+            if k < 0:  # it would cancel another token's copies
+                raise FormatError(f"bad profile token {tok!r}: negative multiplicity")
+            counts[v] += k
         return cls.from_counts(counts)
 
     def format(self) -> str:
@@ -90,14 +93,19 @@ def _check_in_graph(g: Graph, profile: Profile) -> None:
         )
 
 
+def _distance_sum(dv: list[int], counts) -> int:
+    """F(v), the sum of k * d(v, x) over the counts, from v's distances `dv`."""
+    return sum(k * dv[x] for x, k in counts)
+
+
 def total_distance(g: Graph, profile: Profile, v: int) -> int:
     _check_in_graph(g, profile)
-    dv = g.dist[v]
-    return sum(k * dv[x] for x, k in profile.counts)
+    return _distance_sum(g.dist[v], profile.counts)
 
 
 def f_vector(g: Graph, profile: Profile) -> list[int]:
-    return [total_distance(g, profile, v) for v in range(g.n)]
+    _check_in_graph(g, profile)
+    return [_distance_sum(dv, profile.counts) for dv in g.dist]
 
 
 def minimizers(f: list[int]) -> frozenset[int]:

@@ -3,11 +3,10 @@
 A small two-phase simplex on Fraction arithmetic with Bland's pivoting rule,
 so feasibility and optimality verdicts are exact.  All variables are
 implicitly nonnegative, which is the shape every caller in this package
-needs (edge weights, vertex weights).  Phase 1 depends only on the
-constraints, so `RationalLinearSystem.minimize_each` runs it once and starts
-every objective's phase 2 from the same feasible tableau, and
-`RationalLinearSystem.minimize_warm` runs it once and starts each phase 2
-where the previous objective's ended.
+needs (edge weights, vertex weights).  `RationalLinearSystem` has two ways
+to minimize: `solve` minimizes one objective, and `minimize_warm` runs
+phase 1 once, since it depends only on the constraints, and starts each
+objective's phase 2 where the previous objective's ended.
 """
 
 from __future__ import annotations
@@ -29,12 +28,11 @@ class Constraint:
 
 @dataclass
 class RationalLinearSystem:
-    """Constraints over nonnegative rational variables, plus an optional
-    linear objective to minimize."""
+    """Constraints over nonnegative rational variables, and the minima of
+    linear objectives over them."""
 
     num_vars: int
     constraints: list[Constraint] = field(default_factory=list)
-    objective: tuple[Fraction, ...] | None = None
 
     def _dense(self, coeffs) -> tuple[Fraction, ...]:
         """The coefficients as a tuple of exactly `num_vars` Fractions."""
@@ -53,25 +51,11 @@ class RationalLinearSystem:
             sense = {LE: GE, GE: LE, EQ: EQ}[sense]
         self.constraints.append(Constraint(coeffs, sense, rhs))
 
-    def minimize(self, coeffs) -> None:
-        self.objective = self._dense(coeffs)
-
-    def solve(self) -> "LPResult":
-        return solve_lp(self.num_vars, self.constraints, self.objective)
-
-    def minimize_each(self, objectives):
-        """Yield one LPResult per objective, minimized over these constraints.
-
-        Phase 1 runs once, and each objective's phase 2 starts from a copy
-        of the same feasible tableau, so every result equals what `solve`
-        gives for that objective alone.  Objectives are read lazily.
-        """
-        feasible = _phase_one(self.num_vars, self.constraints)
-        for coeffs in objectives:
-            if feasible is None:
-                yield LPResult("infeasible")
-            else:
-                yield _phase_two(*feasible, self.num_vars, self._dense(coeffs))
+    def solve(self, objective=None) -> "LPResult":
+        """Minimize `objective` over these constraints; without one, any
+        feasible point is the optimum of the zero objective."""
+        objective = None if objective is None else self._dense(objective)
+        return solve_lp(self.num_vars, self.constraints, objective)
 
     def minimize_warm(self, objectives):
         """Yield one LPResult per objective, minimized over these constraints.
@@ -89,7 +73,7 @@ class RationalLinearSystem:
         start = _phase_one(self.num_vars, self.constraints)
         if start is not None:
             tab, allowed = start
-            warm = _Tableau(list(tab.rows), list(tab.basis), tab.ncols)
+            warm = tab.copy()
             padding = [Fraction(0)] * (tab.ncols - self.num_vars)
         for coeffs in objectives:
             coeffs = self._dense(coeffs)
@@ -120,6 +104,11 @@ class _Tableau:
         self.basis = basis        # basic column per row
         self.ncols = ncols
         self.obj = [Fraction(0)] * (ncols + 1)  # reduced costs then -value
+
+    def copy(self):
+        """A tableau to pivot apart from this one: `pivot` rebinds rows
+        rather than mutating them, so the row list and basis are copied."""
+        return _Tableau(list(self.rows), list(self.basis), self.ncols)
 
     def set_costs(self, cost):
         obj = list(cost) + [Fraction(0)]
@@ -250,22 +239,18 @@ def _phase_one(num_vars, constraints):
 
 
 def _phase_two(start, allowed, num_vars, objective) -> LPResult:
-    """Minimize `objective` from the feasible tableau `start`, leaving it as
-    it is.  `pivot` rebinds rows rather than mutating them, so copying the
-    row list and the basis is enough."""
-    if objective is None:
-        return LPResult("optimal", start.extract(num_vars), Fraction(0))
-    tab = _Tableau(list(start.rows), list(start.basis), start.ncols)
-    tab.set_costs([*objective, *[Fraction(0)] * (tab.ncols - num_vars)])
+    """Minimize `objective` (None: the zero objective) from the feasible
+    tableau `start`, on a copy, so `start` stays as it is."""
+    tab = start.copy()
+    padding = [Fraction(0)] * (tab.ncols - num_vars)
+    tab.set_costs([*(objective or [Fraction(0)] * num_vars), *padding])
     status = tab.run(allowed)
-    point = tab.extract(num_vars)
-    if status == "unbounded":
-        return LPResult("unbounded", point, None)
-    return LPResult("optimal", point, tab.value)
+    value = tab.value if status == "optimal" else None
+    return LPResult(status, tab.extract(num_vars), value)
 
 
 def solve_lp(num_vars, constraints, objective=None) -> LPResult:
-    """Two-phase simplex; objective is minimized when present."""
+    """Two-phase simplex minimizing `objective`; None is the zero objective."""
     feasible = _phase_one(num_vars, constraints)
     if feasible is None:
         return LPResult("infeasible")

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import networkx as nx
 import pytest
 
@@ -10,6 +12,7 @@ from medianlab.benzenoid import (
 )
 from medianlab.errors import BudgetError, InputError
 from medianlab.graph import cycle, hypercube
+from medianlab.profiles import canonical_profiles
 
 from conftest import to_networkx
 
@@ -156,6 +159,32 @@ def test_verify_properties_two_and_bent():
         b = build_benzenoid(cells)
         report = verify_benzenoid_properties(b, 2, 1)
         assert report.ok, report.failures
+
+
+def test_verify_peakless_check_outside_hexagons():
+    # with one hexagon dropped, check (c) reports the 2-pairs of that
+    # hexagon where F fails local peaklessness, in the order a per-pair
+    # scan of every profile finds them
+    b = build_benzenoid([(0, 0), (1, 0), (1, 1)])
+    g = b.graph
+    kept = b.hexagons[1:]
+    report = verify_benzenoid_properties(replace(b, hexagons=kept), 2, 2)
+    got = [f["peakless_pair_outside_hexagon"] for f in report.failures
+           if "peakless_pair_outside_hexagon" in f]
+    want = []
+    for profile in canonical_profiles(g.n, 2, 2):
+        f = [sum(k * g.d(v, x) for x, k in profile.counts) for v in range(g.n)]
+        for u in range(g.n):
+            for v in range(u + 1, g.n):
+                if g.d(u, v) != 2 or any({u, v} <= set(h) for h in kept):
+                    continue
+                inside = [w for w in range(g.n) if g.d(u, w) == g.d(w, v) == 1]
+                hi = max(f[u], f[v])
+                if not any(f[w] < hi or f[u] == f[w] == f[v] for w in inside):
+                    want.append([u, v, profile])
+    assert want and got == want
+    assert not report.peakless_pairs_in_hexagons
+    assert verify_benzenoid_properties(b, 2, 2).peakless_pairs_in_hexagons
 
 
 def test_verify_budget_cap():

@@ -144,6 +144,13 @@ def test_usage_errors_exit_two(capsys, tmp_path):
         capsys, ["pairing", "check", "cycle:6", "--profile", "0 1 2"]
     )
     assert code == 2  # odd profile rejected
+    code, out, _ = capture(capsys, ["pairing", "check", "cycle:6", "--profile", ""])
+    assert code == 2 and "nonempty" in json.loads(out)["error"]
+    # a negative token cannot cancel against another token
+    for profile in ("0:-1", "1:-1 1:2"):
+        code, out, _ = capture(capsys, ["median", "cycle:6", "--profile", profile])
+        assert code == 2, profile
+        assert "negative multiplicity" in json.loads(out)["error"], profile
     for profile, reason in (("9", "outside"), ("-1", "negative")):
         code, out, _ = capture(capsys, ["median", "cycle:6", "--profile", profile])
         assert code == 2

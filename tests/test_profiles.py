@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from medianlab.errors import BudgetError, InputError
+from medianlab.errors import BudgetError, FormatError, InputError
 from medianlab.profiles import (
     Profile,
     canonical_profiles,
@@ -25,6 +25,15 @@ def test_parse_and_format():
     assert p.total == 5 and not p.is_even
     assert Profile.parse(p.format()) == p
     assert Profile.parse("") == Profile(())
+
+
+def test_parse_rejects_negative_multiplicities():
+    # a negative token is refused on its own and next to a token it could
+    # cancel against; a zero multiplicity still adds nothing
+    for text in ("0:-1", "1:-1 1:2", "1:2 1:-1", "0 1:-1 1:1"):
+        with pytest.raises(FormatError, match="negative multiplicity"):
+            Profile.parse(text)
+    assert Profile.parse("1:0 1:2") == Profile(((1, 2),))
 
 
 @given(st.lists(st.integers(0, 9), max_size=12))

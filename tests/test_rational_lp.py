@@ -6,21 +6,19 @@ import pytest
 from scipy.optimize import linprog
 
 from medianlab.errors import InputError
-from medianlab.rational_lp import EQ, GE, LE, Constraint, RationalLinearSystem, _phase_one, _Tableau
+from medianlab.rational_lp import EQ, GE, LE, Constraint, RationalLinearSystem, _phase_one
 
 
-def make(num_vars, cons, objective=None):
+def make(num_vars, cons):
     system = RationalLinearSystem(num_vars)
     for coeffs, sense, rhs in cons:
         system.add(coeffs, sense, rhs)
-    if objective is not None:
-        system.minimize(objective)
     return system
 
 
 def test_simple_optimum():
     # min -x - y  st  x + y <= 1
-    res = make(2, [([1, 1], LE, 1)], [-1, -1]).solve()
+    res = make(2, [([1, 1], LE, 1)]).solve([-1, -1])
     assert res.status == "optimal"
     assert res.value == -1
     assert sum(res.point) == 1
@@ -31,6 +29,7 @@ def test_exact_fractions():
     res = make(1, [([3], EQ, 1)]).solve()
     assert res.status == "optimal"
     assert res.point == (Fraction(1, 3),)
+    assert res.value == 0  # no objective: the zero objective
 
 
 def test_infeasible():
@@ -41,13 +40,13 @@ def test_infeasible():
 
 
 def test_unbounded():
-    res = make(1, [([1], GE, 1)], [-1]).solve()
+    res = make(1, [([1], GE, 1)]).solve([-1])
     assert res.status == "unbounded"
 
 
 def test_equalities_and_mixed():
     # min x + y st x + 2y = 4, x - y >= 1  ->  y = 1, x = 2
-    res = make(2, [([1, 2], EQ, 4), ([1, -1], GE, 1)], [1, 1]).solve()
+    res = make(2, [([1, 2], EQ, 4), ([1, -1], GE, 1)]).solve([1, 1])
     assert res.status == "optimal"
     assert res.point == (Fraction(2), Fraction(1))
     assert res.value == 3
@@ -60,7 +59,7 @@ def test_redundant_rows():
 
 
 def test_zero_row_handling():
-    res = make(2, [([0, 0], GE, 0), ([1, 1], EQ, 1)], [1, 0]).solve()
+    res = make(2, [([0, 0], GE, 0), ([1, 1], EQ, 1)]).solve([1, 0])
     assert res.status == "optimal"
     assert res.value == 0
 
@@ -74,8 +73,7 @@ def test_degenerate_instance_terminates():
             ([Fraction(1, 2), -90, Fraction(-1, 50), 3], LE, 0),
             ([0, 0, 1, 0], LE, 1),
         ],
-        [Fraction(-3, 4), 150, Fraction(-1, 50), 6],
-    ).solve()
+    ).solve([Fraction(-3, 4), 150, Fraction(-1, 50), 6])
     assert res.status == "optimal"
     assert res.value == Fraction(-1, 20)
 
@@ -91,7 +89,7 @@ def test_random_lps_against_scipy():
             sense = rng.choice([LE, GE, EQ])
             cons.append((coeffs, sense, rng.randint(-4, 4)))
         objective = [rng.randint(-3, 3) for _ in range(n)]
-        res = make(n, cons, objective).solve()
+        res = make(n, cons).solve(objective)
 
         a_ub, b_ub, a_eq, b_eq = [], [], [], []
         for coeffs, sense, rhs in cons:
@@ -144,45 +142,12 @@ def test_feasible_points_satisfy_constraints():
             )
 
 
-def assert_reuse_matches_fresh(num_vars, cons, objectives):
-    """minimize_each equals one fresh solve per objective, also when the
-    same objectives come again in reverse order after the first pass, so
-    no phase 2 can have changed the shared phase-1 tableau."""
-    fresh = [make(num_vars, cons, obj).solve() for obj in objectives]
-    system = make(num_vars, cons)
-    twice = objectives + objectives[::-1]
-    assert list(system.minimize_each(twice)) == fresh + fresh[::-1]
-    return fresh
-
-
-def test_minimize_each_fixed_cases():
-    # infeasible: every objective reports it
-    got = assert_reuse_matches_fresh(1, [([1], LE, 1), ([1], GE, 2)], [[1], [-1]])
-    assert {r.status for r in got} == {"infeasible"}
-    # one direction unbounded, the other optimal
-    got = assert_reuse_matches_fresh(2, [([1, -1], GE, 1)], [[-1, 0], [1, 0], [0, 1]])
-    assert [r.status for r in got] == ["unbounded", "optimal", "optimal"]
-    # redundant equality rows are dropped after phase 1
-    cons = [([1, 1], EQ, 2), ([2, 2], EQ, 4), ([1, -1], EQ, 0)]
-    tab, _ = _phase_one(2, make(2, cons).constraints)
-    assert len(tab.rows) < len(cons)
-    assert_reuse_matches_fresh(2, cons, [[1, 0], [0, -1], [1, 1]])
-    # the degenerate instance that cycles under naive pivoting
-    cons = [
-        ([Fraction(1, 4), -60, Fraction(-1, 25), 9], LE, 0),
-        ([Fraction(1, 2), -90, Fraction(-1, 50), 3], LE, 0),
-        ([0, 0, 1, 0], LE, 1),
-    ]
-    got = assert_reuse_matches_fresh(
-        4, cons, [[Fraction(-3, 4), 150, Fraction(-1, 50), 6], [0, 0, -1, 0], [1, 1, 1, 1]]
-    )
-    assert got[0].value == Fraction(-1, 20)
-
-
-def test_minimize_each_matches_fresh_solves_on_random_systems():
-    rng = random.Random(31)
-    seen = {"optimal": 0, "unbounded": 0, "infeasible": 0, "rows dropped": 0, "degenerate": 0}
-    for _ in range(300):
+def random_systems(seed, count):
+    """(num_vars, constraints, objectives) with random small coefficients;
+    about a third of the systems carry a multiple of one of their rows as a
+    redundant equality."""
+    rng = random.Random(seed)
+    for _ in range(count):
         n = rng.randint(1, 5)
         cons = []
         for _ in range(rng.randint(1, 5)):
@@ -193,49 +158,30 @@ def test_minimize_each_matches_fresh_solves_on_random_systems():
             k = rng.choice([-2, 2, 3])
             cons.append(([k * c for c in coeffs], EQ, k * rhs))
         objectives = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(2, 5))]
-        for result in assert_reuse_matches_fresh(n, cons, objectives):
-            seen[result.status] += 1
-        start = _phase_one(n, make(n, cons).constraints)
-        if start is not None:
-            tab, _ = start
-            seen["rows dropped"] += len(tab.rows) < len(cons)
-            seen["degenerate"] += any(row[-1] == 0 for row in tab.rows)
-    assert all(seen.values()), seen
-
-
-def random_systems(seed, count):
-    """(num_vars, constraints, objectives) drawn as the minimize_each test
-    draws them, redundant equality rows included."""
-    rng = random.Random(seed)
-    for _ in range(count):
-        n = rng.randint(1, 5)
-        cons = []
-        for _ in range(rng.randint(1, 5)):
-            coeffs = [rng.randint(-3, 3) for _ in range(n)]
-            cons.append((coeffs, rng.choice([LE, GE, EQ]), rng.randint(-4, 4)))
-        if rng.random() < 0.3:
-            coeffs, _, rhs = rng.choice(cons)
-            k = rng.choice([-2, 2, 3])
-            cons.append(([k * c for c in coeffs], EQ, k * rhs))
-        objectives = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(2, 5))]
         yield n, cons, objectives
 
 
 def assert_warm_matches_fresh(num_vars, cons, objectives):
     """Every status and value of minimize_warm equals a fresh solve's; a
     negative or unbounded minimum carries the fresh point, any other the
-    point None.  Returns the fresh results."""
-    fresh = [make(num_vars, cons, obj).solve() for obj in objectives]
-    warm = list(make(num_vars, cons).minimize_warm(objectives))
-    assert [(r.status, r.value) for r in warm] == [(r.status, r.value) for r in fresh]
-    for w, f in zip(warm, fresh):
+    point None.  The walk then takes the objectives again in reverse order:
+    its re-solves still match, so no warm pivot has changed the phase-1
+    tableau they start from.  Returns the fresh results."""
+    fresh = [make(num_vars, cons).solve(obj) for obj in objectives]
+    twice = fresh + fresh[::-1]
+    warm = list(make(num_vars, cons).minimize_warm(objectives + objectives[::-1]))
+    assert [(r.status, r.value) for r in warm] == [(r.status, r.value) for r in twice]
+    for w, f in zip(warm, twice):
         resolved = f.status == "unbounded" or (f.status == "optimal" and f.value < 0)
         assert w.point == (f.point if resolved else None)
     return fresh
 
 
 def test_minimize_warm_matches_fresh_solves_on_random_systems():
-    seen = {"optimal": 0, "unbounded": 0, "infeasible": 0, "negative": 0}
+    seen = {
+        "optimal": 0, "unbounded": 0, "infeasible": 0, "negative": 0,
+        "rows dropped": 0, "degenerate": 0,
+    }
     for n, cons, objectives in random_systems(31, 300):
         fresh = assert_warm_matches_fresh(n, cons, objectives)
         for result in fresh:
@@ -247,6 +193,13 @@ def test_minimize_warm_matches_fresh_solves_on_random_systems():
         if hits:
             walk = make(n, cons).minimize_warm(objectives[:hits[0] + 1])
             assert list(walk)[-1] == fresh[hits[0]]
+        # the draws cover phase-1 tableaux with redundant rows dropped and
+        # with a degenerate basis
+        start = _phase_one(n, make(n, cons).constraints)
+        if start is not None:
+            tab, _ = start
+            seen["rows dropped"] += len(tab.rows) < len(cons)
+            seen["degenerate"] += any(row[-1] == 0 for row in tab.rows)
     assert all(seen.values()), seen
 
 
@@ -254,9 +207,17 @@ def test_minimize_warm_fixed_cases():
     # infeasible: every objective reports it
     got = assert_warm_matches_fresh(1, [([1], LE, 1), ([1], GE, 2)], [[1], [-1]])
     assert {r.status for r in got} == {"infeasible"}
-    # unbounded between two optima: the walk goes on from a feasible basis
+    # unbounded first, and unbounded between two optima: the walk goes on
+    # from a feasible basis
+    got = assert_warm_matches_fresh(2, [([1, -1], GE, 1)], [[-1, 0], [1, 0], [0, 1]])
+    assert [r.status for r in got] == ["unbounded", "optimal", "optimal"]
     got = assert_warm_matches_fresh(2, [([1, -1], GE, 1)], [[1, 0], [-1, 0], [0, 1], [1, 1]])
     assert [r.status for r in got] == ["optimal", "unbounded", "optimal", "optimal"]
+    # redundant equality rows are dropped after phase 1
+    cons = [([1, 1], EQ, 2), ([2, 2], EQ, 4), ([1, -1], EQ, 0)]
+    tab, _ = _phase_one(2, make(2, cons).constraints)
+    assert len(tab.rows) < len(cons)
+    assert_warm_matches_fresh(2, cons, [[1, 0], [0, -1], [1, 1]])
     # the degenerate instance that cycles under naive pivoting, warm
     cons = [
         ([Fraction(1, 4), -60, Fraction(-1, 25), 9], LE, 0),
@@ -269,7 +230,7 @@ def test_minimize_warm_fixed_cases():
     assert got[1].value == Fraction(-1, 20)
 
 
-def test_minimize_each_reads_objectives_lazily():
+def test_minimize_warm_reads_objectives_lazily():
     taken = []
 
     def objectives():
@@ -277,7 +238,7 @@ def test_minimize_each_reads_objectives_lazily():
             taken.append(obj)
             yield obj
 
-    results = make(2, [([1, 1], GE, 1)]).minimize_each(objectives())
+    results = make(2, [([1, 1], GE, 1)]).minimize_warm(objectives())
     first = next(results)
     assert first.status == "optimal" and first.value == 0
     assert taken == [[1, 0]]
@@ -289,9 +250,9 @@ def test_rows_are_exactly_num_vars_wide_and_stored_normalised():
         with pytest.raises(InputError, match="width"):
             system.add(coeffs, LE, 1)
     with pytest.raises(InputError, match="width"):
-        system.minimize([1, 2])
+        system.solve([1, 2])
     with pytest.raises(InputError, match="width"):
-        list(system.minimize_each([[1, 2]]))
+        list(system.minimize_warm([[1, 2]]))
     assert system.constraints == []
     # a negative right-hand side is flipped once, when the row is added
     system = RationalLinearSystem(2)
