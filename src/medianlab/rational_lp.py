@@ -1,12 +1,20 @@
 """Exact linear programming over rationals.
 
-A small two-phase simplex on Fraction arithmetic with Bland's pivoting rule,
+A small two-phase simplex in exact arithmetic with Bland's pivoting rule,
 so feasibility and optimality verdicts are exact.  All variables are
 implicitly nonnegative, which is the shape every caller in this package
 needs (edge weights, vertex weights).  `RationalLinearSystem` has two ways
 to minimize: `solve` minimizes one objective, and `minimize_warm` runs
 phase 1 once, since it depends only on the constraints, and starts each
 objective's phase 2 where the previous objective's ended.
+
+Constraints are stored, and results returned, as `Fraction`s.  Inside the
+tableau an entry is a Python `int` while its value is an integer and a
+`Fraction` only when it is not (`_exact`): most entries and most pivots
+of the pairing polytopes are integral, and int arithmetic is far cheaper
+than `Fraction`'s.  The ratio test cross-multiplies instead of dividing,
+so it stays exact on ints.  The values are the same either way, so the
+pivot sequence is too.
 """
 
 from __future__ import annotations
@@ -38,13 +46,13 @@ class RationalLinearSystem:
         """The coefficients as a tuple of exactly `num_vars` Fractions."""
         if len(coeffs) != self.num_vars:
             raise InputError("constraint width does not match variable count")
-        return tuple(Fraction(coeffs[j]) for j in range(self.num_vars))
+        return tuple(_fraction(coeffs[j]) for j in range(self.num_vars))
 
     def add(self, coeffs, sense: str, rhs) -> None:
         """Store the row with a negative right-hand side flipped (LE <-> GE)."""
         if sense not in (LE, GE, EQ):
             raise InputError(f"unknown constraint sense {sense!r}")
-        coeffs, rhs = self._dense(coeffs), Fraction(rhs)
+        coeffs, rhs = self._dense(coeffs), _fraction(rhs)
         if rhs < 0:
             coeffs = tuple(-c for c in coeffs)
             rhs = -rhs
@@ -74,7 +82,7 @@ class RationalLinearSystem:
         if start is not None:
             tab, allowed = start
             warm = tab.copy()
-            padding = [Fraction(0)] * (tab.ncols - self.num_vars)
+            padding = [0] * (tab.ncols - self.num_vars)
         for coeffs in objectives:
             coeffs = self._dense(coeffs)
             if start is None:
@@ -98,12 +106,28 @@ class LPResult:
         return self.status != "infeasible"
 
 
+def _fraction(x) -> Fraction:
+    """`x` as a Fraction; a float is refused, since its binary value is
+    rarely the number that was meant (0.1 is 3602879701896397/2**55)."""
+    if isinstance(x, float):
+        raise InputError(f"LP entries must be exact (int or Fraction), not float {x!r}")
+    return Fraction(x)
+
+
+def _exact(x):
+    """`x` as an int when its value is an integer, else as it is."""
+    return x.numerator if x.denominator == 1 else x
+
+
 class _Tableau:
+    """Rows, right-hand sides and reduced costs hold ints while integral
+    and Fractions otherwise (see the module docstring)."""
+
     def __init__(self, rows, basis, ncols):
         self.rows = rows          # each row: ncols coefficients then rhs
         self.basis = basis        # basic column per row
         self.ncols = ncols
-        self.obj = [Fraction(0)] * (ncols + 1)  # reduced costs then -value
+        self.obj = [0] * (ncols + 1)  # reduced costs then -value
 
     def copy(self):
         """A tableau to pivot apart from this one: `pivot` rebinds rows
@@ -111,19 +135,24 @@ class _Tableau:
         return _Tableau(list(self.rows), list(self.basis), self.ncols)
 
     def set_costs(self, cost):
-        obj = list(cost) + [Fraction(0)]
+        cost = [_exact(c) for c in cost]
+        obj = [*cost, 0]
         for i, b in enumerate(self.basis):
             cb = cost[b]
             if cb:
                 for j, c in enumerate(self.rows[i]):
                     if c:
                         obj[j] -= cb * c
-        self.obj = obj
+        self.obj = [_exact(c) for c in obj]
 
     def pivot(self, r, j):
         row = self.rows[r]
-        inv = Fraction(1) / row[j]
-        self.rows[r] = row = [c * inv if c else c for c in row]
+        p = row[j]
+        if p == -1:
+            self.rows[r] = row = [-c for c in row]
+        elif p != 1:
+            inv = Fraction(1) / p
+            self.rows[r] = row = [_exact(c * inv) if c else c for c in row]
         # slack columns keep rows sparse: eliminate on the nonzeros only
         support = [(k, c) for k, c in enumerate(row) if c]
         for i, other in enumerate(self.rows):
@@ -142,29 +171,31 @@ class _Tableau:
             )
             if enter is None:
                 return "optimal"
-            leave, best = None, None
+            # least ratio rhs / a over the rows with a > 0, compared by
+            # cross-multiplication: rhs_i * a_best against rhs_best * a_i
+            leave = None
             for i, row in enumerate(self.rows):
-                if row[enter] > 0:
-                    ratio = row[-1] / row[enter]
-                    if (
-                        best is None
-                        or ratio < best
-                        or (ratio == best and self.basis[i] < self.basis[leave])
-                    ):
-                        leave, best = i, ratio
+                a = row[enter]
+                if a > 0:
+                    if leave is None:
+                        leave, rhs_best, a_best = i, row[-1], a
+                        continue
+                    lhs, rhs = row[-1] * a_best, rhs_best * a
+                    if lhs < rhs or (lhs == rhs and self.basis[i] < self.basis[leave]):
+                        leave, rhs_best, a_best = i, row[-1], a
             if leave is None:
                 return "unbounded"
             self.pivot(leave, enter)
 
     @property
-    def value(self):
-        return -self.obj[-1]
+    def value(self) -> Fraction:
+        return -Fraction(self.obj[-1])
 
-    def extract(self, num_vars):
+    def extract(self, num_vars) -> tuple[Fraction, ...]:
         x = [Fraction(0)] * num_vars
         for i, b in enumerate(self.basis):
             if b < num_vars:
-                x[b] = self.rows[i][-1]
+                x[b] = Fraction(self.rows[i][-1])
         return tuple(x)
 
 
@@ -173,7 +204,7 @@ def _eliminate(row, f, support):
     value) pairs; a new list, so tableaux sharing `row` keep it."""
     row = list(row)
     for k, c in support:
-        row[k] -= f * c
+        row[k] = _exact(row[k] - f * c)
     return row
 
 
@@ -188,21 +219,21 @@ def _phase_one(num_vars, constraints):
     n_slack = sum(1 for con in constraints if con.sense != EQ)
     n_art = sum(1 for con in constraints if con.sense != LE)
     ncols = num_vars + n_slack + n_art
-    padding = [Fraction(0)] * (n_slack + n_art)
+    padding = [0] * (n_slack + n_art)
 
     rows, basis, art_cols = [], [], []
     slack_at, art_at = num_vars, num_vars + n_slack
     for con in constraints:
-        row = [*con.coeffs, *padding, con.rhs]
+        row = [*map(_exact, con.coeffs), *padding, _exact(con.rhs)]
         if con.sense == LE:
-            row[slack_at] = Fraction(1)
+            row[slack_at] = 1
             basis.append(slack_at)
             slack_at += 1
         else:
             if con.sense == GE:
-                row[slack_at] = Fraction(-1)
+                row[slack_at] = -1
                 slack_at += 1
-            row[art_at] = Fraction(1)
+            row[art_at] = 1
             basis.append(art_at)
             art_cols.append(art_at)
             art_at += 1
@@ -213,9 +244,9 @@ def _phase_one(num_vars, constraints):
     allowed = [True] * ncols
 
     if art_cols:
-        cost1 = [Fraction(0)] * ncols
+        cost1 = [0] * ncols
         for j in art_cols:
-            cost1[j] = Fraction(1)
+            cost1[j] = 1
         tab.set_costs(cost1)
         tab.run(allowed)
         if tab.value != 0:
@@ -242,8 +273,8 @@ def _phase_two(start, allowed, num_vars, objective) -> LPResult:
     """Minimize `objective` (None: the zero objective) from the feasible
     tableau `start`, on a copy, so `start` stays as it is."""
     tab = start.copy()
-    padding = [Fraction(0)] * (tab.ncols - num_vars)
-    tab.set_costs([*(objective or [Fraction(0)] * num_vars), *padding])
+    padding = [0] * (tab.ncols - num_vars)
+    tab.set_costs([*(objective or [0] * num_vars), *padding])
     status = tab.run(allowed)
     value = tab.value if status == "optimal" else None
     return LPResult(status, tab.extract(num_vars), value)

@@ -502,6 +502,16 @@ def test_ma_violation_search_warm_starts_phase_two(monkeypatch):
     tab, allowed = _phase_one(g.n, system.constraints)
     assert min(_phase_two(tab, allowed, g.n, obj).value for obj in objectives) >= 0
     assert 4 * warm < count[0], (warm, count[0])
+    # the exact pivot work of the warm walks, pinned: the tableau's entry
+    # types must not change the pivot sequence
+    assert warm == 31
+    for u, pivots in ((1, 51), (4, 55)):
+        count[0] = 0
+        assert ma_violation_search(g, u) is None
+        assert count[0] == pivots, u
+    count[0] = 0
+    assert matching_stable_set_check(local_graph(hypercube(3), 0).graph, "double").holds
+    assert count[0] == 38
 
 
 def test_double_pairing_small_graphs():

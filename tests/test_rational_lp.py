@@ -5,8 +5,17 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from medianlab import rational_lp
 from medianlab.errors import InputError
-from medianlab.rational_lp import EQ, GE, LE, Constraint, RationalLinearSystem, _phase_one
+from medianlab.rational_lp import (
+    EQ,
+    GE,
+    LE,
+    Constraint,
+    RationalLinearSystem,
+    _phase_one,
+    _Tableau,
+)
 
 
 def make(num_vars, cons):
@@ -260,3 +269,190 @@ def test_rows_are_exactly_num_vars_wide_and_stored_normalised():
     assert system.constraints == [Constraint((-1, 1), LE, 2)]
     stored = system.constraints[0]
     assert all(type(c) is Fraction for c in (*stored.coeffs, stored.rhs))
+    # a float is refused: 0.1 would be read as 3602879701896397/2**55
+    system = RationalLinearSystem(1)
+    for coeffs, rhs in (([0.1], 3), ([1], 0.3), ([float("nan")], 3), ([np.float64(1)], 3)):
+        with pytest.raises(InputError, match="float"):
+            system.add(coeffs, LE, rhs)
+    assert system.constraints == []
+    system.add([1], LE, 3)
+    with pytest.raises(InputError, match="float"):
+        system.solve([-1.0])
+    with pytest.raises(InputError, match="float"):
+        list(system.minimize_warm([[-1], [0.5]]))
+    assert system.solve([-1]).point == (3,)
+
+
+class FractionTableau:
+    """The all-Fraction tableau: every entry a Fraction, and the ratio
+    test divides.  The reference for the differential tests below, which
+    have `_phase_one` build it in place of `_Tableau`; it converts what it
+    is given to Fraction on the way in."""
+
+    def __init__(self, rows, basis, ncols):
+        self.rows = [[Fraction(c) for c in row] for row in rows]
+        self.basis = basis
+        self.ncols = ncols
+        self.obj = [Fraction(0)] * (ncols + 1)
+
+    def copy(self):
+        return FractionTableau(list(self.rows), list(self.basis), self.ncols)
+
+    def set_costs(self, cost):
+        obj = [Fraction(c) for c in cost] + [Fraction(0)]
+        for i, b in enumerate(self.basis):
+            cb = cost[b]
+            if cb:
+                for j, c in enumerate(self.rows[i]):
+                    if c:
+                        obj[j] -= cb * c
+        self.obj = obj
+
+    def pivot(self, r, j):
+        row = self.rows[r]
+        inv = Fraction(1) / row[j]
+        self.rows[r] = row = [c * inv if c else c for c in row]
+        support = [(k, c) for k, c in enumerate(row) if c]
+        for i, other in enumerate(self.rows):
+            if i != r and other[j]:
+                self.rows[i] = reference_eliminate(other, other[j], support)
+        if self.obj[j]:
+            self.obj = reference_eliminate(self.obj, self.obj[j], support)
+        self.basis[r] = j
+
+    def run(self, allowed):
+        while True:
+            enter = next(
+                (j for j in range(self.ncols) if allowed[j] and self.obj[j] < 0),
+                None,
+            )
+            if enter is None:
+                return "optimal"
+            leave, best = None, None
+            for i, row in enumerate(self.rows):
+                if row[enter] > 0:
+                    ratio = row[-1] / row[enter]
+                    if (
+                        best is None
+                        or ratio < best
+                        or (ratio == best and self.basis[i] < self.basis[leave])
+                    ):
+                        leave, best = i, ratio
+            if leave is None:
+                return "unbounded"
+            self.pivot(leave, enter)
+
+    @property
+    def value(self):
+        return -self.obj[-1]
+
+    def extract(self, num_vars):
+        x = [Fraction(0)] * num_vars
+        for i, b in enumerate(self.basis):
+            if b < num_vars:
+                x[b] = self.rows[i][-1]
+        return tuple(x)
+
+
+def reference_eliminate(row, f, support):
+    row = list(row)
+    for k, c in support:
+        row[k] -= f * c
+    return row
+
+
+def assert_exact_entries(tab):
+    """Every entry of the rows and of the objective row is an int, or a
+    Fraction whose value is not an integer: never a float."""
+    for row in (*tab.rows, tab.obj):
+        for c in row:
+            assert type(c) is int or (type(c) is Fraction and c.denominator != 1), c
+
+
+def assert_same_as_reference(monkeypatch, num_vars, cons, objectives):
+    """Fresh solves (the zero objective and each objective) and one warm
+    walk give the same results, Fractions throughout, and the same (row,
+    column) pivot sequence on `_Tableau` as on `FractionTableau`."""
+
+    def work():
+        results = [make(num_vars, cons).solve()]
+        results += [make(num_vars, cons).solve(obj) for obj in objectives]
+        results += make(num_vars, cons).minimize_warm(objectives)
+        return results
+
+    runs = []
+    for cls in (_Tableau, FractionTableau):
+        pivots = []
+
+        def pivot(tab, r, j, pivot=cls.pivot, pivots=pivots):
+            pivots.append((r, j))
+            pivot(tab, r, j)
+            if type(tab) is _Tableau:
+                assert_exact_entries(tab)
+
+        def run(tab, allowed, run=cls.run):
+            if type(tab) is _Tableau:
+                assert_exact_entries(tab)
+            return run(tab, allowed)
+
+        with monkeypatch.context() as m:
+            m.setattr(cls, "pivot", pivot)
+            m.setattr(cls, "run", run)
+            m.setattr(rational_lp, "_Tableau", cls)
+            runs.append((work(), pivots))
+    (got, got_pivots), (want, want_pivots) = runs
+    assert got == want
+    assert got_pivots == want_pivots
+    for r in got:
+        assert {type(x) for x in (*(r.point or ()), r.value) if x is not None} <= {Fraction}
+    return got, got_pivots
+
+
+def test_int_tableau_matches_fraction_tableau_on_random_systems(monkeypatch):
+    for n, cons, objectives in random_systems(31, 300):
+        assert_same_as_reference(monkeypatch, n, cons, objectives)
+
+
+def test_int_tableau_matches_fraction_tableau_on_non_integral_systems(monkeypatch):
+    rng = random.Random(37)
+
+    def q():
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+
+    fractional = 0
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        cons = [
+            ([q() for _ in range(n)], rng.choice([LE, GE, EQ]), q())
+            for _ in range(rng.randint(1, 5))
+        ]
+        objectives = [[q() for _ in range(n)] for _ in range(rng.randint(2, 4))]
+        results, _ = assert_same_as_reference(monkeypatch, n, cons, objectives)
+        fractional += any(
+            x.denominator != 1 for r in results for x in (*(r.point or ()), r.value or 0)
+        )
+    assert fractional > 50, fractional
+
+
+def test_ratio_test_is_exact_above_two_to_the_53(monkeypatch):
+    # x <= 2**53 + 1 and 2x <= 2**54 + 1: the ratios tie as floats, so a
+    # float ratio test would leave on the first row (lower basic column)
+    # and step to the infeasible x = 2**53 + 1
+    assert (2**53 + 1) / 1 == (2**54 + 1) / 2
+    cons = [([1], LE, 2**53 + 1), ([2], LE, 2**54 + 1)]
+    results, pivots = assert_same_as_reference(monkeypatch, 1, cons, [[-1]])
+    # the fresh solve, the warm walk, and its re-solve of the negative minimum
+    assert pivots == [(1, 0)] * 3
+    assert results[1].value == -Fraction(2**54 + 1, 2)
+    assert results[1].point == (Fraction(2**54 + 1, 2),)
+    # and in random systems whose ratios all lie within a float's spacing
+    rng = random.Random(41)
+    for _ in range(100):
+        n = rng.randint(1, 3)
+        base = rng.choice([2**53, 3 * 2**53, 2**60])
+        cons = []
+        for _ in range(rng.randint(2, 5)):
+            coeffs = [rng.randint(1, 4) for _ in range(n)]
+            cons.append((coeffs, LE, coeffs[0] * base + rng.randint(-3, 3)))
+        objectives = [[rng.randint(-3, 1) for _ in range(n)] for _ in range(3)]
+        assert_same_as_reference(monkeypatch, n, cons, objectives)
