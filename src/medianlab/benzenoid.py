@@ -15,12 +15,11 @@ from dataclasses import dataclass
 from .errors import InputError
 from .graph import Graph
 from .profiles import (
-    canonical_profiles,
     connected_in_power,
-    f_vector,
     minimizers,
     peak_failures,
     peak_probes,
+    profile_sweep,
 )
 from .report import Report
 
@@ -258,9 +257,8 @@ def verify_benzenoid_properties(
     peakless_ok = True
     connected_ok = True
     checked = 0
-    for profile in canonical_profiles(g.n, max_support, max_mult, cap=cap):
+    for profile, f in profile_sweep(g, max_support, max_mult, cap=cap):
         checked += 1
-        f = f_vector(g, profile)
         for u, v in peak_failures(f, probes):
             peakless_ok = False
             failures.append({"peakless_pair_outside_hexagon": [u, v, profile]})

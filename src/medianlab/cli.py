@@ -46,6 +46,15 @@ def _failure(exc: Exception) -> tuple[dict, int]:
     return {"error": f"internal error: {type(exc).__name__}: {exc}"}, 3
 
 
+def _read_text(path) -> str:
+    """The text of an input file, which must be UTF-8; any other bytes are a
+    format error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def load_graph(target: str) -> Graph:
     name = target.partition(":")[0].lower()
     if ":" in target and name in generator_names():
@@ -53,7 +62,7 @@ def load_graph(target: str) -> Graph:
     path = Path(target)
     if not path.exists():
         raise InputError(f"no such file or generator: {target!r}")
-    return formats.graph_from_text(path.read_text())
+    return formats.graph_from_text(_read_text(path))
 
 
 def _maybe_write(args, payload: str) -> None:
@@ -143,7 +152,7 @@ def cmd_construct(args):
     if args.what in ("bn", "bhat"):
         g = generate(f"{args.what}:{args.n}")
     elif args.what == "incidence":
-        h = formats.hypergraph_from_text(Path(args.hypergraph).read_text())
+        h = formats.hypergraph_from_text(_read_text(args.hypergraph))
         inc = hg.incidence_graph(h)
         g, verdicts = inc.graph, {"hub": inc.hub, "labels": inc.labels()}
     else:  # counterexample
@@ -169,7 +178,7 @@ def _load_consensus(g: Graph, name: str, max_len: int) -> cs.TabulatedConsensus:
         if g.edges() != cs.c6_graph().edges():
             raise InputError("the l6 rule is defined on cycle:6 only")
         return cs.tabulate_l6(max_len)
-    table = formats.table_from_text(g, Path(name).read_text())
+    table = formats.table_from_text(g, _read_text(name))
     if table.max_len != max_len:
         raise InputError(
             f"table {name} holds profiles up to length {table.max_len}, "
@@ -216,7 +225,7 @@ def cmd_consensus_compare(args):
 
 
 def cmd_benzenoid_build(args):
-    b = formats.cells_from_text(Path(args.cells).read_text())
+    b = formats.cells_from_text(_read_text(args.cells))
     verdicts = {
         "cells": len(b.cells),
         "vertices": b.graph.n,
@@ -229,14 +238,14 @@ def cmd_benzenoid_build(args):
 
 
 def cmd_benzenoid_embed(args):
-    b = formats.cells_from_text(Path(args.cells).read_text())
+    b = formats.cells_from_text(_read_text(args.cells))
     emb = bz.tree_embedding(b)
     verdicts = {"tree_sizes": [t.n for t in emb.trees], "phi": emb.phi, "isometric": True}
     return _report(b.graph, verdicts)
 
 
 def cmd_benzenoid_verify(args):
-    b = formats.cells_from_text(Path(args.cells).read_text())
+    b = formats.cells_from_text(_read_text(args.cells))
     report = bz.verify_benzenoid_properties(b, args.support, args.mult, cap=args.cap)
     return _report(b.graph, report, report.ok)
 
@@ -251,7 +260,7 @@ def _corpus_argv(entry) -> list:
 
 
 def cmd_corpus(args):
-    manifest = json.loads(Path(args.manifest).read_text())
+    manifest = json.loads(_read_text(args.manifest))
     entries = manifest.get("entries", []) if isinstance(manifest, dict) else None
     if not isinstance(entries, list):
         raise FormatError("corpus manifest needs an 'entries' list")

@@ -3,15 +3,16 @@ consensus rule on the 6-cycle that disagrees with the median function."""
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, islice
 from math import comb
 from operator import add
 
 from .errors import BudgetError, InputError
 from .graph import Graph, cycle
-from .profiles import Profile, median_set
+from .profiles import Profile, median_set, minimizers
 from .report import Report
 
 AXIOMS = ("A", "B", "C", "T", "Tminus", "T2", "Ek")
@@ -64,12 +65,17 @@ def profile_keys(n: int, max_len: int):
 
 def _concatenation_pairs(n: int, max_len: int):
     """Every pair of profile keys (left, right) with left <= right whose
-    concatenation has length at most max_len, left in key order."""
-    keys = list(profile_keys(n, max_len - 1))
-    for left in keys:
-        for right in keys:
-            if right >= left and len(left) + len(right) <= max_len:
-                yield left, right
+    concatenation has length at most max_len, both in key order.
+
+    Keys of one length are sorted, so the rights of a given length that are
+    >= left are a suffix of that length's keys, found by bisection."""
+    by_len = [list(combinations_with_replacement(range(n), k))
+              for k in range(max_len)]
+    for k in range(1, max_len):
+        for left in by_len[k]:
+            for keys in by_len[1:max_len - k + 1]:
+                for right in islice(keys, bisect_left(keys, left), None):
+                    yield left, right
 
 
 def tabulate_function(g: Graph, max_len: int, fn, cap: int = 200_000) -> TabulatedConsensus:
@@ -81,9 +87,24 @@ def tabulate_function(g: Graph, max_len: int, fn, cap: int = 200_000) -> Tabulat
 
 
 def tabulate_median(g: Graph, max_len: int, cap: int = 200_000) -> TabulatedConsensus:
-    return tabulate_function(
-        g, max_len, lambda key: median_set(g, Profile.from_vertices(key)), cap=cap
-    )
+    """The median function on every profile of length 1..max_len.
+
+    Keys arrive in key order, one length at a time, and every key's prefix
+    key[:-1] is a key of the previous length; so each key's f-vector is its
+    prefix's plus one distance row, and only the f-vectors of the previous
+    and the current length are kept."""
+    dist = g.dist
+    done = {(): [0] * g.n}  # f-vectors of the previous length
+    layer = {}  # f-vectors of the current length
+
+    def median(key):
+        nonlocal done, layer
+        if key[:-1] not in done:  # the first key of a new length
+            done, layer = layer, {}
+        f = layer[key] = list(map(add, done[key[:-1]], dist[key[-1]]))
+        return minimizers(f)
+
+    return tabulate_function(g, max_len, median, cap=cap)
 
 
 # -- axiom checking --------------------------------------------------------------
@@ -198,8 +219,13 @@ def _c6_counts(profile: Profile) -> tuple[int, ...]:
 
 
 def _reduced(c) -> tuple[int, ...]:
-    """Cancel opposite vertices: entry i drops by min(c_i, c_{i+3})."""
-    return tuple(c[i] - min(c[i], c[(i + 3) % 6]) for i in range(6))
+    """Cancel opposite vertices: entry i drops by min(c_i, c_{i+3}), so of
+    two opposite entries the larger keeps the difference and the other is 0."""
+    a, b, e = c[0] - c[3], c[1] - c[4], c[2] - c[5]
+    return (
+        a if a > 0 else 0, b if b > 0 else 0, e if e > 0 else 0,
+        -a if a < 0 else 0, -b if b < 0 else 0, -e if e < 0 else 0,
+    )
 
 
 def _is_alternate(r) -> bool:

@@ -21,7 +21,13 @@ from math import lcm
 from .combinatorics import adjacency_sets, maximal_stable_sets, stable_sets
 from .errors import BudgetError, InputError
 from .graph import Graph
-from .profiles import Profile, canonical_profiles, f_vector, median_set
+from .profiles import (
+    Profile,
+    canonical_profiles,
+    f_vector,
+    median_set,
+    profile_sweep,
+)
 from .rational_lp import EQ, GE, LE, RationalLinearSystem
 from .report import Report
 
@@ -400,9 +406,17 @@ def maximum_pairing(g: Graph, profile: Profile, cap: int = 1 << 17):
 def pairing_property_bounded_search(
     g: Graph, max_support: int, max_mult: int
 ):
-    """First even profile within budget with no perfect pairing, or None."""
-    for profile in canonical_profiles(g.n, max_support, max_mult, even_only=True):
-        if has_perfect_pairing(g, profile) is None:
+    """First even profile within budget with no perfect pairing, or None.
+
+    As in `has_perfect_pairing`, each profile is tested at its least median
+    vertex, the first index where f is least; the auxiliary graph of a
+    vertex is built the first time it is that median."""
+    aux = {}
+    for profile, f in profile_sweep(g, max_support, max_mult, even_only=True):
+        u = f.index(min(f))
+        if u not in aux:
+            aux[u] = auxiliary_graph(g, u)
+        if has_perfect_pi_matching(aux[u], profile) is None:
             return profile
     return None
 

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations, product
-from math import comb
+from itertools import combinations, compress, product
+from math import comb, inf
+from operator import add
 
 from .errors import BudgetError, FormatError, InputError
 from .graph import Graph
@@ -110,8 +111,7 @@ def f_vector(g: Graph, profile: Profile) -> list[int]:
 
 def minimizers(f: list[int]) -> frozenset[int]:
     """Indices where f attains its minimum: the median set of an f-vector."""
-    best = min(f)
-    return frozenset(v for v, fv in enumerate(f) if fv == best)
+    return frozenset(compress(range(len(f)), map(min(f).__eq__, f)))
 
 
 def median_set(g: Graph, profile: Profile) -> frozenset[int]:
@@ -176,25 +176,57 @@ def canonical_profiles(n: int, max_support: int, max_mult: int,
             yield Profile(tuple(zip(sup, mults)))
 
 
+def _plus(f: list[int], k: int, row) -> list[int]:
+    """The new vector f + k * row."""
+    if k == 1:
+        return list(map(add, f, row))
+    return [a + k * b for a, b in zip(f, row)]
+
+
+def profile_sweep(g: Graph, max_support: int, max_mult: int,
+                  even_only: bool = False, cap: int = 2_000_000):
+    """Yield (profile, f-vector) for every profile of
+    canonical_profiles(g.n, ...), in its order and under its budget check.
+
+    A profile's f is its prefix's (all pairs but the last) plus k times the
+    last vertex's distance row, which is also its column since distances
+    are symmetric.  `partial[j]` holds the f-vector of the current profile's
+    first j pairs; the next profile keeps the entries of the pairs it shares
+    with this one and adds the rest, so memory stays O(max_support * n).
+    Each yielded f is a new list.
+    """
+    dist = g.dist
+    partial = [[0] * g.n]
+    last = ()
+    for profile in canonical_profiles(g.n, max_support, max_mult, even_only, cap):
+        pairs = profile.counts
+        top = len(pairs) - 1
+        i = 0  # partial[0..i] hold prefixes of this profile
+        while i < top and i + 1 < len(partial) and pairs[i] == last[i]:
+            i += 1
+        del partial[i + 1:]
+        for x, k in pairs[i:top]:
+            partial.append(_plus(partial[-1], k, dist[x]))
+        x, k = pairs[top]
+        yield profile, _plus(partial[top], k, dist[x])
+        last = pairs
+
+
 # -- bounded verification of connected / unimodal medians ----------------------
 
 
 def connected_in_power(g: Graph, members: frozenset[int], p: int) -> bool:
     """The members induce a connected subgraph of the p-th power of g."""
-    if not members:
-        return False
-    members = sorted(members)
-    start = members[0]
-    seen = {start}
-    queue = deque([start])
-    pool = set(members)
-    while queue:
-        x = queue.popleft()
-        for y in pool - seen:
-            if g.dist[x][y] <= p:
-                seen.add(y)
-                queue.append(y)
-    return len(seen) == len(pool)
+    if len(members) < 2:
+        return bool(members)
+    left = set(members)
+    reached = [left.pop()]
+    for x in reached:  # breadth first; the list grows as it is walked
+        dx = g.dist[x]
+        near = [y for y in left if dx[y] <= p]
+        left.difference_update(near)
+        reached += near
+    return not left
 
 
 def peak_probes(g: Graph, lo: int, hi: int) -> list:
@@ -210,11 +242,31 @@ def peak_probes(g: Graph, lo: int, hi: int) -> list:
 
 def peak_failures(f: list[int], probes):
     """Yield the probed pairs (u, v) where f is not locally peakless: no
-    interior vertex lies below max(f(u), f(v)) or on an f(u) = f(v) plateau."""
+    interior vertex lies below max(f(u), f(v)) or on an f(u) = f(v) plateau.
+
+    With `low` the least f-value inside, that is low > hi, or low == hi
+    where f(u) != f(v); an empty interior always fails."""
+    get = f.__getitem__
     for u, v, interior in probes:
-        hi = max(f[u], f[v])
-        if not any(f[w] < hi or f[u] == f[w] == f[v] for w in interior):
+        fu, fv = f[u], f[v]
+        hi = fu if fu > fv else fv
+        low = min(map(get, interior), default=inf)
+        if low > hi or (low == hi and fu != fv):
             yield u, v
+
+
+def _punctured_balls(g: Graph, p: int) -> list[list[int]]:
+    """For each vertex v, the vertices w with 0 < d(v, w) <= p."""
+    return [[w for w, d in enumerate(dv) if 0 < d <= p] for dv in g.dist]
+
+
+def _unimodal(f: list[int], balls) -> bool:
+    """Every local minimum of f is a global one: each vertex off the minimum
+    has a smaller value in its punctured ball (`_punctured_balls`)."""
+    best = min(f)
+    get = f.__getitem__
+    return all(fv == best or min(map(get, ball), default=fv) < fv
+               for fv, ball in zip(f, balls))
 
 
 @dataclass
@@ -248,11 +300,10 @@ def check_unimodal_equals_connected(
         raise InputError(f"power must be >= 1, got {p}")
     report = MedianVerificationReport(p, max_support, max_mult, 0)
     probes = peak_probes(g, p + 1, 2 * p)
-    for profile in canonical_profiles(g.n, max_support, max_mult, cap=cap):
-        f = f_vector(g, profile)
+    balls = _punctured_balls(g, p)
+    for profile, f in profile_sweep(g, max_support, max_mult, cap=cap):
         med = minimizers(f)
-        # unimodal: every local minimum in the p-th power is a global one
-        uni = all(v in med or not _unbeaten_within(g, f, v, p) for v in range(g.n))
+        uni = _unimodal(f, balls)
         conn = connected_in_power(g, med, p)
         peak = next(peak_failures(f, probes), None) is None
         report.profiles_checked += 1

@@ -97,6 +97,16 @@ def random_tree(rng: random.Random, n: int) -> Graph:
     return tree_from_parent_list([rng.randint(0, i) for i in range(n - 1)])
 
 
+def random_connected_graph(rng: random.Random, n: int, density: float) -> Graph:
+    """A random spanning tree on n vertices plus each other pair as an edge
+    with the given probability."""
+    edges = set(random_tree(rng, n).edges())
+    for u, v in combinations(range(n), 2):
+        if rng.random() < density:
+            edges.add((u, v))
+    return Graph(n, sorted(edges))
+
+
 @pytest.fixture(scope="session")
 def corpus() -> dict[str, Graph]:
     return {

@@ -191,6 +191,29 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     assert "outside" in json.loads(out)["error"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify"],
+        ["benzenoid", "build"],
+        ["benzenoid", "embed"],
+        ["benzenoid", "verify", "--support", "1", "--mult", "1"],
+        ["construct", "incidence"],
+        ["consensus", "check", "cycle:6", "--axiom", "C", "--max-len", "2", "--function"],
+        ["corpus"],
+    ],
+    ids=["classify", "benzenoid-build", "benzenoid-embed", "benzenoid-verify",
+         "construct-incidence", "consensus-check-function", "corpus"],
+)
+def test_non_utf8_input_file_exits_two(capsys, tmp_path, argv):
+    path = tmp_path / "input.txt"
+    path.write_bytes(b"2 1\n0 1\n\xff\n")
+    code, out, _ = capture(capsys, argv + [str(path)])
+    assert code == 2
+    assert out.count("\n") == 1
+    assert "not UTF-8 text" in json.loads(out)["error"]
+
+
 def test_internal_errors_exit_three(capsys, tmp_path, monkeypatch):
     cli = importlib.import_module("medianlab.cli")
     classify = importlib.import_module("medianlab.classify")
