@@ -12,7 +12,7 @@ from operator import add
 
 from .errors import BudgetError, InputError
 from .graph import Graph, cycle
-from .profiles import Profile, median_set, minimizers
+from .profiles import Profile, extend_f_vector, median_set, minimizers
 from .report import Report
 
 AXIOMS = ("A", "B", "C", "T", "Tminus", "T2", "Ek")
@@ -79,6 +79,10 @@ def _concatenation_pairs(n: int, max_len: int):
 
 
 def tabulate_function(g: Graph, max_len: int, fn, cap: int = 200_000) -> TabulatedConsensus:
+    """Tabulate fn over every profile key of length 1..max_len.
+
+    fn is called once per key, in `profile_keys` order: by length, then
+    lexicographically (`tabulate_median` relies on this order)."""
     count = table_size(g.n, max_len)
     if count > cap:
         raise BudgetError(f"table would hold {count} profiles, cap {cap}", count=count)
@@ -89,19 +93,21 @@ def tabulate_function(g: Graph, max_len: int, fn, cap: int = 200_000) -> Tabulat
 def tabulate_median(g: Graph, max_len: int, cap: int = 200_000) -> TabulatedConsensus:
     """The median function on every profile of length 1..max_len.
 
-    Keys arrive in key order, one length at a time, and every key's prefix
-    key[:-1] is a key of the previous length; so each key's f-vector is its
-    prefix's plus one distance row, and only the f-vectors of the previous
-    and the current length are kept."""
-    dist = g.dist
+    Keys arrive in `profile_keys` order, and every key's prefix key[:-1] is
+    a key of the previous length; so each key's f-vector is its prefix's
+    extended by one vertex.  Only the f-vectors of the previous length and
+    of the current one are kept, and none of length max_len, which no key
+    extends."""
     done = {(): [0] * g.n}  # f-vectors of the previous length
-    layer = {}  # f-vectors of the current length
+    layer = {}  # f-vectors of the current length, when shorter than max_len
 
     def median(key):
         nonlocal done, layer
         if key[:-1] not in done:  # the first key of a new length
             done, layer = layer, {}
-        f = layer[key] = list(map(add, done[key[:-1]], dist[key[-1]]))
+        f = extend_f_vector(g, done[key[:-1]], key[-1])
+        if len(key) < max_len:
+            layer[key] = f
         return minimizers(f)
 
     return tabulate_function(g, max_len, median, cap=cap)

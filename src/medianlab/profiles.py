@@ -6,7 +6,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations, compress, product
 from math import comb, inf
-from operator import add
 
 from .errors import BudgetError, FormatError, InputError
 from .graph import Graph
@@ -176,11 +175,11 @@ def canonical_profiles(n: int, max_support: int, max_mult: int,
             yield Profile(tuple(zip(sup, mults)))
 
 
-def _plus(f: list[int], k: int, row) -> list[int]:
-    """The new vector f + k * row."""
-    if k == 1:
-        return list(map(add, f, row))
-    return [a + k * b for a, b in zip(f, row)]
+def extend_f_vector(g: Graph, f: list[int], x: int, k: int = 1) -> list[int]:
+    """The f-vector of a profile with k more copies of x, as a new list:
+    the profile's own f-vector f plus k times the distance row of x, which
+    is also its column since distances are symmetric."""
+    return [a + k * b for a, b in zip(f, g.dist[x])]
 
 
 def profile_sweep(g: Graph, max_support: int, max_mult: int,
@@ -188,14 +187,12 @@ def profile_sweep(g: Graph, max_support: int, max_mult: int,
     """Yield (profile, f-vector) for every profile of
     canonical_profiles(g.n, ...), in its order and under its budget check.
 
-    A profile's f is its prefix's (all pairs but the last) plus k times the
-    last vertex's distance row, which is also its column since distances
-    are symmetric.  `partial[j]` holds the f-vector of the current profile's
+    A profile's f is its prefix's (all pairs but the last), extended by the
+    last pair (`extend_f_vector`).  `partial[j]` holds the f-vector of the current profile's
     first j pairs; the next profile keeps the entries of the pairs it shares
     with this one and adds the rest, so memory stays O(max_support * n).
     Each yielded f is a new list.
     """
-    dist = g.dist
     partial = [[0] * g.n]
     last = ()
     for profile in canonical_profiles(g.n, max_support, max_mult, even_only, cap):
@@ -206,9 +203,9 @@ def profile_sweep(g: Graph, max_support: int, max_mult: int,
             i += 1
         del partial[i + 1:]
         for x, k in pairs[i:top]:
-            partial.append(_plus(partial[-1], k, dist[x]))
+            partial.append(extend_f_vector(g, partial[-1], x, k))
         x, k = pairs[top]
-        yield profile, _plus(partial[top], k, dist[x])
+        yield profile, extend_f_vector(g, partial[top], x, k)
         last = pairs
 
 

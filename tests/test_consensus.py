@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from medianlab.consensus import (
@@ -12,6 +14,7 @@ from medianlab.consensus import (
     l6_eval,
     profile_keys,
     tabulate_l6,
+    table_size,
     tabulate_median,
     verify_l6_is_abc,
 )
@@ -54,6 +57,25 @@ def test_axioms_of_median_small_corpus(corpus):
             assert check_axiom(table, axiom).holds, (name, axiom)
         for k in range(1, g.diameter + 1):
             assert check_axiom(table, "Ek", k=k).holds, (name, k)
+
+
+@pytest.mark.parametrize("n, max_len", [(200, 1), (120, 2), (40, 3)])
+def test_tabulate_median_keeps_no_f_vectors_of_the_last_length(n, max_len):
+    """Besides the table it returns, tabulate_median holds at most the
+    f-vectors of the keys of lengths max_len - 2 and max_len - 1: the bound
+    is twice the second of these layers (n distances plus list and dict
+    overhead per key) and a fixed slack, where the f-vectors of the keys of
+    length max_len alone would need several times more."""
+    g = path(n)
+    tracemalloc.start()
+    try:
+        table = tabulate_median(g, max_len)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table.table) == table_size(n, max_len)
+    below = table_size(n, max_len - 1) - table_size(n, max_len - 2)
+    assert peak - kept < 2 * below * (8 * n + 100) + 64 * 1024
 
 
 def test_axiom_violation_is_caught():
