@@ -19,11 +19,16 @@ from .errors import DisconnectedGraphError, InputError
 # cap turns an input that would exhaust memory into an InputError.
 MAX_VERTICES = 2048
 
+# Search nodes (refinements) the automorphism search may visit.  Past it
+# the search reports the trivial group, which is always a correct answer
+# for its callers: they then scan every vertex or support.
+AUTOMORPHISM_NODE_CAP = 1 << 12
+
 
 class Graph:
     """Undirected simple connected graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "adj", "dist", "_edges", "_bipartition")
+    __slots__ = ("n", "adj", "dist", "_edges", "_bipartition", "_automorphisms")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 1:
@@ -58,6 +63,7 @@ class Graph:
         even = frozenset(v for v, d in enumerate(d0) if d % 2 == 0)
         bipartite = all(d0[u] != d0[v] for u, v in self._edges)
         self._bipartition = (even, frozenset(range(n)) - even) if bipartite else None
+        self._automorphisms = None  # computed on first use
 
     def _bfs(self, source: int) -> tuple[int, ...]:
         dist = [-1] * self.n
@@ -111,6 +117,15 @@ class Graph:
         if self._bipartition is None:
             raise InputError("graph is not bipartite")
         return self._bipartition
+
+    def automorphisms(self) -> tuple[tuple[int, ...], ...]:
+        """A generating set of Aut(G), each generator a tuple p mapping v to
+        p[v]; empty for the trivial group, or when the search passes
+        AUTOMORPHISM_NODE_CAP nodes.  Computed on the first call by
+        `automorphism_generators` and kept."""
+        if self._automorphisms is None:
+            self._automorphisms = automorphism_generators(self, AUTOMORPHISM_NODE_CAP)
+        return self._automorphisms
 
     def fingerprint(self) -> dict:
         text = f"{self.n} {len(self._edges)}\n" + "".join(
@@ -202,6 +217,182 @@ class Graph:
                     if self.is_metric_triangle(v1, v2, v3):
                         return (v1, v2, v3)
         raise RuntimeError("no quasi-median found; distance table corrupt")
+
+
+# -- automorphisms --------------------------------------------------------------
+
+
+class _NodeCapHit(Exception):
+    pass
+
+
+def _rank(keys) -> list[int]:
+    """Each key's index among the sorted distinct keys.  The colouring this
+    gives depends on the keys alone, not on vertex labels, so an
+    automorphism that preserves the keys preserves the colours."""
+    index = {key: i for i, key in enumerate(sorted(set(keys)))}
+    return [index[key] for key in keys]
+
+
+def _union(parent, a, b) -> None:
+    """Merge the classes of a and b; every class keeps its least member as
+    its root, so find(x) == x exactly for class minima."""
+    a, b = _find(parent, a), _find(parent, b)
+    if a != b:
+        parent[max(a, b)] = min(a, b)
+
+
+def _find(parent, a) -> int:
+    while parent[a] != a:
+        parent[a] = a = parent[parent[a]]
+    return a
+
+
+def automorphism_generators(
+    g: Graph, cap: int = AUTOMORPHISM_NODE_CAP
+) -> tuple[tuple[int, ...], ...]:
+    """A generating set of Aut(G) by individualisation and refinement
+    (McKay and Piperno, Practical graph isomorphism, II, 2014).
+
+    Colours start from the sorted distance rows and are refined until
+    equitable: a vertex's colour is split by the multiset of its
+    neighbours' colours.  Individualising a vertex v also splits every
+    colour by the distance to v.  The first path individualises the least
+    vertex of the smallest non-singleton colour until the colouring is
+    discrete.  Then, deepest level first, each other vertex w of a level's
+    colour that is not yet in the orbit of that level's vertex is tried:
+    the subtree under w is searched for a leaf that maps the first leaf by
+    an automorphism, pruning nodes whose colour sizes differ from the first
+    path's; for a twin of the level's vertex (the same neighbours besides
+    each other) the swap of the two is taken at once.  The automorphisms
+    found generate Aut(G), since at each level they reach the whole orbit
+    of the stabilizer of the levels above.
+
+    Refinement stops once a colouring is discrete.  A search that visits
+    more than `cap` nodes returns the trivial group, ().
+    """
+    n, adj, dist = g.n, g.adj, g.dist
+    nodes = 0
+
+    def refine(keys):
+        nonlocal nodes
+        nodes += 1
+        if nodes > cap:
+            raise _NodeCapHit
+        col = _rank(keys)
+        count = max(col) + 1
+        while count < n:
+            finer = _rank([
+                (c, tuple(sorted([col[w] for w in nbrs])))
+                for c, nbrs in zip(col, adj)
+            ])
+            finer_count = max(finer) + 1
+            if finer_count == count:
+                break
+            col, count = finer, finer_count
+        return col, count
+
+    def individualise(col, v):
+        return refine(list(zip(col, dist[v])))
+
+    def sizes(col, count):
+        out = [0] * count
+        for c in col:
+            out[c] += 1
+        return out
+
+    def target(col, count):
+        size = sizes(col, count)
+        c = min(range(count), key=lambda c: (size[c] < 2, size[c]))
+        return [x for x in range(n) if col[x] == c]
+
+    edges = g.edges()
+    neighbours = [set(nbrs) for nbrs in adj]
+
+    def automorphism(col):
+        """The map from the first path's leaf to the discrete colouring
+        col, if it is an automorphism."""
+        at = [0] * n
+        for x, c in enumerate(col):
+            at[c] = x
+        sigma = tuple(at[c] for c in leaf)
+        if all(sigma[v] in neighbours[sigma[u]] for u, v in edges):
+            return sigma
+        return None
+
+    def leaf_search(col, w, depth):
+        """An automorphism taking the first path's node below `col` to the
+        node that individualises w instead, or None.  Depth first over an
+        explicit stack of (depth, colouring, vertices left to try)."""
+        stack = [(depth, col, iter([w]))]
+        while stack:
+            d, col, todo = stack[-1]
+            x = next(todo, None)
+            if x is None:
+                stack.pop()
+                continue
+            child, count = individualise(col, x)
+            if sizes(child, count) != shapes[d]:
+                continue
+            if count == n:
+                sigma = automorphism(child)
+                if sigma is not None:
+                    return sigma
+                continue
+            stack.append((d + 1, child, iter(target(child, count))))
+        return None
+
+    try:
+        col, count = refine([tuple(sorted(row)) for row in dist])
+        path = []  # (colouring, target colour's vertices) of each inner node
+        shapes = []  # colour sizes of the first path's node at each depth + 1
+        while count < n:
+            cell = target(col, count)
+            path.append((col, cell))
+            col, count = individualise(col, cell[0])
+            shapes.append(sizes(col, count))
+        leaf = col
+        generators = []
+        orbit = list(range(n))
+        for depth in reversed(range(len(path))):
+            node, cell = path[depth]
+            v = cell[0]
+            for w in cell[1:]:
+                if _find(orbit, w) == _find(orbit, v):
+                    continue
+                if neighbours[v] - {w} == neighbours[w] - {v}:
+                    # twins: swapping them is an automorphism, and it fixes
+                    # every vertex individualised above this level
+                    swap = list(range(n))
+                    swap[v], swap[w] = w, v
+                    sigma = tuple(swap)
+                else:
+                    sigma = leaf_search(node, w, depth)
+                if sigma is not None:
+                    generators.append(sigma)
+                    for x in range(n):
+                        _union(orbit, x, sigma[x])
+    except _NodeCapHit:
+        return ()
+    return tuple(generators)
+
+
+def orbit_minima(supports, generators) -> list:
+    """The supports that are least in their orbit under the group the
+    generators generate, in the given order.
+
+    `supports` are sorted vertex tuples listed in increasing order, and the
+    list must be closed under the group (all k-sets for some k, say).  A
+    union-find joins each support to its image under every generator; each
+    class keeps its least index, which is its least support."""
+    if not generators:
+        return list(supports)
+    index = {s: i for i, s in enumerate(supports)}
+    parent = list(range(len(supports)))
+    for i, s in enumerate(supports):
+        for p in generators:
+            _union(parent, i, index[tuple(sorted([p[x] for x in s]))])
+    return [s for i, s in enumerate(supports) if _find(parent, i) == i]
 
 
 # -- generators ---------------------------------------------------------------

@@ -20,7 +20,7 @@ from math import lcm
 
 from .combinatorics import adjacency_sets, maximal_stable_sets, stable_sets
 from .errors import BudgetError, InputError
-from .graph import Graph
+from .graph import Graph, orbit_minima
 from .profiles import (
     Profile,
     canonical_profiles,
@@ -121,43 +121,47 @@ def perfect_b_matching(n, edges, demand):
     """Backtracking search for an integral perfect b-matching.
 
     Returns the multiset of used edges as a sorted tuple, or None.  The
-    search always extends the currently scarcest vertex, breaking ties by
-    index, and never revisits a partner smaller than the previous choice
-    for the same vertex.
+    search always extends the currently scarcest vertex, the one with the
+    fewest options left, breaking ties by index, and never revisits a
+    partner smaller than the previous choice for the same vertex.
     """
     _check_demand(n, demand)
-    nbr = [set() for _ in range(n)]
-    loops = set()
-    for a, b in edges:
-        if a == b:
-            loops.add(a)
-        else:
-            nbr[a].add(b)
-            nbr[b].add(a)
     need = {v: k for v, k in demand.items() if k > 0}
     if sum(need.values()) % 2:
         return None
     if not need:
         return ()
+    # partners[v]: the sorted possible partners of v among the demand's
+    # support, v itself when it has a loop
+    partners = {v: set() for v in need}
+    for a, b in edges:
+        if a in need and b in need:
+            partners[a].add(b)
+            partners[b].add(a)
+    partners = {v: sorted(ws) for v, ws in partners.items()}
+    # a partner w is an option for v while need[w] > 0, or need[w] > 1
+    # for a loop (w == v); count[v] is the number of v's options
+    count = {v: sum(need[w] > (w == v) for w in ws) for v, ws in partners.items()}
     used: list[tuple[int, int]] = []
 
-    def options(v):
-        opts = [w for w in nbr[v] if need.get(w, 0) > 0]
-        if v in loops and need.get(v, 0) >= 2:
-            opts.append(v)
-        return sorted(opts)
-
-    def shift(v, w, step):  # step -1 takes the edge vw, +1 gives it back
-        for x in (v, w):
-            need[x] = need.get(x, 0) + step
-            if not need[x]:
-                del need[x]
+    def step(x, delta):  # need[x] moves by delta, +1 or -1
+        before = need.get(x, 0)
+        after = before + delta
+        if after:
+            need[x] = after
+        else:
+            del need[x]
+        if (before > 0) != (after > 0):
+            for y in partners[x]:
+                if y != x:
+                    count[y] += delta
+        if (before > 1) != (after > 1) and x in partners[x]:
+            count[x] += delta
 
     def frame(last_vertex, last_partner):
-        v = min(need, key=lambda x: (len(options(x)), x))
-        opts = options(v)
-        if v == last_vertex:
-            opts = [w for w in opts if w >= last_partner]
+        v = min(need, key=lambda x: (count[x], x))
+        lo = last_partner if v == last_vertex else -1
+        opts = [w for w in partners[v] if w >= lo and need.get(w, 0) > (w == v)]
         return [v, opts, 0]
 
     # Depth-first over an explicit stack, so deep searches cannot overflow
@@ -166,14 +170,17 @@ def perfect_b_matching(n, edges, demand):
     while stack:
         v, opts, i = top = stack[-1]
         if i:  # retract the option tried last
-            shift(v, opts[i - 1], 1)
+            w = opts[i - 1]
+            step(v, 1)
+            step(w, 1)
             used.pop()
         if i == len(opts):
             stack.pop()
             continue
         w = opts[i]
         top[2] = i + 1
-        shift(v, w, -1)
+        step(v, -1)
+        step(w, -1)
         used.append((min(v, w), max(v, w)))
         if not need:
             return tuple(sorted(used))
@@ -410,9 +417,14 @@ def pairing_property_bounded_search(
 
     As in `has_perfect_pairing`, each profile is tested at its least median
     vertex, the first index where f is least; the auxiliary graph of a
-    vertex is built the first time it is that median."""
+    vertex is built the first time it is that median.
+
+    Only profiles on orbit-least supports under Aut(G) are tested.  The
+    first failing profile P has one: if an automorphism s maps its support
+    S below S, then s(P) also fails and comes before P."""
     aux = {}
-    for profile, f in profile_sweep(g, max_support, max_mult, even_only=True):
+    group = g.automorphisms()
+    for profile, f in profile_sweep(g, max_support, max_mult, even_only=True, group=group):
         u = f.index(min(f))
         if u not in aux:
             aux[u] = auxiliary_graph(g, u)
@@ -494,13 +506,26 @@ def double_pairing_property(g: Graph, cap: int = 1 << 20) -> DoublePairingResult
     On failure the violating rational point is scaled to an even integral
     profile pi with u in Med(pi) and no fractional perfect pi-matching in
     A_u, so pi^2 has no perfect pairing.
+
+    Only vertices least in their orbit under Aut(G) are checked, in
+    increasing order (`_orbit_least_vertices`); the first failing vertex is
+    least in its orbit, so it is still the one reported.
     """
-    for u in range(g.n):
+    for u in _orbit_least_vertices(g):
         violation = ma_violation_search(g, u, cap=cap)
         if violation is not None:
             witness = scale_to_even_profile(violation.point)
             return DoublePairingResult(False, u, violation.stable_set, witness)
     return DoublePairingResult(True)
+
+
+def _orbit_least_vertices(g: Graph):
+    """Vertex 0, then every other vertex least in its orbit under Aut(G), in
+    increasing order.  The group is computed only once a second vertex is
+    asked for."""
+    yield 0
+    supports = orbit_minima([(v,) for v in g.vertices()], g.automorphisms())
+    yield from (v for (v,) in supports[1:])
 
 
 # -- local graphs and the matching-stable-set property ---------------------------

@@ -8,7 +8,7 @@ from itertools import combinations, compress, product
 from math import comb, inf
 
 from .errors import BudgetError, FormatError, InputError
-from .graph import Graph
+from .graph import Graph, orbit_minima
 from .report import Report
 
 
@@ -154,11 +154,17 @@ def count_canonical_profiles(n: int, max_support: int, max_mult: int,
 
 
 def canonical_profiles(n: int, max_support: int, max_mult: int,
-                       even_only: bool = False, cap: int = 2_000_000):
+                       even_only: bool = False, cap: int = 2_000_000,
+                       group=()):
     """Yield nonempty profiles in canonical order: supports in lexicographic
     order of their sorted tuples, multiplicity vectors in lexicographic order.
     Raises BudgetError before the first profile when there are more than
-    `cap` of them."""
+    `cap` of them.
+
+    `group` is a generating set of vertex permutations (`Graph.automorphisms`);
+    only supports least in their orbit under it are visited
+    (`orbit_minima`).  The budget check still counts every profile, and the
+    empty group visits them all."""
     if max_support < 1 or max_mult < 1:
         raise InputError("budget must allow at least one vertex")
     count = count_canonical_profiles(n, max_support, max_mult, even_only)
@@ -168,11 +174,31 @@ def canonical_profiles(n: int, max_support: int, max_mult: int,
     supports = sorted(
         (sup for k in range(1, s + 1) for sup in combinations(range(n), k))
     )
-    for sup in supports:
+    for sup in orbit_minima(supports, group):
         for mults in product(range(1, max_mult + 1), repeat=len(sup)):
             if even_only and sum(mults) % 2:
                 continue
             yield Profile(tuple(zip(sup, mults)))
+
+
+def profile_orbit(profile: Profile, group) -> set[tuple[tuple[int, int], ...]]:
+    """The counts of every image of the profile under the group that the
+    vertex permutations in `group` generate."""
+    seen = {profile.counts}
+    todo = [profile.counts]
+    for counts in todo:
+        for p in group:
+            image = tuple(sorted([(p[v], k) for v, k in counts]))
+            if image not in seen:
+                seen.add(image)
+                todo.append(image)
+    return seen
+
+
+def _canonical_key(counts):
+    """Sort key of profile counts in canonical_profiles order: the support,
+    then the multiplicity vector."""
+    return tuple(v for v, _ in counts), tuple(k for _, k in counts)
 
 
 def extend_f_vector(g: Graph, f: list[int], x: int, k: int = 1) -> list[int]:
@@ -183,9 +209,10 @@ def extend_f_vector(g: Graph, f: list[int], x: int, k: int = 1) -> list[int]:
 
 
 def profile_sweep(g: Graph, max_support: int, max_mult: int,
-                  even_only: bool = False, cap: int = 2_000_000):
+                  even_only: bool = False, cap: int = 2_000_000, group=()):
     """Yield (profile, f-vector) for every profile of
-    canonical_profiles(g.n, ...), in its order and under its budget check.
+    canonical_profiles(g.n, ..., group), in its order and under its budget
+    check.
 
     A profile's f is its prefix's (all pairs but the last), extended by the
     last pair (`extend_f_vector`).  `partial[j]` holds the f-vector of the current profile's
@@ -195,7 +222,7 @@ def profile_sweep(g: Graph, max_support: int, max_mult: int,
     """
     partial = [[0] * g.n]
     last = ()
-    for profile in canonical_profiles(g.n, max_support, max_mult, even_only, cap):
+    for profile in canonical_profiles(g.n, max_support, max_mult, even_only, cap, group):
         pairs = profile.counts
         top = len(pairs) - 1
         i = 0  # partial[0..i] hold prefixes of this profile
@@ -291,21 +318,28 @@ def check_unimodal_equals_connected(
     function is unimodal on the p-th power, that the median set is connected
     there, and that the local peaklessness criterion holds.
 
-    Any profile for which the three verdicts are not all true is reported.
+    Any profile for which the three verdicts are not all true is reported,
+    in canonical order.  The verdicts are invariant under Aut(G), so only
+    profiles on orbit-least supports are checked, and each failing one
+    stands for its whole orbit (`profile_orbit`).
     """
     if p < 1:
         raise InputError(f"power must be >= 1, got {p}")
-    report = MedianVerificationReport(p, max_support, max_mult, 0)
+    group = g.automorphisms()
     probes = peak_probes(g, p + 1, 2 * p)
     balls = _punctured_balls(g, p)
-    for profile, f in profile_sweep(g, max_support, max_mult, cap=cap):
+    failures = {}
+    for profile, f in profile_sweep(g, max_support, max_mult, cap=cap, group=group):
         med = minimizers(f)
         uni = _unimodal(f, balls)
         conn = connected_in_power(g, med, p)
         peak = next(peak_failures(f, probes), None) is None
-        report.profiles_checked += 1
         if not (uni and conn and peak):
-            report.failures.append(
-                {"profile": profile, "unimodal": uni, "connected": conn, "peakless": peak}
-            )
-    return report
+            verdicts = {"unimodal": uni, "connected": conn, "peakless": peak}
+            for counts in profile_orbit(profile, group):
+                failures[counts] = verdicts
+    checked = count_canonical_profiles(g.n, max_support, max_mult)
+    return MedianVerificationReport(p, max_support, max_mult, checked, [
+        {"profile": Profile(counts), **failures[counts]}
+        for counts in sorted(failures, key=_canonical_key)
+    ])
