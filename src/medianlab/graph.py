@@ -11,6 +11,8 @@ import hashlib
 from collections import deque
 from collections.abc import Iterable
 from itertools import chain
+from math import comb
+from operator import getitem
 
 from .errors import DisconnectedGraphError, InputError
 
@@ -19,10 +21,12 @@ from .errors import DisconnectedGraphError, InputError
 # cap turns an input that would exhaust memory into an InputError.
 MAX_VERTICES = 2048
 
-# Search nodes (refinements) the automorphism search may visit.  Past it
-# the search reports the trivial group, which is always a correct answer
-# for its callers: they then scan every vertex or support.
-AUTOMORPHISM_NODE_CAP = 1 << 12
+# Work the automorphism search may spend, in colour entries read: each
+# search node, and each refinement round in it, costs n + 2m (a colour per
+# vertex and per adjacency entry).  Past it the search reports the trivial
+# group, which is always a correct answer for its callers: they then scan
+# every vertex or support.
+AUTOMORPHISM_WORK_CAP = 1 << 21
 
 
 class Graph:
@@ -121,10 +125,10 @@ class Graph:
     def automorphisms(self) -> tuple[tuple[int, ...], ...]:
         """A generating set of Aut(G), each generator a tuple p mapping v to
         p[v]; empty for the trivial group, or when the search passes
-        AUTOMORPHISM_NODE_CAP nodes.  Computed on the first call by
+        AUTOMORPHISM_WORK_CAP.  Computed on the first call by
         `automorphism_generators` and kept."""
         if self._automorphisms is None:
-            self._automorphisms = automorphism_generators(self, AUTOMORPHISM_NODE_CAP)
+            self._automorphisms = automorphism_generators(self)
         return self._automorphisms
 
     def fingerprint(self) -> dict:
@@ -222,7 +226,7 @@ class Graph:
 # -- automorphisms --------------------------------------------------------------
 
 
-class _NodeCapHit(Exception):
+class _WorkCapHit(Exception):
     pass
 
 
@@ -248,9 +252,7 @@ def _find(parent, a) -> int:
     return a
 
 
-def automorphism_generators(
-    g: Graph, cap: int = AUTOMORPHISM_NODE_CAP
-) -> tuple[tuple[int, ...], ...]:
+def automorphism_generators(g: Graph) -> tuple[tuple[int, ...], ...]:
     """A generating set of Aut(G) by individualisation and refinement
     (McKay and Piperno, Practical graph isomorphism, II, 2014).
 
@@ -263,25 +265,30 @@ def automorphism_generators(
     colour that is not yet in the orbit of that level's vertex is tried:
     the subtree under w is searched for a leaf that maps the first leaf by
     an automorphism, pruning nodes whose colour sizes differ from the first
-    path's; for a twin of the level's vertex (the same neighbours besides
-    each other) the swap of the two is taken at once.  The automorphisms
-    found generate Aut(G), since at each level they reach the whole orbit
-    of the stabilizer of the levels above.
+    path's.  The automorphisms found generate Aut(G), since at each level
+    they reach the whole orbit of the stabilizer of the levels above.
 
-    Refinement stops once a colouring is discrete.  A search that visits
-    more than `cap` nodes returns the trivial group, ().
+    Refinement stops once a colouring is discrete.  Each search node, and
+    each refinement round in it, costs n + 2m; a search that would spend
+    more than AUTOMORPHISM_WORK_CAP returns the trivial group, ().
     """
     n, adj, dist = g.n, g.adj, g.dist
-    nodes = 0
+    edges = g.edges()
+    step_cost = n + 2 * len(edges)
+    work = 0
+
+    def spend():
+        nonlocal work
+        work += step_cost
+        if work > AUTOMORPHISM_WORK_CAP:
+            raise _WorkCapHit
 
     def refine(keys):
-        nonlocal nodes
-        nodes += 1
-        if nodes > cap:
-            raise _NodeCapHit
+        spend()
         col = _rank(keys)
         count = max(col) + 1
         while count < n:
+            spend()
             finer = _rank([
                 (c, tuple(sorted([col[w] for w in nbrs])))
                 for c, nbrs in zip(col, adj)
@@ -306,7 +313,6 @@ def automorphism_generators(
         c = min(range(count), key=lambda c: (size[c] < 2, size[c]))
         return [x for x in range(n) if col[x] == c]
 
-    edges = g.edges()
     neighbours = [set(nbrs) for nbrs in adj]
 
     def automorphism(col):
@@ -360,39 +366,58 @@ def automorphism_generators(
             for w in cell[1:]:
                 if _find(orbit, w) == _find(orbit, v):
                     continue
-                if neighbours[v] - {w} == neighbours[w] - {v}:
-                    # twins: swapping them is an automorphism, and it fixes
-                    # every vertex individualised above this level
-                    swap = list(range(n))
-                    swap[v], swap[w] = w, v
-                    sigma = tuple(swap)
-                else:
-                    sigma = leaf_search(node, w, depth)
+                sigma = leaf_search(node, w, depth)
                 if sigma is not None:
                     generators.append(sigma)
                     for x in range(n):
                         _union(orbit, x, sigma[x])
-    except _NodeCapHit:
+    except _WorkCapHit:
         return ()
     return tuple(generators)
 
 
-def orbit_minima(supports, generators) -> list:
+def orbit_minima(n: int, supports, generators) -> list:
     """The supports that are least in their orbit under the group the
     generators generate, in the given order.
 
-    `supports` are sorted vertex tuples listed in increasing order, and the
-    list must be closed under the group (all k-sets for some k, say).  A
-    union-find joins each support to its image under every generator; each
-    class keeps its least index, which is its least support."""
+    `supports` are sorted tuples of vertices in range(n), listed in
+    increasing order, and with one k-tuple the list holds all C(n, k) of
+    them, so it is closed under the group.  Walking the list, a support not
+    yet seen is least in its orbit, since a smaller member would have been
+    met first; its orbit, the closure under the generators, is then marked
+    seen.  The marks of the k-tuples are one bytearray, indexed by
+    lexicographic rank."""
     if not generators:
         return list(supports)
-    index = {s: i for i, s in enumerate(supports)}
-    parent = list(range(len(supports)))
-    for i, s in enumerate(supports):
-        for p in generators:
-            _union(parent, i, index[tuple(sorted([p[x] for x in s]))])
-    return [s for i, s in enumerate(supports) if _find(parent, i) == i]
+    top = max(map(len, supports), default=0)
+    # rows[k][i][x] == C(n - 1 - x, k - i), and the k-tuple t ranks
+    # C(n, k) - 1 - sum_i rows[k][i][t[i]] among the k-tuples in
+    # lexicographic order
+    below = [[comb(n - 1 - x, j) for x in range(n)] for j in range(top + 1)]
+    rows = [below[k:0:-1] for k in range(top + 1)]
+    last = [comb(n, k) - 1 for k in range(top + 1)]
+    seen = {k: bytearray(last[k] + 1) for k in set(map(len, supports))}
+
+    def rank(t):
+        return last[len(t)] - sum(map(getitem, rows[len(t)], t))
+
+    kept = []
+    for s in supports:
+        mark = seen[len(s)]
+        r = rank(s)
+        if mark[r]:
+            continue
+        kept.append(s)
+        mark[r] = 1
+        orbit = [s]
+        for t in orbit:
+            for p in generators:
+                image = sorted([p[x] for x in t])
+                r = rank(image)
+                if not mark[r]:
+                    mark[r] = 1
+                    orbit.append(image)
+    return kept
 
 
 # -- generators ---------------------------------------------------------------

@@ -423,8 +423,8 @@ def pairing_property_bounded_search(
     first failing profile P has one: if an automorphism s maps its support
     S below S, then s(P) also fails and comes before P."""
     aux = {}
-    group = g.automorphisms()
-    for profile, f in profile_sweep(g, max_support, max_mult, even_only=True, group=group):
+    sweep = profile_sweep(g, max_support, max_mult, even_only=True, group=g.automorphisms)
+    for profile, f in sweep:
         u = f.index(min(f))
         if u not in aux:
             aux[u] = auxiliary_graph(g, u)
@@ -524,7 +524,7 @@ def _orbit_least_vertices(g: Graph):
     increasing order.  The group is computed only once a second vertex is
     asked for."""
     yield 0
-    supports = orbit_minima([(v,) for v in g.vertices()], g.automorphisms())
+    supports = orbit_minima(g.n, [(v,) for v in g.vertices()], g.automorphisms())
     yield from (v for (v,) in supports[1:])
 
 

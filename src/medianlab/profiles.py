@@ -155,26 +155,28 @@ def count_canonical_profiles(n: int, max_support: int, max_mult: int,
 
 def canonical_profiles(n: int, max_support: int, max_mult: int,
                        even_only: bool = False, cap: int = 2_000_000,
-                       group=()):
+                       group=None):
     """Yield nonempty profiles in canonical order: supports in lexicographic
     order of their sorted tuples, multiplicity vectors in lexicographic order.
     Raises BudgetError before the first profile when there are more than
     `cap` of them.
 
-    `group` is a generating set of vertex permutations (`Graph.automorphisms`);
+    `group`, when given, is called once the budget check has passed and
+    returns a generating set of vertex permutations (`Graph.automorphisms`);
     only supports least in their orbit under it are visited
-    (`orbit_minima`).  The budget check still counts every profile, and the
-    empty group visits them all."""
+    (`orbit_minima`).  The budget check counts every profile, and without
+    a group, or with the empty one, all of them are visited."""
     if max_support < 1 or max_mult < 1:
         raise InputError("budget must allow at least one vertex")
     count = count_canonical_profiles(n, max_support, max_mult, even_only)
     if count > cap:
         raise BudgetError(f"profile budget {count} exceeds cap {cap}", count=count)
+    generators = group() if group else ()
     s = min(max_support, n)
     supports = sorted(
         (sup for k in range(1, s + 1) for sup in combinations(range(n), k))
     )
-    for sup in orbit_minima(supports, group):
+    for sup in orbit_minima(n, supports, generators):
         for mults in product(range(1, max_mult + 1), repeat=len(sup)):
             if even_only and sum(mults) % 2:
                 continue
@@ -209,7 +211,7 @@ def extend_f_vector(g: Graph, f: list[int], x: int, k: int = 1) -> list[int]:
 
 
 def profile_sweep(g: Graph, max_support: int, max_mult: int,
-                  even_only: bool = False, cap: int = 2_000_000, group=()):
+                  even_only: bool = False, cap: int = 2_000_000, group=None):
     """Yield (profile, f-vector) for every profile of
     canonical_profiles(g.n, ..., group), in its order and under its budget
     check.
@@ -325,18 +327,18 @@ def check_unimodal_equals_connected(
     """
     if p < 1:
         raise InputError(f"power must be >= 1, got {p}")
-    group = g.automorphisms()
     probes = peak_probes(g, p + 1, 2 * p)
     balls = _punctured_balls(g, p)
     failures = {}
-    for profile, f in profile_sweep(g, max_support, max_mult, cap=cap, group=group):
+    sweep = profile_sweep(g, max_support, max_mult, cap=cap, group=g.automorphisms)
+    for profile, f in sweep:
         med = minimizers(f)
         uni = _unimodal(f, balls)
         conn = connected_in_power(g, med, p)
         peak = next(peak_failures(f, probes), None) is None
         if not (uni and conn and peak):
             verdicts = {"unimodal": uni, "connected": conn, "peakless": peak}
-            for counts in profile_orbit(profile, group):
+            for counts in profile_orbit(profile, g.automorphisms()):
                 failures[counts] = verdicts
     checked = count_canonical_profiles(g.n, max_support, max_mult)
     return MedianVerificationReport(p, max_support, max_mult, checked, [

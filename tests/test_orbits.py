@@ -15,6 +15,7 @@ from networkx.algorithms.isomorphism import GraphMatcher
 
 import medianlab.graph as graph_module
 from medianlab.cli import main
+from medianlab.errors import BudgetError
 from medianlab.graph import (
     Graph,
     automorphism_generators,
@@ -155,7 +156,7 @@ def vertex_orbits(g):
     return {frozenset(o) for o in orbit.values()}
 
 
-def test_large_symmetric_graphs_finish_within_the_node_cap():
+def test_large_symmetric_graphs_finish_within_the_work_cap():
     g = generate("hypercube:5")
     assert len(group_closure(g.n, g.automorphisms())) == 3840
     # bn:8 and bhat:8 have 8! * 2 automorphisms, too many to list here
@@ -176,12 +177,16 @@ def test_large_symmetric_graphs_finish_within_the_node_cap():
     assert len(group) == 8 and orbits_of(g.n, group) == expected
 
 
-def test_node_cap_gives_the_trivial_group():
+def test_work_cap_gives_the_trivial_group(monkeypatch):
     for spec in ("cycle:6", "hypercube:3", "bn:4"):
         g = generate(spec)
-        assert automorphism_generators(g, cap=1) == ()
-        assert automorphism_generators(g, cap=3) == ()
-        assert automorphism_generators(g) == g.automorphisms() != ()
+        full = automorphism_generators(g)
+        assert full == g.automorphisms() != ()
+        step = g.n + 2 * len(g.edges())
+        for cap in (1, 3 * step):
+            monkeypatch.setattr(graph_module, "AUTOMORPHISM_WORK_CAP", cap)
+            assert automorphism_generators(g) == ()
+        monkeypatch.undo()
 
 
 def test_orbit_minima_against_explicit_orbits():
@@ -193,8 +198,14 @@ def test_orbit_minima_against_explicit_orbits():
                 s for s in supports
                 if all(tuple(sorted(p[x] for x in s)) >= s for p in group)
             ]
-            assert orbit_minima(supports, g.automorphisms()) == expected
-        assert orbit_minima(supports, ()) == supports
+            assert orbit_minima(g.n, supports, g.automorphisms()) == expected
+        assert orbit_minima(g.n, supports, ()) == supports
+        # several sizes in one list, in the order canonical_profiles uses
+        mixed = sorted(s for k in (1, 2, 3) for s in combinations(range(g.n), k))
+        assert orbit_minima(g.n, mixed, g.automorphisms()) == [
+            s for s in mixed
+            if all(tuple(sorted(p[x] for x in s)) >= s for p in group)
+        ]
 
 
 def test_profile_orbit_is_the_image_under_the_whole_group():
@@ -252,10 +263,15 @@ def assert_unimodal_check_matches(g, p, max_support=3, max_mult=2):
     return len(report.failures)
 
 
+# known failure counts at support 3, mult 2, power 1
+FAILURE_COUNTS = {"cycle:5": 130, "cycle:7": 378, "kmn:2,3": 5}
+
+
 @pytest.mark.parametrize("spec", SEARCH_GRAPHS)
 def test_reduced_unimodal_check_matches_full_enumeration_on_named_graphs(spec):
-    for p in (1, 2):
-        assert_unimodal_check_matches(generate(spec), p)
+    failures = [assert_unimodal_check_matches(generate(spec), p) for p in (1, 2)]
+    if spec in FAILURE_COUNTS:
+        assert failures[0] == FAILURE_COUNTS[spec]
 
 
 def test_reduced_unimodal_check_matches_full_enumeration_on_random_graphs():
@@ -264,12 +280,6 @@ def test_reduced_unimodal_check_matches_full_enumeration_on_random_graphs():
         for p in (1, 2):
             failures += assert_unimodal_check_matches(g, p)
     assert failures > 500
-
-
-def test_orbit_expansion_lists_every_failure():
-    # known failure counts at support 3, mult 2, power 1
-    for spec, count in (("cycle:5", 130), ("cycle:7", 378), ("kmn:2,3", 5)):
-        assert assert_unimodal_check_matches(generate(spec), 1) == count
 
 
 def test_verify_connected_medians_stdout_is_pinned(capsys):
@@ -307,7 +317,19 @@ def test_reduced_double_pairing_matches_every_vertex_scan():
     assert failing > 5
 
 
-def test_trivial_group_under_the_node_cap_leaves_verdicts_unchanged(monkeypatch):
+def test_over_budget_searches_raise_before_the_group_search(monkeypatch):
+    def no_group(self):
+        raise AssertionError("group computed before the budget check")
+
+    monkeypatch.setattr(Graph, "automorphisms", no_group)
+    g = generate("cycle:40")
+    with pytest.raises(BudgetError):
+        check_unimodal_equals_connected(g, 1, 6, 2, cap=1000)
+    with pytest.raises(BudgetError):
+        pairing_property_bounded_search(g, 6, 2)
+
+
+def test_trivial_group_under_the_work_cap_leaves_verdicts_unchanged(monkeypatch):
     specs = ("cycle:7", "kmn:2,3", "hypercube:3", "grid:3,3")
     before = {}
     for spec in specs:
@@ -318,7 +340,7 @@ def test_trivial_group_under_the_node_cap_leaves_verdicts_unchanged(monkeypatch)
             pairing_property_bounded_search(g, 3, 2),
             double_pairing_property(g).as_dict() if g.n <= 8 else None,
         )
-    monkeypatch.setattr(graph_module, "AUTOMORPHISM_NODE_CAP", 2)
+    monkeypatch.setattr(graph_module, "AUTOMORPHISM_WORK_CAP", 2)
     for spec in specs:
         g = generate(spec)
         assert g.automorphisms() == ()
