@@ -23,6 +23,9 @@ from .profiles import (
 )
 from .report import Report
 
+# default cap on the profiles check (d) of `verify_benzenoid_properties` visits
+VERIFY_PROFILE_CAP = 500_000
+
 _CORNERS = ((0, 2), (1, 1), (1, -1), (0, -2), (-1, -1), (-1, 1))
 _CELL_NEIGHBORS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))
 
@@ -210,7 +213,7 @@ class BenzenoidReport(Report):
 
 
 def verify_benzenoid_properties(
-    b: Benzenoid, max_support: int, max_mult: int, cap: int = 500_000
+    b: Benzenoid, max_support: int, max_mult: int, cap: int = VERIFY_PROFILE_CAP
 ) -> BenzenoidReport:
     """Finite checks behind the benzenoid consensus results.
 

@@ -29,12 +29,13 @@ from . import hypergraphs as hg
 from . import pairing as pr
 from . import profiles as pf
 from .classify import classify as classify_graph
+from .combinatorics import STABLE_SET_CAP
 from .errors import BudgetError, FormatError, InputError
 from .graph import Graph, generate, generator_names
 from .report import jsonable
 
 # Exceptions that mean "usage, format or budget error": exit 2 with a JSON body.
-USAGE_ERRORS = (InputError, FormatError, BudgetError, OSError, json.JSONDecodeError)
+USAGE_ERRORS = (InputError, FormatError, BudgetError, OSError)
 
 
 def _failure(exc: Exception) -> tuple[dict, int]:
@@ -260,7 +261,12 @@ def _corpus_argv(entry) -> list:
 
 
 def cmd_corpus(args):
-    manifest = json.loads(_read_text(args.manifest))
+    try:
+        manifest = json.loads(_read_text(args.manifest))
+    except (ValueError, RecursionError) as exc:
+        # bad JSON (JSONDecodeError is a ValueError), an integer too long to
+        # convert, or nesting deeper than the decoder's recursion limit
+        raise FormatError(str(exc)) from None
     entries = manifest.get("entries", []) if isinstance(manifest, dict) else None
     if not isinstance(entries, list):
         raise FormatError("corpus manifest needs an 'entries' list")
@@ -318,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--power", type=int, default=1)
     p.add_argument("--support", type=int, required=True)
     p.add_argument("--mult", type=int, required=True)
-    p.add_argument("--cap", type=int, default=2_000_000)
+    p.add_argument("--cap", type=int, default=pf.PROFILE_CAP)
 
     p = sub.add_parser("pairing")
     psub = p.add_subparsers(dest="sub", required=True)
@@ -331,14 +337,14 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--mult", type=int, required=True)
     q = _leaf(psub, "double", cmd_pairing_double)
     q.add_argument("target")
-    q.add_argument("--cap", type=int, default=1 << 20)
+    q.add_argument("--cap", type=int, default=STABLE_SET_CAP)
     q = _leaf(psub, "local", cmd_pairing_local)
     q.add_argument("target")
     q.add_argument("--vertex", type=int, required=True)
     q.add_argument("--variant", choices=("double", "single"), default="double")
     q.add_argument("--support", type=int, default=None)
     q.add_argument("--mult", type=int, default=None)
-    q.add_argument("--cap", type=int, default=1 << 20)
+    q.add_argument("--cap", type=int, default=STABLE_SET_CAP)
 
     p = sub.add_parser("construct")
     csub = p.add_subparsers(dest="what", required=True)
@@ -385,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("cells")
     q.add_argument("--support", type=int, required=True)
     q.add_argument("--mult", type=int, required=True)
-    q.add_argument("--cap", type=int, default=500_000)
+    q.add_argument("--cap", type=int, default=bz.VERIFY_PROFILE_CAP)
 
     p = _leaf(sub, "corpus", cmd_corpus)
     p.add_argument("manifest")

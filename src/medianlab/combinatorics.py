@@ -4,6 +4,9 @@ from __future__ import annotations
 
 from .errors import BudgetError
 
+# default cap on the stable sets one enumeration produces
+STABLE_SET_CAP = 1 << 20
+
 
 def adjacency_sets(n, edges):
     """Neighbor sets of the simple graph on 0..n-1 with the given edge list."""
@@ -14,7 +17,7 @@ def adjacency_sets(n, edges):
     return adj
 
 
-def stable_sets(n, adj, exclude=(), cap=1 << 20):
+def stable_sets(n, adj, exclude=(), cap=STABLE_SET_CAP):
     """Yield every nonempty stable set, lexicographically by element list,
     walking an explicit stack so that large sets cannot overflow.
 

@@ -16,6 +16,8 @@ from .profiles import Profile, extend_f_vector, median_set, minimizers
 from .report import Report
 
 AXIOMS = ("A", "B", "C", "T", "Tminus", "T2", "Ek")
+# default cap on the entries of one tabulated consensus function
+TABLE_CAP = 200_000
 
 
 @dataclass
@@ -78,7 +80,7 @@ def _concatenation_pairs(n: int, max_len: int):
                     yield left, right
 
 
-def tabulate_function(g: Graph, max_len: int, fn, cap: int = 200_000) -> TabulatedConsensus:
+def tabulate_function(g: Graph, max_len: int, fn, cap: int = TABLE_CAP) -> TabulatedConsensus:
     """Tabulate fn over every profile key of length 1..max_len.
 
     fn is called once per key, in `profile_keys` order: by length, then
@@ -90,7 +92,7 @@ def tabulate_function(g: Graph, max_len: int, fn, cap: int = 200_000) -> Tabulat
     return TabulatedConsensus(g, max_len, table)
 
 
-def tabulate_median(g: Graph, max_len: int, cap: int = 200_000) -> TabulatedConsensus:
+def tabulate_median(g: Graph, max_len: int, cap: int = TABLE_CAP) -> TabulatedConsensus:
     """The median function on every profile of length 1..max_len.
 
     Keys arrive in `profile_keys` order, and every key's prefix key[:-1] is
@@ -239,8 +241,26 @@ def _is_alternate(r) -> bool:
     return all(r[0::2]) or all(r[1::2])
 
 
+def _alternate_value(c) -> frozenset[int] | None:
+    """The 6-cycle rule on the count vector c of an alternate profile: the
+    singleton of the smallest index carrying the maximum reduced
+    multiplicity of the positive parity class.  None when c is not
+    alternate, where the rule is the median function."""
+    r = _reduced(c)
+    if not _is_alternate(r):
+        return None
+    cls = (0, 2, 4) if r[0] > 0 else (1, 3, 5)
+    top = max(r[i] for i in cls)
+    return frozenset({min(i for i in cls if r[i] == top)})
+
+
+def _key_counts(key) -> tuple[int, ...]:
+    """The six multiplicities of a sorted table key on the 6-cycle."""
+    return tuple(map(key.count, range(6)))
+
+
 def l6_eval(profile: Profile) -> frozenset[int]:
-    """The alternate-profile consensus rule on the 6-cycle.
+    """The alternate-profile consensus rule on the 6-cycle, from scratch.
 
     When the reduced profile has all three multiplicities of one parity
     class positive, answer the singleton of the smallest index carrying the
@@ -248,19 +268,21 @@ def l6_eval(profile: Profile) -> frozenset[int]:
     """
     if not profile.counts:
         raise InputError("profile must be nonempty")
-    r = _reduced(_c6_counts(profile))
-    if _is_alternate(r):
-        cls = (0, 2, 4) if r[0] > 0 else (1, 3, 5)
-        top = max(r[i] for i in cls)
-        return frozenset({min(i for i in cls if r[i] == top)})
-    return median_set(c6_graph(), profile)
+    return _alternate_value(_c6_counts(profile)) or median_set(c6_graph(), profile)
+
+
+def _l6_from_median(med: TabulatedConsensus) -> TabulatedConsensus:
+    """The 6-cycle rule's table read off the median table of the 6-cycle:
+    each alternate key's value replaced, every other key's kept."""
+    return tabulate_function(
+        med.graph, med.max_len,
+        lambda key: _alternate_value(_key_counts(key)) or med.table[key],
+    )
 
 
 def tabulate_l6(max_len: int) -> TabulatedConsensus:
     """The 6-cycle rule on every profile of length 1..max_len."""
-    return tabulate_function(
-        c6_graph(), max_len, lambda key: l6_eval(Profile.from_vertices(key))
-    )
+    return _l6_from_median(tabulate_median(c6_graph(), max_len))
 
 
 @dataclass
@@ -297,8 +319,8 @@ def verify_l6_is_abc(max_len: int = 6) -> L6Report:
         raise BudgetError(
             f"the divergence witness needs profiles of length 3, got {max_len}"
         )
-    g = c6_graph()
-    table = tabulate_l6(max_len)
+    med = tabulate_median(c6_graph(), max_len)
+    table = _l6_from_median(med)
     failures = []
     res_a = check_axiom(table, "A")
     res_b = check_axiom(table, "B")
@@ -307,19 +329,17 @@ def verify_l6_is_abc(max_len: int = 6) -> L6Report:
         if not res.holds:
             failures.append(res)
 
-    counts = {key: tuple(map(key.count, range(6))) for key in table.table}
+    reduced = {key: _reduced(_key_counts(key)) for key in table.table}
     reduction_ok = True
     for left, right in _concatenation_pairs(6, max_len):
-        merged = tuple(map(add, counts[left], counts[right]))
-        via_reduced = tuple(map(add, _reduced(counts[left]), _reduced(counts[right])))
-        if _reduced(merged) != _reduced(via_reduced):
+        merged = tuple(sorted(left + right))
+        if reduced[merged] != _reduced(tuple(map(add, reduced[left], reduced[right]))):
             reduction_ok = False
             failures.append({"reduction": [left, right]})
 
-    med = tabulate_median(g, max_len)
     non_alt_ok = True
     for key, value in table.table.items():
-        if not _is_alternate(_reduced(counts[key])) and value != med.table[key]:
+        if not _is_alternate(reduced[key]) and value != med.table[key]:
             non_alt_ok = False
             failures.append({"non_alternate_mismatch": key})
 

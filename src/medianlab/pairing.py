@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import tee
 from math import lcm
 
-from .combinatorics import adjacency_sets, maximal_stable_sets, stable_sets
+from .combinatorics import STABLE_SET_CAP, adjacency_sets, maximal_stable_sets, stable_sets
 from .errors import BudgetError, InputError
 from .graph import Graph, orbit_minima
 from .profiles import (
@@ -453,7 +453,7 @@ class MaViolation:
     optimum: Fraction
 
 
-def ma_violation_search(g: Graph, u: int, cap: int = 1 << 20):
+def ma_violation_search(g: Graph, u: int, cap: int = STABLE_SET_CAP):
     """Search for a stable set of A_u whose Hall constraint cuts into Me(u).
 
     For each stable set S the exact LP minimizes b(N(S)) - b(S) over the
@@ -500,7 +500,7 @@ class DoublePairingResult(Report):
     witness: Profile | None = None
 
 
-def double_pairing_property(g: Graph, cap: int = 1 << 20) -> DoublePairingResult:
+def double_pairing_property(g: Graph, cap: int = STABLE_SET_CAP) -> DoublePairingResult:
     """True iff Ma(u) = Me(u) at every vertex.
 
     On failure the violating rational point is scaled to an even integral
@@ -560,7 +560,7 @@ def matching_stable_set_check(
     variant: str,
     max_support: int | None = None,
     max_mult: int | None = None,
-    cap: int = 1 << 20,
+    cap: int = STABLE_SET_CAP,
 ) -> MatchingStableSetResult:
     """Check the (double-)matching-stable-set property of a graph.
 

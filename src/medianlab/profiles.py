@@ -11,6 +11,9 @@ from .errors import BudgetError, FormatError, InputError
 from .graph import Graph, orbit_minima
 from .report import Report
 
+# default cap on the profiles one bounded search may visit
+PROFILE_CAP = 2_000_000
+
 
 @dataclass(frozen=True)
 class Profile:
@@ -154,7 +157,7 @@ def count_canonical_profiles(n: int, max_support: int, max_mult: int,
 
 
 def canonical_profiles(n: int, max_support: int, max_mult: int,
-                       even_only: bool = False, cap: int = 2_000_000,
+                       even_only: bool = False, cap: int = PROFILE_CAP,
                        group=None):
     """Yield nonempty profiles in canonical order: supports in lexicographic
     order of their sorted tuples, multiplicity vectors in lexicographic order.
@@ -211,7 +214,7 @@ def extend_f_vector(g: Graph, f: list[int], x: int, k: int = 1) -> list[int]:
 
 
 def profile_sweep(g: Graph, max_support: int, max_mult: int,
-                  even_only: bool = False, cap: int = 2_000_000, group=None):
+                  even_only: bool = False, cap: int = PROFILE_CAP, group=None):
     """Yield (profile, f-vector) for every profile of
     canonical_profiles(g.n, ..., group), in its order and under its budget
     check.
@@ -314,7 +317,7 @@ def check_unimodal_equals_connected(
     p: int,
     max_support: int,
     max_mult: int,
-    cap: int = 2_000_000,
+    cap: int = PROFILE_CAP,
 ) -> MedianVerificationReport:
     """Exhaustively check, over all budget profiles, that the total distance
     function is unimodal on the p-th power, that the median set is connected

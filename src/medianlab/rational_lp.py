@@ -8,11 +8,12 @@ to minimize: `solve` minimizes one objective, and `minimize_warm` runs
 phase 1 once, since it depends only on the constraints, and starts each
 objective's phase 2 where the previous objective's ended.
 
-Constraints are stored, and results returned, as `Fraction`s.  Inside the
-tableau an entry is a Python `int` while its value is an integer and a
-`Fraction` only when it is not (`_exact`): most entries and most pivots
-of the pairing polytopes are integral, and int arithmetic is far cheaper
-than `Fraction`'s.  The ratio test cross-multiplies instead of dividing,
+Inside the tableau an entry is a Python `int` while its value is an
+integer and a `Fraction` only when it is not (`_exact`): most entries and
+most pivots of the pairing polytopes are integral, and int arithmetic is
+far cheaper than `Fraction`'s.  Constraints and objectives are converted
+to that form once, when they come in (`_entry`), and results are returned
+as `Fraction`s.  The ratio test cross-multiplies instead of dividing,
 so it stays exact on ints.  The values are the same either way, so the
 pivot sequence is too.
 """
@@ -29,9 +30,9 @@ LE, GE, EQ = "<=", ">=", "=="
 
 @dataclass(frozen=True)
 class Constraint:
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int | Fraction, ...]
     sense: str
-    rhs: Fraction
+    rhs: int | Fraction
 
 
 @dataclass
@@ -42,17 +43,18 @@ class RationalLinearSystem:
     num_vars: int
     constraints: list[Constraint] = field(default_factory=list)
 
-    def _dense(self, coeffs) -> tuple[Fraction, ...]:
-        """The coefficients as a tuple of exactly `num_vars` Fractions."""
+    def _dense(self, coeffs) -> tuple[int | Fraction, ...]:
+        """The coefficients as a tuple of exactly `num_vars` entries in the
+        tableau's form (`_entry`)."""
         if len(coeffs) != self.num_vars:
             raise InputError("constraint width does not match variable count")
-        return tuple(_fraction(coeffs[j]) for j in range(self.num_vars))
+        return tuple(_entry(coeffs[j]) for j in range(self.num_vars))
 
     def add(self, coeffs, sense: str, rhs) -> None:
         """Store the row with a negative right-hand side flipped (LE <-> GE)."""
         if sense not in (LE, GE, EQ):
             raise InputError(f"unknown constraint sense {sense!r}")
-        coeffs, rhs = self._dense(coeffs), _fraction(rhs)
+        coeffs, rhs = self._dense(coeffs), _entry(rhs)
         if rhs < 0:
             coeffs = tuple(-c for c in coeffs)
             rhs = -rhs
@@ -106,12 +108,16 @@ class LPResult:
         return self.status != "infeasible"
 
 
-def _fraction(x) -> Fraction:
-    """`x` as a Fraction; a float is refused, since its binary value is
-    rarely the number that was meant (0.1 is 3602879701896397/2**55)."""
+def _entry(x) -> int | Fraction:
+    """`x` in the tableau's form: an int as it is, any other exact number
+    as an int when its value is an integer and as a Fraction otherwise.  A
+    float is refused, since its binary value is rarely the number that was
+    meant (0.1 is 3602879701896397/2**55)."""
+    if type(x) is int:
+        return x
     if isinstance(x, float):
         raise InputError(f"LP entries must be exact (int or Fraction), not float {x!r}")
-    return Fraction(x)
+    return _exact(Fraction(x))
 
 
 def _exact(x):
@@ -135,7 +141,7 @@ class _Tableau:
         return _Tableau(list(self.rows), list(self.basis), self.ncols)
 
     def set_costs(self, cost):
-        cost = [_exact(c) for c in cost]
+        """Reduced costs of `cost`, whose entries are in the tableau's form."""
         obj = [*cost, 0]
         for i, b in enumerate(self.basis):
             cb = cost[b]
@@ -210,8 +216,9 @@ def _eliminate(row, f, support):
 
 def _phase_one(num_vars, constraints):
     """Build the tableau from constraints as `RationalLinearSystem.add`
-    stores them (exactly num_vars wide, right-hand side nonnegative) and
-    drive it to a feasible basis with the artificial columns gone.
+    stores them (exactly num_vars wide, in the tableau's form, right-hand
+    side nonnegative) and drive it to a feasible basis with the artificial
+    columns gone.
 
     Returns (tableau, allowed columns), or None when infeasible.  The
     tableau is only read afterwards: phase two works on a copy.
@@ -224,7 +231,7 @@ def _phase_one(num_vars, constraints):
     rows, basis, art_cols = [], [], []
     slack_at, art_at = num_vars, num_vars + n_slack
     for con in constraints:
-        row = [*map(_exact, con.coeffs), *padding, _exact(con.rhs)]
+        row = [*con.coeffs, *padding, con.rhs]
         if con.sense == LE:
             row[slack_at] = 1
             basis.append(slack_at)

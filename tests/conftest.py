@@ -12,6 +12,7 @@ from itertools import combinations
 
 import networkx as nx
 import pytest
+from hypothesis import settings
 
 from medianlab.graph import (
     Graph,
@@ -119,3 +120,8 @@ def corpus() -> dict[str, Graph]:
         "b4": bn(4),
         "bhat4": bhat(4),
     }
+
+
+# `pytest --hypothesis-profile file-fuzz` runs the file-content fuzz of the
+# exit-code contract (test_cli.py) at 20,000 examples
+settings.register_profile("file-fuzz", max_examples=20_000)

@@ -3,13 +3,14 @@ import importlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import medianlab
@@ -564,3 +565,107 @@ def test_exit_code_contract(argv):
     assert code in (0, 1, 2), argv
     assert out.getvalue().count("\n") == 1, argv  # one line ...
     assert isinstance(json.loads(out.getvalue()), dict), argv  # ... one object
+
+
+# -- exit-code contract fuzz over file contents --------------------------------
+
+FUZZ_GRAPH = "# the 4-cycle\n4 4\n0 1\n0 3\n1 2\n2 3\n"
+FUZZ_FILES = {
+    "graph": FUZZ_GRAPH,
+    "cells": "# naphthalene\n0 0\n1 0\n",
+    "hypergraph": "3 3\n0 1\n1 2\n0 2\n",
+    "table": "2 2\n0 | 0\n1 | 1\n0 0 | 0\n0 1 | 0 1\n1 1 | 1\n",
+    "manifest": json.dumps({"entries": [
+        ["classify", "cycle:4"],
+        {"argv": ["median", "path:3", "--profile", "0 2"]},
+    ]}),
+}
+# every verb that reads a file of each kind; F stands for the file
+FUZZ_VERBS = {
+    "graph": (
+        ["classify", "F"],
+        ["median", "F", "--profile", "0 1"],
+        ["verify-connected-medians", "F", "--support", "2", "--mult", "1"],
+        ["pairing", "check", "F", "--profile", "0 1"],
+        ["pairing", "search", "F", "--support", "2", "--mult", "1"],
+        ["pairing", "double", "F"],
+        ["pairing", "local", "F", "--vertex", "0"],
+        ["consensus", "tabulate-med", "F", "--max-len", "2"],
+        ["consensus", "check", "F", "--axiom", "B", "--max-len", "2"],
+        ["consensus", "compare", "F", "--max-len", "2", "--left", "med", "--right", "med"],
+    ),
+    "cells": (
+        ["benzenoid", "build", "F"],
+        ["benzenoid", "embed", "F"],
+        ["benzenoid", "verify", "F", "--support", "2", "--mult", "1"],
+    ),
+    "hypergraph": (["construct", "incidence", "F"],),
+    "table": (
+        ["consensus", "check", "path:2", "--axiom", "B", "--max-len", "2", "--function", "F"],
+        ["consensus", "compare", "path:2", "--max-len", "2", "--left", "F", "--right", "med"],
+    ),
+    "manifest": (["corpus", "F"],),
+}
+BAD_BYTES = (b"\xff", b"\x00", b"\xc3", b"\xe2\x82", b"\r", b"\t", b"-", b"#", b"|",
+             b"\n", b" ", b"[", b"{", b'"', b":", b",")
+HUGE = (b"99999999999999999999", str(2**64).encode(), b"9" * 5000, b"-1", b"0",
+        b"2049", b"1e3", b"3.5")
+NESTING = (1, 50, 900, 100_000)
+
+
+@st.composite
+def mutated_files(draw):
+    """A file kind, one of its verbs, and the kind's valid file after up to
+    three byte-level mutations: truncation, an inserted bad byte, an
+    integer replaced by a huge or odd one, a line repeated or dropped (the
+    header included), or the whole file wrapped in deep JSON nesting."""
+    kind = draw(st.sampled_from(sorted(FUZZ_FILES)))
+    verb = draw(st.sampled_from(FUZZ_VERBS[kind]))
+    data = FUZZ_FILES[kind].encode()
+    for _ in range(draw(st.integers(0, 3))):
+        op = draw(st.sampled_from(("truncate", "byte", "integer", "repeat", "drop", "nest")))
+        lines = data.splitlines(keepends=True)
+        if op == "truncate":
+            data = data[:draw(st.integers(0, len(data)))]
+        elif op == "byte":
+            i = draw(st.integers(0, len(data)))
+            data = data[:i] + draw(st.sampled_from(BAD_BYTES)) + data[i:]
+        elif op == "integer":
+            runs = list(re.finditer(rb"\d+", data))
+            if runs:
+                run = runs[draw(st.integers(0, len(runs) - 1))]
+                data = data[:run.start()] + draw(st.sampled_from(HUGE)) + data[run.end():]
+        elif op in ("repeat", "drop") and lines:
+            i = draw(st.integers(0, len(lines) - 1))
+            lines[i] = lines[i] * draw(st.integers(2, 4)) if op == "repeat" else b""
+            data = b"".join(lines)
+        elif op == "nest":
+            depth = draw(st.sampled_from(NESTING))
+            data = b"[" * depth + data + b"]" * depth
+    return kind, verb, data
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+# Tier-1 runs at least 300 examples; `--hypothesis-profile file-fuzz`
+# (registered in conftest.py) runs 20,000
+@settings(max_examples=max(300, settings().max_examples), deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(mutated_files())
+@example(("manifest", ["corpus", "F"], b"[" * 100_000 + b"]" * 100_000))
+@example(("manifest", ["corpus", "F"], b'{"entries": [' + b"9" * 5000 + b"]}"))
+@example(("graph", ["classify", "F"], b"2 1\n0 1\n\xff\n"))
+def test_exit_code_contract_over_file_contents(fuzz_dir, case):
+    kind, verb, data = case
+    path = fuzz_dir / kind
+    path.write_bytes(data)
+    argv = [str(path) if word == "F" else word for word in verb]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, data[:200], err.getvalue()[-2000:])
+    assert out.getvalue().count("\n") == 1, argv
+    assert isinstance(json.loads(out.getvalue()), dict), argv

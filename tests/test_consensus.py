@@ -1,6 +1,10 @@
 import tracemalloc
+from pathlib import Path
 
 import pytest
+
+import medianlab.consensus as consensus_module
+import medianlab.profiles as profiles_module
 
 from medianlab.consensus import (
     TabulatedConsensus,
@@ -18,10 +22,13 @@ from medianlab.consensus import (
     tabulate_median,
     verify_l6_is_abc,
 )
+from medianlab.cli import main
 from medianlab.errors import BudgetError, FormatError, InputError
 from medianlab.formats import table_from_text, table_to_text
 from medianlab.graph import complete, cycle, path
 from medianlab.profiles import Profile, median_set
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_tabulate_median_k2():
@@ -189,6 +196,64 @@ def test_verify_l6_report():
     assert report.reduction_identity and report.non_alternate_matches_median
     key, l6_value, med_value = report.divergence_witness
     assert key == (0, 2, 4) and l6_value == {0} and med_value == {0, 2, 4}
+
+
+@pytest.mark.parametrize("max_len", range(1, 7))
+def test_tables_equal_the_from_scratch_evaluators(max_len):
+    """The L6 table is read off the median table; both agree with the
+    single-profile evaluators on every key."""
+    g = c6_graph()
+    l6 = tabulate_l6(max_len)
+    med = tabulate_median(g, max_len)
+    assert len(l6.table) == len(med.table) == table_size(6, max_len)
+    for key in profile_keys(6, max_len):
+        profile = Profile.from_vertices(key)
+        assert l6.table[key] == l6_eval(profile), key
+        assert med.table[key] == median_set(g, profile), key
+
+
+def test_l6_tables_compute_no_median_sets(monkeypatch, capsys):
+    """Building an L6 table reads the median table and calls
+    neither median_set nor f_vector; only l6_eval does."""
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(consensus_module, "median_set",
+                        counted("median_set", consensus_module.median_set))
+    monkeypatch.setattr(profiles_module, "median_set",
+                        counted("median_set", profiles_module.median_set))
+    monkeypatch.setattr(profiles_module, "f_vector",
+                        counted("f_vector", profiles_module.f_vector))
+    tabulate_l6(5)
+    verify_l6_is_abc(5)
+    for argv in (
+        ["consensus", "check", "cycle:6", "--axiom", "C", "--max-len", "4",
+         "--function", "l6"],
+        ["consensus", "compare", "cycle:6", "--max-len", "4",
+         "--left", "med", "--right", "l6"],
+        ["consensus", "verify-l6", "--max-len", "4"],
+    ):
+        assert main(argv) in (0, 1), argv
+    capsys.readouterr()
+    assert calls == []
+    # the counters see the one place the rule meets median_set
+    l6_eval(Profile.parse("0 1"))
+    assert calls == ["median_set", "f_vector"]
+
+
+@pytest.mark.parametrize("argv, code, name", [
+    (["consensus", "verify-l6", "--max-len", "6"], 0, "verify_l6_max6.json"),
+    (["consensus", "compare", "cycle:6", "--max-len", "5",
+      "--left", "med", "--right", "l6"], 1, "compare_c6_med_l6_max5.json"),
+])
+def test_l6_stdout_is_pinned(capsys, argv, code, name):
+    assert main(argv) == code
+    assert capsys.readouterr().out == (DATA / name).read_text()
 
 
 def test_l6_violates_the_triangle2_axioms():

@@ -267,8 +267,13 @@ def test_rows_are_exactly_num_vars_wide_and_stored_normalised():
     system = RationalLinearSystem(2)
     system.add([1, -1], GE, -2)
     assert system.constraints == [Constraint((-1, 1), LE, 2)]
-    stored = system.constraints[0]
-    assert all(type(c) is Fraction for c in (*stored.coeffs, stored.rhs))
+    # rows are stored in the tableau's form: an int, or a Fraction whose
+    # value is not an integer
+    system.add([Fraction(4, 2), Fraction(1, 3)], LE, Fraction(-6, 3))
+    for stored in system.constraints:
+        for c in (*stored.coeffs, stored.rhs):
+            assert type(c) is int or (type(c) is Fraction and c.denominator != 1), c
+    assert system.constraints[1] == Constraint((-2, Fraction(-1, 3)), GE, 2)
     # a float is refused: 0.1 would be read as 3602879701896397/2**55
     system = RationalLinearSystem(1)
     for coeffs, rhs in (([0.1], 3), ([1], 0.3), ([float("nan")], 3), ([np.float64(1)], 3)):
