@@ -10,6 +10,14 @@ condition, and a modular graph is median iff no two vertices at distance 2
 have three common neighbours (an induced K_{2,3}).  A scan over vertex
 triples runs only to name the witness of a flag that fails.
 
+Two verdicts are implied and not scanned for.  Every weakly modular graph
+is meshed (Bandelt & Chepoi 2008; Chalopin, Chepoi, Hirai & Osajda,
+"Weakly modular graphs and nonpositive curvature", Mem. AMS 2020), so
+`classify` runs the meshed scan only when the triangle or the quadrangle
+condition fails.  Every tree is Helly, since the balls of a tree are
+subtrees and subtrees of a tree have the Helly property, so the ball scan
+runs only on graphs with a cycle.
+
 Each recognizer has one private core that returns its first violation, or
 None; the public functions record it as their witness, and `classify`
 calls the cores directly so that shared work is done once.
@@ -213,25 +221,25 @@ def hypergraph_helly_by_triples(ground: range | list, edges: list[frozenset]):
     return why is None, why
 
 
-def _first_column_failure(g: Graph, blocks) -> tuple | None:
+def _first_column_failure(g: Graph, block: list[str]) -> tuple | None:
     """The Berge triple criterion on a family with one block of members per
     vertex, its incidence masks read off the distance columns: bits
-    v*w .. v*w + w - 1 of the mask of x are `blocks[x][d(v,x)]`, a binary
+    v*w .. v*w + w - 1 of the mask of x are `block[d(v,x)]`, a binary
     string of width w, most significant bit first."""
-    masks = [
-        int("".join(map(blocks[x].__getitem__, reversed(g.dist[x]))), 2)
-        for x in range(g.n)
-    ]
+    masks = [int("".join(map(block.__getitem__, reversed(g.dist[x]))), 2) for x in range(g.n)]
     return _berge_failure(masks, masks)
 
 
 def _first_ball_failure(g: Graph) -> tuple | None:
     """Berge failure of the ball family: ball (v, r) is member
-    v*(diam+1) + r and holds x iff d(v,x) <= r."""
+    v*(diam+1) + r and holds x iff d(v,x) <= r.  A connected graph with
+    n - 1 edges is a tree, whose balls are subtrees, so it has none."""
+    if g.edge_count == g.n - 1:
+        return None
     diam = g.diameter
     # bit r is set when a ball of radius r reaches distance k
     block = ["1" * (diam + 1 - k) + "0" * k for k in range(diam + 1)]
-    return _first_column_failure(g, [block] * g.n)
+    return _first_column_failure(g, block)
 
 
 def _first_long_interval_violation(g: Graph) -> tuple | None:
@@ -301,19 +309,31 @@ def bipartite_helly_via_half_balls(g: Graph, witness: list | None = None) -> boo
     two, so member v*(2 diam + 1) holds v alone and member
     v*(2 diam + 1) + 2r - 1 + side holds the vertices of that side within
     distance r of v.
+
+    The side at distance parity r from v has no vertex at distance r + 1,
+    so its half-balls of radii r and r + 1 are one set.  The scan runs on
+    one member per radius, (v, r) = {x : d(v,x) <= r and d(v,x) = r mod 2},
+    and names both half-balls of each picked member in its witness.
     """
     cls0, _ = g.bipartition()
     diam = g.diameter
-    # most significant first, each radius r from diam down to 1 gives bit
-    # 2r (side 1) and bit 2r - 1 (side 0), set on the vertex's side when
-    # r >= k; bit 0, the half-ball (v, 0) = {v}, is set at k = 0 only
-    blocks = [
-        [pair * (diam + 1 - max(k, 1)) + "00" * (max(k, 1) - 1) + "01"[k == 0]
-         for k in range(diam + 1)]
-        for pair in ("01", "10")
+    # bit r is set when r >= k and r - k is even
+    block = [
+        "".join("1" if r >= k and (r - k) % 2 == 0 else "0" for r in range(diam, -1, -1))
+        for k in range(diam + 1)
     ]
-    sides = [blocks[x not in cls0] for x in range(g.n)]
-    return _holds(witness, _first_column_failure(g, sides))
+    found = _first_column_failure(g, block)
+    if found is not None:
+        # a picked member holds two vertices, so r >= 1; its side is v's
+        # for r even and the other side for r odd
+        width = 2 * diam + 1
+        halves = []
+        for m in found:
+            v, r = divmod(m, diam + 1)
+            first = v * width + 2 * r - 1 + ((v not in cls0) ^ r % 2)
+            halves += [first, first + 2] if r < diam else [first]
+        found = tuple(sorted(halves))
+    return _holds(witness, found)
 
 
 def bipartite_helly_via_interval_condition(g: Graph, witness: list | None = None) -> bool:
@@ -343,8 +363,9 @@ def classify(g: Graph) -> ClassReport:
     tc_bad, qc_bad = _first_tc_violation(g), _first_qc_violation(g, pairs)
     modular = g.is_bipartite and qc_bad is None
     median = modular and _first_k23(pairs) is None
+    weakly_modular = tc_bad is None and qc_bad is None
     witnesses = {}
-    if tc_bad is not None or qc_bad is not None:
+    if not weakly_modular:
         witnesses["weakly_modular"] = tc_bad if tc_bad is not None else qc_bad
     if not median:
         no_median, witnesses["median"] = _median_witnesses(g, not modular)
@@ -353,14 +374,15 @@ def classify(g: Graph) -> ClassReport:
     found = {
         "helly": _first_ball_failure(g),
         "bipartite_helly": _first_bipartite_helly_violation(g, witnesses.get("modular")),
-        "meshed": _first_meshed_violation(g, pairs),
+        # a weakly modular graph is meshed
+        "meshed": None if weakly_modular else _first_meshed_violation(g, pairs),
     }
     for key, why in found.items():
         if why is not None:
             witnesses[key] = (why,) if isinstance(why, str) else why
     return ClassReport(
         bipartite=g.is_bipartite,
-        weakly_modular=tc_bad is None and qc_bad is None,
+        weakly_modular=weakly_modular,
         modular=modular,
         median=median,
         helly=found["helly"] is None,

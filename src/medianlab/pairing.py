@@ -31,6 +31,9 @@ from .profiles import (
 from .rational_lp import EQ, GE, LE, RationalLinearSystem
 from .report import Report
 
+# default cap on the search nodes one `maximum_pairing` call may visit
+PAIRING_NODE_CAP = 1 << 17
+
 
 @dataclass(frozen=True)
 class Pairing:
@@ -314,7 +317,7 @@ def has_perfect_pairing(g: Graph, profile: Profile):
     return pairing, u
 
 
-def maximum_pairing(g: Graph, profile: Profile, cap: int = 1 << 17):
+def maximum_pairing(g: Graph, profile: Profile, cap: int = PAIRING_NODE_CAP):
     """Exact maximum-cost pairing by branch and bound.
 
     Pruning uses the weak duality ceiling min_v F(v), a per-element bound

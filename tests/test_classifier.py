@@ -16,6 +16,7 @@ from medianlab.classify import (
     is_meshed,
     is_modular,
 )
+from medianlab.errors import DisconnectedGraphError
 from medianlab.graph import (
     Graph,
     complete,
@@ -27,7 +28,12 @@ from medianlab.graph import (
 )
 from medianlab.hypergraphs import Hypergraph, incidence_graph
 
-from conftest import brute_force_helly, random_connected_bipartite, random_tree
+from conftest import (
+    brute_force_helly,
+    random_connected_bipartite,
+    random_connected_graph,
+    random_tree,
+)
 
 
 def test_tc_vacuous_on_bipartite(corpus):
@@ -126,17 +132,23 @@ def test_bipartite_helly_examples():
     assert is_bipartite_helly(incidence_graph(helly_h).graph)
 
 
-def test_classify_runs_modularity_once(monkeypatch):
-    # the package exports a function named classify over the module
+def _count_calls(monkeypatch, name):
+    """Wrap the classify core `name` so that each call is recorded; the
+    package exports a function named classify over the module."""
     module = importlib.import_module("medianlab.classify")
     calls = []
-    original = module._first_qc_violation
+    original = getattr(module, name)
 
-    def counted(g, pairs):
+    def counted(g, *args):
         calls.append(g)
-        return original(g, pairs)
+        return original(g, *args)
 
-    monkeypatch.setattr(module, "_first_qc_violation", counted)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_classify_runs_modularity_once(monkeypatch):
+    calls = _count_calls(monkeypatch, "_first_qc_violation")
     for g, biphelly_witness in ((cycle(6), (0, 2, 4)), (hypercube(3), (0, 7))):
         calls.clear()
         report = classify(g)
@@ -149,16 +161,80 @@ def test_classify_runs_modularity_once(monkeypatch):
     assert len(calls) == 1 and wit == [(0, 2, 4)]
 
 
+def test_classify_skips_the_implied_scans(monkeypatch):
+    # a weakly modular graph is meshed and a tree is Helly, so classify runs
+    # the meshed scan only on graphs that are not weakly modular and the
+    # ball scan only on graphs that are not trees; the half-ball self-check
+    # of a bipartite graph always runs
+    meshed = _count_calls(monkeypatch, "_first_meshed_violation")
+    columns = _count_calls(monkeypatch, "_first_column_failure")
+    tree = tree_from_parent_list([0, 0, 1, 1, 2, 4])
+    for g, meshed_scans, column_scans in (
+        (hypercube(3), 0, 2),
+        (generate("grid:3,3"), 0, 2),
+        (complete(4), 0, 1),
+        (tree, 0, 1),
+        (cycle(6), 1, 2),
+    ):
+        meshed.clear()
+        columns.clear()
+        report = classify(g)
+        assert (len(meshed), len(columns)) == (meshed_scans, column_scans)
+        assert report.meshed == brute_meshed(g)
+    # on its own, is_helly of a tree reads the same shortcut
+    columns.clear()
+    assert is_helly(tree) and not columns
+
+
+def _connected_labelled_graphs(max_n):
+    """Every connected graph on the vertex set 0..n-1, n <= max_n."""
+    for n in range(1, max_n + 1):
+        pairs = list(combinations(range(n), 2))
+        for bits in range(1 << len(pairs)):
+            try:
+                g = Graph(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
+            except DisconnectedGraphError:
+                continue
+            yield g
+
+
+def test_weakly_modular_is_meshed_and_trees_are_helly(corpus):
+    # the two implications classify reads its verdicts from, against the
+    # full meshed scan and the Berge scan of the explicit ball family
+    graphs = list(_connected_labelled_graphs(5))
+    assert len(graphs) == 772
+    graphs += [generate(spec) for spec in NAMED] + list(corpus.values())
+    rng = random.Random(2020)
+    graphs += [
+        random_connected_graph(rng, rng.randint(6, 10), rng.choice((0.1, 0.25, 0.5)))
+        for _ in range(300)
+    ]
+    seen = set()
+    for g in graphs:
+        tc, qc, _ = check_conditions_tc_qc(g)
+        tree = g.edge_count == g.n - 1
+        meshed = is_meshed(g)
+        balls = [g.ball(v, r) for v in range(g.n) for r in range(g.diameter + 1)]
+        helly, _ = hypergraph_helly_by_triples(range(g.n), balls)
+        if tc and qc:
+            assert meshed, g.edges()
+        if tree:
+            assert helly, g.edges()
+        elif g.is_bipartite:
+            assert not helly, g.edges()
+        report = classify(g)
+        assert (report.meshed, report.helly) == (meshed, helly), g.edges()
+        seen.add((tc and qc, meshed, tree, g.is_bipartite, helly))
+    # weakly modular graphs and graphs that are not meshed; trees, bipartite
+    # non-trees, Helly and non-Helly graphs that are not bipartite
+    assert {(True, True), (False, False)} <= {(w, m) for w, m, *_ in seen}
+    assert {(t, b, h) for *_, t, b, h in seen} == {
+        (True, True, True), (False, True, False), (False, False, True), (False, False, False)
+    }
+
+
 def test_classify_builds_the_pair_list_once(monkeypatch):
-    module = importlib.import_module("medianlab.classify")
-    calls = []
-    original = module._two_apart
-
-    def counted(g):
-        calls.append(g)
-        return original(g)
-
-    monkeypatch.setattr(module, "_two_apart", counted)
+    calls = _count_calls(monkeypatch, "_two_apart")
     for g in (cycle(6), hypercube(3), complete(4), generate("bhat:3")):
         calls.clear()
         classify(g)

@@ -26,6 +26,7 @@ from medianlab.graph import (
 )
 from medianlab.hypergraphs import build_counterexample
 from medianlab.pairing import (
+    PAIRING_NODE_CAP,
     Pairing,
     auxiliary_graph,
     double_pairing_property,
@@ -87,7 +88,7 @@ def test_maximum_pairing_budget():
     with pytest.raises(BudgetError) as info:
         maximum_pairing(cycle(6), heavy)
     assert time.perf_counter() - start < 5
-    assert info.value.count == (1 << 17) + 1
+    assert info.value.count == PAIRING_NODE_CAP + 1
     # this search visits 7 nodes: the cap counts every one of them
     small = Profile.parse("0:2 1:2 3:2")
     with pytest.raises(BudgetError):
