@@ -18,6 +18,13 @@ condition fails.  Every tree is Helly, since the balls of a tree are
 subtrees and subtrees of a tree have the Helly property, so the ball scan
 runs only on graphs with a cycle.
 
+The Berge triple scans, on balls and on half-balls, skip every ground
+triple whose first element shares no member with one of the other two.
+When two elements of a triple share no member, every member holding two
+of its elements holds the third, so the third element's mask covers them
+and the triple cannot fail.  On a bipartite graph no half-ball meets both
+sides, so the half-ball self-check walks about a quarter of the triples.
+
 Each recognizer has one private core that returns its first violation, or
 None; the public functions record it as their witness, and `classify`
 calls the cores directly so that shared work is done once.
@@ -179,15 +186,21 @@ def _berge_failure(ground_masks: list[int], masks) -> tuple | None:
     found for the same third element, then the elements of the lowest
     picked member.  Returns the picked member indices of the first triple
     without one, or None.
+
+    Only triples whose first element shares a member with each of the
+    other two are scanned.  When two elements of a triple share no member,
+    every picked member holds the third, whose own mask then covers the
+    picked mask, so the skipped triples never fail.
     """
     covers = {}  # lowest picked member -> the elements it holds
     last = 0  # the element that covered the previous triple
     hint = [0] * len(ground_masks)  # hint[k]: the last cover found with c = k
     for i, ma in enumerate(ground_masks):
-        for j in range(i + 1, len(ground_masks)):
+        meeting = [k for k in range(i + 1, len(ground_masks)) if ground_masks[k] & ma]
+        for at, j in enumerate(meeting):
             mb = ground_masks[j]
             both, either = ma & mb, ma | mb
-            for k in range(j + 1, len(ground_masks)):
+            for k in meeting[at + 1 :]:
                 picked = both | either & ground_masks[k]
                 if not picked or last & picked == picked:
                     continue

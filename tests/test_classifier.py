@@ -4,6 +4,8 @@ import random
 from itertools import combinations
 from pathlib import Path
 
+import pytest
+
 from medianlab.classify import (
     bipartite_helly_via_half_balls,
     bipartite_helly_via_interval_condition,
@@ -16,6 +18,7 @@ from medianlab.classify import (
     is_meshed,
     is_modular,
 )
+from medianlab.cli import main
 from medianlab.errors import DisconnectedGraphError
 from medianlab.graph import (
     Graph,
@@ -107,6 +110,83 @@ def test_triple_criterion_matches_brute_force():
             for e in picked[1:]:
                 meet &= e
             assert not meet
+
+
+def brute_berge(ground_masks, masks):
+    """The Berge triple criterion by the plain i < j < k loop over the
+    ground incidence masks: the picked member indices of the first triple
+    whose picked mask no mask in `masks` covers, or None."""
+    for a, b, c in combinations(ground_masks, 3):
+        picked = a & b | a & c | b & c
+        if picked and not any(m & picked == picked for m in masks):
+            return tuple(e for e in range(picked.bit_length()) if picked >> e & 1)
+    return None
+
+
+def _incidence(members, elements):
+    """The mask of each element: bit i set when it lies in members[i]."""
+    return [sum(1 << i for i, e in enumerate(members) if x in e) for x in elements]
+
+
+def test_triple_scan_matches_the_plain_loop_on_random_families():
+    # the scan skips triples whose first element shares no member with one
+    # of the others; verdicts and witnesses stay those of the plain loop
+    rng = random.Random(1975)
+    failing = 0
+    seen = dict.fromkeys(("empty member", "idle element", "outside", "disjoint pair"), 0)
+    for _ in range(2000):
+        n = rng.randint(3, 8)
+        universe = range(n + 3)
+        ground = rng.sample(universe, n)  # three elements lie outside
+        density = rng.choice((0.2, 0.35, 0.5))
+        edges = [
+            frozenset(x for x in universe if rng.random() < density)
+            for _ in range(rng.randint(1, 9))
+        ]
+        holds, why = hypergraph_helly_by_triples(ground, edges)
+        elements = sorted(set().union(*edges))
+        ground_masks = _incidence(edges, sorted(ground))
+        expected = brute_berge(ground_masks, _incidence(edges, elements))
+        assert (holds, why) == (expected is None, expected), (ground, edges)
+        failing += not holds
+        seen["empty member"] += frozenset() in edges
+        seen["idle element"] += 0 in ground_masks
+        seen["outside"] += not set(elements) <= set(ground)
+        seen["disjoint pair"] += any(not a & b for a, b in combinations(ground_masks, 2))
+    assert failing >= 300
+    assert min(seen.values()) >= 100, seen
+
+
+def test_ball_and_half_ball_scans_match_the_plain_loop():
+    rng = random.Random(1987)
+    graphs = [generate(spec) for spec in NAMED]
+    graphs += [random_connected_bipartite(rng, max_n=12) for _ in range(200)]
+    failing = 0
+    for g in graphs:
+        diam = g.diameter
+        balls = [g.ball(v, r) for v in range(g.n) for r in range(diam + 1)]
+        masks = _incidence(balls, range(g.n))
+        expected = brute_berge(masks, masks)
+        wit = []
+        assert is_helly(g, wit) == (expected is None), g.edges()
+        assert wit == ([] if expected is None else [expected]), g.edges()
+        if not g.is_bipartite:
+            continue
+        # v alone, then per radius r >= 1 the half-balls on the side of
+        # vertex 0 and on the other side
+        sides = g.bipartition()
+        halves = []
+        for v in range(g.n):
+            halves.append({v})
+            for r in range(1, diam + 1):
+                halves += [{x for x in side if g.d(v, x) <= r} for side in sides]
+        masks = _incidence(halves, range(g.n))
+        expected = brute_berge(masks, masks)
+        wit = []
+        assert bipartite_helly_via_half_balls(g, wit) == (expected is None), g.edges()
+        assert wit == ([] if expected is None else [expected]), g.edges()
+        failing += expected is not None
+    assert failing >= 40
 
 
 def test_classify_matches_golden_reports():
@@ -432,3 +512,15 @@ def test_interval_condition_matches_the_interval_scan():
         if modular:
             verdicts.add(expected is None)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["classify", "grid:14,14"], "classify_grid14x14.json"),
+    (["classify", "tests/data/report_inputs/tree300.graph"], "classify_tree300.json"),
+])
+def test_large_classify_stdout_is_pinned(capsys, monkeypatch, argv, name):
+    # the half-ball self-check at a few hundred vertices, through the CLI
+    root = Path(__file__).parent.parent
+    monkeypatch.chdir(root)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (root / "tests" / "data" / name).read_text()
