@@ -25,6 +25,16 @@ of its elements holds the third, so the third element's mask covers them
 and the triple cannot fail.  On a bipartite graph no half-ball meets both
 sides, so the half-ball self-check walks about a quarter of the triples.
 
+The quadrangle-condition and long-interval scans test layer membership
+on bit masks.  For each source u, `_layers` gives one int per distance k
+whose bit x is set iff d(u,x) = k; the common neighbours of a pair at
+distance 2, and the neighbourhoods, are masks built once per scan.  A
+probe is then one AND: a common neighbour one step closer to u is
+`common & layers[k - 1]`, and the second common neighbour of a fan lies in
+`layers[k - 2]` ANDed with the neighbourhood of every fan member.  The
+loops keep their order, so verdicts and witnesses are those of a scan one
+vertex at a time.
+
 Each recognizer has one private core that returns its first violation, or
 None; the public functions record it as their witness, and `classify`
 calls the cores directly so that shared work is done once.
@@ -66,6 +76,17 @@ def _two_apart(g: Graph) -> list[tuple[int, int, list[int]]]:
     return pairs
 
 
+def _layers(du) -> list[int]:
+    """The distance layers of one source u as bit masks: bit x of entry k
+    is set iff d(u,x) = k, with one empty layer past the last distance."""
+    layers = [0] * (max(du) + 2)
+    for x, k in enumerate(du):
+        layers[k] |= 1 << x
+    return layers
+
+
+# list-based on purpose: its premise never holds on a bipartite graph, and a
+# layer-mask version ran the scan 3x slower on grid:14,14, hypercube:6 and tree300
 def _first_tc_violation(g: Graph) -> tuple | None:
     """First (u, v, w) in lexicographic order with vw an edge, d(u,v) =
     d(u,w) >= 2 and no common neighbour of v and w one step closer to u."""
@@ -86,13 +107,15 @@ def _first_qc_violation(g: Graph, pairs) -> tuple | None:
     """First (u, v, w, z) in lexicographic order with (v, w, common) in the
     `_two_apart` list `pairs`, z a common neighbour one step farther from u
     than v and w, and no common neighbour one step closer."""
+    commons = [(v, w, sum(1 << x for x in common)) for v, w, common in pairs]
     for u, du in enumerate(g.dist):
-        for v, w, common in pairs:
+        layers = _layers(du)
+        for v, w, common in commons:
             k = du[v]
-            if k >= 2 and du[w] == k and not any(du[x] == k - 1 for x in common):
-                z = next((z for z in common if du[z] == k + 1), None)
-                if z is not None:
-                    return u, v, w, z
+            if k >= 2 and du[w] == k and not common & layers[k - 1]:
+                farther = common & layers[k + 1]
+                if farther:
+                    return u, v, w, (farther & -farther).bit_length() - 1
     return None
 
 
@@ -257,20 +280,22 @@ def _first_ball_failure(g: Graph) -> tuple | None:
 
 def _first_long_interval_violation(g: Graph) -> tuple | None:
     """On a modular graph, the first (u, v) with d(u,v) >= 3 whose fan, the
-    neighbours of v inside I(u,v), has no second common neighbour there."""
-    d, adj = g.dist, g.adj
-    for u, du in enumerate(d):
+    neighbours of v inside I(u,v), has no second common neighbour there.
+
+    The second common neighbour lies in layer k-2 of u, k = d(u,v), and is
+    adjacent to the fan, so it is also at distance 2 from v."""
+    adj = g.adj
+    nbr = [sum(1 << x for x in row) for row in adj]
+    for u, du in enumerate(g.dist):
+        layers = _layers(du)
         for v, k in enumerate(du):
             if k < 3:
                 continue
-            dv = d[v]
-            fan = [w for w in adj[v] if du[w] == k - 1]
-            # in a bipartite graph the second common neighbor lies one step
-            # past fan[0] toward u, so at distance k-2 from u and 2 from v
-            if not any(
-                du[x] == k - 2 and dv[x] == 2 and all(d[w][x] == 1 for w in fan)
-                for x in adj[fan[0]]
-            ):
+            meet = layers[k - 2]
+            for w in adj[v]:
+                if du[w] == k - 1:  # w is in the fan
+                    meet &= nbr[w]
+            if not meet:
                 return u, v
     return None
 

@@ -134,22 +134,36 @@ class _Tableau:
         self.basis = basis        # basic column per row
         self.ncols = ncols
         self.obj = [0] * (ncols + 1)  # reduced costs then -value
+        self.cost = [0] * ncols   # the cost vector `obj` is reduced from
 
     def copy(self):
         """A tableau to pivot apart from this one: `pivot` rebinds rows
-        rather than mutating them, so the row list and basis are copied."""
+        rather than mutating them, so the row list and basis are copied.
+        The copy starts from the zero cost vector."""
         return _Tableau(list(self.rows), list(self.basis), self.ncols)
 
     def set_costs(self, cost):
-        """Reduced costs of `cost`, whose entries are in the tableau's form."""
-        obj = [*cost, 0]
-        for i, b in enumerate(self.basis):
-            cb = cost[b]
-            if cb:
-                for j, c in enumerate(self.rows[i]):
-                    if c:
-                        obj[j] -= cb * c
-        self.obj = [_exact(c) for c in obj]
+        """Reduced costs of `cost`, whose entries are in the tableau's form.
+
+        Pivots keep the objective row reduced for the last cost vector, so
+        only the change is added: dc_j for each column j whose cost moved,
+        less dc_j times row i when j is basic in row i.  The values equal a
+        computation from scratch, so the pivot sequence does too.
+        """
+        row_of = {b: i for i, b in enumerate(self.basis)}
+        obj = self.obj
+        for j, (old, new) in enumerate(zip(self.cost, cost)):
+            if old != new:
+                dc = new - old
+                i = row_of.get(j)
+                if i is None:
+                    obj[j] = _exact(obj[j] + dc)
+                else:
+                    # the basic column's own entry nets to zero
+                    for k, c in enumerate(self.rows[i]):
+                        if c and k != j:
+                            obj[k] = _exact(obj[k] - dc * c)
+        self.cost = list(cost)
 
     def pivot(self, r, j):
         row = self.rows[r]

@@ -524,3 +524,91 @@ def test_large_classify_stdout_is_pinned(capsys, monkeypatch, argv, name):
     monkeypatch.chdir(root)
     assert main(argv) == 0
     assert capsys.readouterr().out == (root / "tests" / "data" / name).read_text()
+
+
+# -- the layer-mask scans against the scans one vertex at a time that they
+# replaced, kept here as oracles
+
+
+def _qc_by_lists(g, pairs):
+    for u, du in enumerate(g.dist):
+        for v, w, common in pairs:
+            k = du[v]
+            if k >= 2 and du[w] == k and not any(du[x] == k - 1 for x in common):
+                z = next((z for z in common if du[z] == k + 1), None)
+                if z is not None:
+                    return u, v, w, z
+    return None
+
+
+def _long_interval_by_lists(g):
+    d, adj = g.dist, g.adj
+    for u, du in enumerate(d):
+        for v, k in enumerate(du):
+            if k < 3:
+                continue
+            dv = d[v]
+            fan = [w for w in adj[v] if du[w] == k - 1]
+            if not any(
+                du[x] == k - 2 and dv[x] == 2 and all(d[w][x] == 1 for w in fan)
+                for x in adj[fan[0]]
+            ):
+                return u, v
+    return None
+
+
+def _random_tree_product(rng):
+    """The Cartesian product of three random trees, 8 to 16 vertices in a
+    random order: a median graph with an induced 3-cube, which fails the
+    long-interval condition."""
+    sizes = rng.choice(((2, 2, 2), (2, 2, 3), (2, 3, 2), (3, 2, 2), (2, 2, 4), (4, 2, 2)))
+    trees = [random_tree(rng, k) for k in sizes]
+    cells = [(a, b, c) for a in range(sizes[0]) for b in range(sizes[1]) for c in range(sizes[2])]
+    label = list(range(len(cells)))
+    rng.shuffle(label)
+    index = {cell: label[i] for i, cell in enumerate(cells)}
+    edges = set()
+    for cell in cells:
+        for axis, tree in enumerate(trees):
+            for y in tree.adj[cell[axis]]:
+                other = (*cell[:axis], y, *cell[axis + 1:])
+                edges.add(tuple(sorted((index[cell], index[other]))))
+    return Graph(len(cells), sorted(edges))
+
+
+def test_layer_mask_scans_match_the_list_scans():
+    module = importlib.import_module("medianlab.classify")
+    graphs = list(_connected_labelled_graphs(5)) + [generate(spec) for spec in NAMED]
+    rng = random.Random(2021)
+    hosts = (hypercube(5), generate("grid:5,5"))
+    for i in range(2100):
+        n = rng.randint(6, 16)
+        kind = i % 4
+        if kind == 0:
+            g = random_connected_bipartite(rng, max_n=16)
+            while g.n < 6:
+                g = random_connected_bipartite(rng, max_n=16)
+        elif kind == 1:
+            g = random_connected_graph(rng, n, rng.choice((0.1, 0.2, 0.35)))
+        elif kind == 2:
+            g = _induced_connected(rng, hosts[i % 8 // 4], n)
+        else:
+            g = _random_tree_product(rng)
+        graphs.append(g)
+    assert len(graphs) == 772 + len(NAMED) + 2100
+    failures = {"qc": 0, "long interval": 0, "long interval, modular": 0}
+    bipartite = sum(g.is_bipartite for g in graphs)
+    assert 500 < bipartite < len(graphs) - 500
+    for g in graphs:
+        pairs = module._two_apart(g)
+        qc = _qc_by_lists(g, pairs)
+        assert module._first_qc_violation(g, pairs) == qc, g.edges()
+        long_interval = _long_interval_by_lists(g)
+        assert module._first_long_interval_violation(g) == long_interval, g.edges()
+        failures["qc"] += qc is not None
+        failures["long interval"] += long_interval is not None
+        failures["long interval, modular"] += (
+            long_interval is not None and g.is_bipartite and qc is None
+        )
+    # 654, 1,209 and 536 at this seed
+    assert min(failures.values()) >= 100, failures

@@ -212,6 +212,36 @@ def test_minimize_warm_matches_fresh_solves_on_random_systems():
     assert all(seen.values()), seen
 
 
+def test_set_costs_updates_match_fresh_reduced_costs(monkeypatch):
+    # set_costs adds only the change of the cost vector to the objective
+    # row; after every objective of a warm walk, before and after its
+    # pivots, the row equals the reduced costs computed from scratch
+    warm_updates = 0
+
+    def fresh_obj(tab):
+        ref = FractionTableau(tab.rows, tab.basis, tab.ncols)
+        ref.set_costs(tab.cost)
+        return ref.obj
+
+    def set_costs(tab, cost, set_costs=_Tableau.set_costs):
+        nonlocal warm_updates
+        warm_updates += any(tab.cost)
+        set_costs(tab, cost)
+        assert tab.obj == fresh_obj(tab)
+        assert_exact_entries(tab)
+
+    def run(tab, allowed, run=_Tableau.run):
+        status = run(tab, allowed)
+        assert tab.obj == fresh_obj(tab)  # pivots keep the row current
+        return status
+
+    monkeypatch.setattr(_Tableau, "set_costs", set_costs)
+    monkeypatch.setattr(_Tableau, "run", run)
+    for n, cons, objectives in random_systems(31, 300):
+        assert_warm_matches_fresh(n, cons, objectives)
+    assert warm_updates > 500, warm_updates
+
+
 def test_minimize_warm_fixed_cases():
     # infeasible: every objective reports it
     got = assert_warm_matches_fresh(1, [([1], LE, 1), ([1], GE, 2)], [[1], [-1]])
