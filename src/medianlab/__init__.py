@@ -53,7 +53,6 @@ from .pairing import (
     local_graph,
     ma_violation_search,
     matching_stable_set_check,
-    maximum_pairing,
     me_polytope,
     pairing_property_bounded_search,
 )

@@ -19,20 +19,16 @@ from itertools import tee
 from math import lcm
 
 from .combinatorics import STABLE_SET_CAP, adjacency_sets, maximal_stable_sets, stable_sets
-from .errors import BudgetError, InputError
+from .errors import InputError
 from .graph import Graph, orbit_minima
 from .profiles import (
     Profile,
     canonical_profiles,
-    f_vector,
     median_set,
     profile_sweep,
 )
 from .rational_lp import EQ, GE, LE, RationalLinearSystem
 from .report import Report
-
-# default cap on the search nodes one `maximum_pairing` call may visit
-PAIRING_NODE_CAP = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -315,102 +311,6 @@ def has_perfect_pairing(g: Graph, profile: Profile):
     if pairing is None:
         return None
     return pairing, u
-
-
-def maximum_pairing(g: Graph, profile: Profile, cap: int = PAIRING_NODE_CAP):
-    """Exact maximum-cost pairing by branch and bound.
-
-    Pruning uses the weak duality ceiling min_v F(v), a per-element bound
-    of half the sum of largest available distances, and the cost of a
-    greedy pairing as a starting floor.  The bound is loose once several
-    vertices carry large multiplicities, so the search raises BudgetError
-    once it has visited more than `cap` nodes.
-    """
-    if not profile.is_even:
-        raise InputError("profile must have even total multiplicity")
-    if not profile.counts:
-        return Pairing(()), 0
-    ceiling = min(f_vector(g, profile))
-    d = g.dist
-    best_pairs: list[tuple[int, int]] | None = None
-    need = Counter(dict(profile.counts))
-    chosen: list[tuple[int, int]] = []
-
-    def upper(remaining: Counter) -> int:
-        # twice the attainable remaining cost, at most
-        total = 0
-        support = [v for v, k in remaining.items() if k > 0]
-        for v in support:
-            partners = [w for w in support if w != v or remaining[v] >= 2]
-            if not partners:
-                return -1
-            total += remaining[v] * max(d[v][w] for w in partners)
-        return total
-
-    def greedy() -> int:
-        """Cost of one pairing: the smallest vertex left takes its farthest
-        partner, as many times as both multiplicities allow."""
-        left, total = Counter(need), 0
-        while live := sorted(v for v, k in left.items() if k > 0):
-            a = live[0]
-            b = max((w for w in live if w != a or left[a] >= 2), key=d[a].__getitem__)
-            k = left[a] // 2 if a == b else min(left[a], left[b])
-            left[a] -= k
-            left[b] -= k
-            total += k * d[a][b]
-        return total
-
-    # Starting just below a reachable cost prunes the subtrees that cannot
-    # reach it; the search still ends on the first leaf of maximum cost in
-    # depth-first order, so the returned pairing does not change.
-    best = greedy() - 1
-    nodes = 0
-
-    def frame(cost: int):
-        """Search frame [a, partners, next partner, cost] for the current
-        `need`, or None at a leaf or a pruned node."""
-        nonlocal best, best_pairs, nodes
-        nodes += 1
-        if nodes > cap:
-            raise BudgetError(f"pairing search exceeded cap {cap} nodes", count=nodes)
-        if best == ceiling:
-            return None
-        live = [v for v, k in need.items() if k > 0]
-        if not live:
-            if cost > best:
-                best = cost
-                best_pairs = list(chosen)
-            return None
-        bound = upper(need)
-        if bound < 0 or 2 * cost + bound <= 2 * best:
-            return None
-        a = min(live)
-        return [a, sorted(w for w in live if w != a or need[a] >= 2), 0, cost]
-
-    # Depth-first over an explicit stack, so long profiles cannot overflow
-    # the interpreter stack.
-    root = frame(0)
-    stack = [root] if root else []
-    while stack:
-        a, partners, i, cost = top = stack[-1]
-        if i:  # give back the pair tried last
-            need[a] += 1
-            need[partners[i - 1]] += 1
-            chosen.pop()
-        if i == len(partners):
-            stack.pop()
-            continue
-        b = partners[i]
-        top[2] = i + 1
-        need[a] -= 1
-        need[b] -= 1
-        chosen.append((min(a, b), max(a, b)))
-        child = frame(cost + d[a][b])
-        if child:
-            stack.append(child)
-
-    assert best_pairs is not None
-    return Pairing.from_pairs(best_pairs), best
 
 
 def pairing_property_bounded_search(

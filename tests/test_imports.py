@@ -1,0 +1,39 @@
+"""Every module-level import in the library is used by its own module, so
+what a deletion leaves behind in the import lines is caught."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "medianlab"
+# __init__.py only re-exports
+MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by a module-level import that the module never reads."""
+    tree = ast.parse(source)
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [a.asname or a.name.partition(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [name for name in bound if name not in read]
+
+
+def test_finds_an_unused_import():
+    source = (
+        "from __future__ import annotations\n"
+        "import os, sys\n"
+        "from math import lcm, gcd\n"
+        "print(sys.argv, gcd)\n"
+    )
+    assert unused_imports(source) == ["os", "lcm"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_library_imports_are_used(module):
+    assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []

@@ -1,7 +1,6 @@
 import inspect
 import random
 import sys
-import time
 from fractions import Fraction
 from itertools import islice
 
@@ -26,7 +25,6 @@ from medianlab.graph import (
 )
 from medianlab.hypergraphs import build_counterexample
 from medianlab.pairing import (
-    PAIRING_NODE_CAP,
     Pairing,
     auxiliary_graph,
     double_pairing_property,
@@ -37,7 +35,6 @@ from medianlab.pairing import (
     local_graph,
     ma_violation_search,
     matching_stable_set_check,
-    maximum_pairing,
     me_polytope,
     neighborhood,
     pairing_property_bounded_search,
@@ -57,73 +54,32 @@ def test_pairing_cost_and_covers():
     assert p.covers() == Profile.parse("0 2 3 5")
 
 
-def test_maximum_pairing_examples():
-    k3 = complete(3)
-    doubled = Profile.parse("0:2 1:2 2:2")
-    best, cost = maximum_pairing(k3, doubled)
-    assert cost == 3
-    assert best.pairs == ((0, 1), (0, 2), (1, 2))
-    c6 = cycle(6)
-    p = Profile.parse("1 4")
-    assert maximum_pairing(c6, p)[1] == c6.d(1, 4)
-    q3 = hypercube(3)
-    everyone = Profile.from_vertices(range(8))
-    assert maximum_pairing(q3, everyone)[1] == 12
-    with pytest.raises(InputError):
-        maximum_pairing(c6, Profile.parse("0"))
-
-
-def test_maximum_pairing_deep_profile():
-    # 1500 pairs deep, beyond the default recursion limit
-    best, cost = maximum_pairing(cycle(6), Profile.parse("0:1500 3:1500"))
-    assert cost == 4500
-    assert best.pairs == ((0, 3),) * 1500
-
-
-def test_maximum_pairing_budget():
-    # three heavy vertices defeat the per-element bound; the search stops at
-    # its node cap instead of running for minutes
-    heavy = Profile.parse("0:40 1:40 3:40")
-    start = time.perf_counter()
-    with pytest.raises(BudgetError) as info:
-        maximum_pairing(cycle(6), heavy)
-    assert time.perf_counter() - start < 5
-    assert info.value.count == PAIRING_NODE_CAP + 1
-    # this search visits 7 nodes: the cap counts every one of them
-    small = Profile.parse("0:2 1:2 3:2")
-    with pytest.raises(BudgetError):
-        maximum_pairing(cycle(6), small, cap=6)
-    assert maximum_pairing(cycle(6), small, cap=7) == maximum_pairing(cycle(6), small)
-
-
-def test_maximum_pairing_is_first_optimum_of_enumeration(corpus):
-    # the search returns the lexicographically least optimal pair list,
-    # which is its first optimal leaf in depth-first order
-    for name in ("k3", "c4", "c6", "path5", "k23", "b4"):
-        g = corpus[name]
-        for profile in canonical_profiles(g.n, 3, 3, even_only=True):
-            items = sorted(v for v, k in profile.counts for _ in range(k))
-            if len(items) > 8:
-                continue
-            by_cost = {}
-            for pairs in all_pairings(items):
-                key = tuple(sorted(pairs))
-                by_cost.setdefault(sum(g.d(a, b) for a, b in key), set()).add(key)
-            top = max(by_cost)
-            best, cost = maximum_pairing(g, profile)
-            assert cost == top, (name, profile)
-            assert best.pairs == min(by_cost[top]), (name, profile)
-            assert best.covers() == profile
-
-
-def test_maximum_pairing_matches_brute_force(corpus):
+def test_has_perfect_pairing_matches_brute_force():
+    # the maximum pairing cost reaches min F exactly when has_perfect_pairing
+    # returns a pairing; grid:3,3 and cycle:5 give most of the "no" profiles
+    specs = (
+        "cycle:5", "cycle:6", "complete:4", "kmn:2,3", "grid:3,3",
+        "hypercube:3", "bn:4", "path:5", "tree:0,0,1,1,2",
+    )
+    graphs = {spec: generate(spec) for spec in specs}
     rng = random.Random(5)
-    for g in corpus.values():
-        for _ in range(12):
-            items = sorted(rng.choices(range(g.n), k=rng.choice([2, 4, 6])))
-            profile = Profile.from_vertices(items)
-            _, cost = maximum_pairing(g, profile)
-            assert cost == brute_force_max_pairing(g, items)
+    no = 0
+    for _ in range(3000):
+        spec = rng.choice(specs)
+        g = graphs[spec]
+        items = sorted(rng.choices(range(g.n), k=rng.choice([2, 4, 6, 8])))
+        profile = Profile.from_vertices(items)
+        floor = min(f_vector(g, profile))
+        hit = has_perfect_pairing(g, profile)
+        reaches = brute_force_max_pairing(g, items) == floor
+        assert reaches == (hit is not None), (spec, profile.format())
+        if hit is None:
+            no += 1
+            continue
+        pairing, _ = hit
+        assert pairing.covers() == profile
+        assert pairing.cost(g) == floor
+    assert no >= 100, no
 
 
 def test_auxiliary_graph_examples():
@@ -178,7 +134,19 @@ def test_has_perfect_pairing_examples():
     assert vertex in c6.interval(1, 4)
 
     k3 = complete(3)
-    assert has_perfect_pairing(k3, Profile.parse("0:2 1:2 2:2")) is None
+    doubled = Profile.parse("0:2 1:2 2:2")
+    assert has_perfect_pairing(k3, doubled) is None
+    # the best pairing, (0,1) (0,2) (1,2), costs 3 and min F is 4
+    assert brute_force_max_pairing(k3, [0, 0, 1, 1, 2, 2]) == 3
+    assert min(f_vector(k3, doubled)) == 4
+
+    q3 = hypercube(3)
+    everyone = Profile.from_vertices(range(8))
+    hit = has_perfect_pairing(q3, everyone)
+    assert hit is not None
+    pairing, _ = hit
+    assert pairing.covers() == everyone
+    assert pairing.cost(q3) == 12
 
     k23 = complete_bipartite(2, 3)
     for profile in canonical_profiles(5, 5, 2, even_only=True):
