@@ -134,6 +134,30 @@ def test_has_perfect_pairing_examples():
     assert vertex in c6.interval(1, 4)
 
     k3 = complete(3)
+    assert has_perfect_pairing(k3, Profile.parse("0:2 1:2 2:2")) is None
+
+    k23 = complete_bipartite(2, 3)
+    for profile in canonical_profiles(5, 5, 2, even_only=True):
+        hit = has_perfect_pairing(k23, profile)
+        assert hit is not None
+        pairing, vertex = hit
+        # strong duality: the pairing cost reaches the minimum of F
+        assert pairing.cost(k23) == min(f_vector(k23, profile))
+        assert all(vertex in k23.interval(a, b) for a, b in pairing.pairs)
+
+    with pytest.raises(InputError):
+        has_perfect_pairing(k3, Profile.parse("0"))
+
+
+def test_maximum_pairing_examples():
+    # known maximum pairing costs; where a perfect pairing exists its cost is
+    # the maximum, and where none does the maximum falls short of min F
+    c6 = cycle(6)
+    hit = has_perfect_pairing(c6, Profile.parse("1 4"))
+    assert hit is not None
+    assert hit[0].cost(c6) == c6.d(1, 4) == 3
+
+    k3 = complete(3)
     doubled = Profile.parse("0:2 1:2 2:2")
     assert has_perfect_pairing(k3, doubled) is None
     # the best pairing, (0,1) (0,2) (1,2), costs 3 and min F is 4
@@ -147,18 +171,10 @@ def test_has_perfect_pairing_examples():
     pairing, _ = hit
     assert pairing.covers() == everyone
     assert pairing.cost(q3) == 12
-
-    k23 = complete_bipartite(2, 3)
-    for profile in canonical_profiles(5, 5, 2, even_only=True):
-        hit = has_perfect_pairing(k23, profile)
-        assert hit is not None
-        pairing, vertex = hit
-        # strong duality: the pairing cost reaches the minimum of F
-        assert pairing.cost(k23) == min(f_vector(k23, profile))
-        assert all(vertex in k23.interval(a, b) for a, b in pairing.pairs)
+    assert brute_force_max_pairing(q3, list(range(8))) == 12
 
     with pytest.raises(InputError):
-        has_perfect_pairing(k3, Profile.parse("0"))
+        has_perfect_pairing(c6, Profile.parse("0"))
 
 
 def test_weak_duality_random(corpus):
