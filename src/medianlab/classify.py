@@ -25,15 +25,18 @@ of its elements holds the third, so the third element's mask covers them
 and the triple cannot fail.  On a bipartite graph no half-ball meets both
 sides, so the half-ball self-check walks about a quarter of the triples.
 
-The quadrangle-condition and long-interval scans test layer membership
-on bit masks.  For each source u, `_layers` gives one int per distance k
-whose bit x is set iff d(u,x) = k; the common neighbours of a pair at
-distance 2, and the neighbourhoods, are masks built once per scan.  A
-probe is then one AND: a common neighbour one step closer to u is
-`common & layers[k - 1]`, and the second common neighbour of a fan lies in
-`layers[k - 2]` ANDed with the neighbourhood of every fan member.  The
-loops keep their order, so verdicts and witnesses are those of a scan one
-vertex at a time.
+The quadrangle condition and the long-interval condition are tested in
+one pass over the sources, on bit masks.  For each source u, `_layers`
+gives one int per distance k whose bit x is set iff d(u,x) = k; the
+common neighbours of a pair at distance 2, and the neighbourhoods, are
+masks built once per pass.  A probe is then one AND: a common neighbour
+one step closer to u is `common & layers[k - 1]`, and the second common
+neighbour of a fan lies in `layers[k - 2]` ANDed with the neighbourhood of
+every fan member.  The qc probes of a source run first and the pass ends
+at the first qc violation; the long-interval probes run only on a
+bipartite graph and only until their first violation.  The loops keep
+their order, so verdicts and witnesses are those of two scans one vertex
+at a time.
 
 Each recognizer has one private core that returns its first violation, or
 None; the public functions record it as their witness, and `classify`
@@ -103,11 +106,26 @@ def _first_tc_violation(g: Graph) -> tuple | None:
     )
 
 
-def _first_qc_violation(g: Graph, pairs) -> tuple | None:
-    """First (u, v, w, z) in lexicographic order with (v, w, common) in the
-    `_two_apart` list `pairs`, z a common neighbour one step farther from u
-    than v and w, and no common neighbour one step closer."""
+def _first_layer_violations(g: Graph, pairs) -> tuple:
+    """(first qc violation, first long-interval violation) from one pass
+    over the sources that builds the layers of each source once.
+
+    A qc violation is (u, v, w, z) with (v, w, common) in the `_two_apart`
+    list `pairs`, z a common neighbour one step farther from u than v and
+    w, and no common neighbour one step closer; the pass returns at the
+    first one in lexicographic order, with None as the second entry.
+
+    On a bipartite graph the second entry is the first (u, v) with
+    d(u,v) >= 3 whose fan, the neighbours of v inside I(u,v), has no second
+    common neighbour there; it decides bipartite Hellyness only on a
+    modular graph.  The second common neighbour lies in layer k-2 of u,
+    k = d(u,v), and is adjacent to the fan, so it is also at distance 2
+    from v.  On a graph that is not bipartite the entry is None.
+    """
+    adj = g.adj
     commons = [(v, w, sum(1 << x for x in common)) for v, w, common in pairs]
+    nbr = [sum(1 << x for x in row) for row in adj]
+    long_interval = None
     for u, du in enumerate(g.dist):
         layers = _layers(du)
         for v, w, common in commons:
@@ -115,14 +133,20 @@ def _first_qc_violation(g: Graph, pairs) -> tuple | None:
             if k >= 2 and du[w] == k and not common & layers[k - 1]:
                 farther = common & layers[k + 1]
                 if farther:
-                    return u, v, w, (farther & -farther).bit_length() - 1
-    return None
-
-
-def _first_modular_violation(g: Graph, pairs) -> tuple | str | None:
-    """The string "not bipartite", the first quadrangle-condition violation,
-    or None when the graph is modular."""
-    return _first_qc_violation(g, pairs) if g.is_bipartite else "not bipartite"
+                    return (u, v, w, (farther & -farther).bit_length() - 1), None
+        if long_interval is not None or not g.is_bipartite:
+            continue
+        for v, k in enumerate(du):
+            if k < 3:
+                continue
+            meet = layers[k - 2]
+            for w in adj[v]:
+                if du[w] == k - 1:  # w is in the fan
+                    meet &= nbr[w]
+            if not meet:
+                long_interval = u, v
+                break
+    return None, long_interval
 
 
 def _first_k23(pairs) -> tuple | None:
@@ -156,13 +180,25 @@ def _median_witnesses(g: Graph, find_modular: bool) -> tuple:
     return (not_one if not medians else next(t for t, m in walk if not m)), not_one
 
 
+def _first_interval_violations(g: Graph) -> tuple:
+    """(first triple without a median, first interval-condition violation),
+    both None on a bipartite Helly graph.  A graph is modular iff it is
+    bipartite with no qc violation; the interval condition then fails first
+    at a long interval, and otherwise at the triple without a median."""
+    qc_bad, long_bad = _first_layer_violations(g, _two_apart(g))
+    if g.is_bipartite and qc_bad is None:
+        return None, long_bad
+    no_median = _median_witnesses(g, True)[0]
+    return no_median, no_median
+
+
 def check_conditions_tc_qc(g: Graph):
     """Scan the triangle and quadrangle condition premises exhaustively.
 
     Returns (tc_holds, qc_holds, witnesses) where witnesses maps 'tc'/'qc'
     to the first violating vertex tuple in lexicographic order.
     """
-    found = {"tc": _first_tc_violation(g), "qc": _first_qc_violation(g, _two_apart(g))}
+    found = {"tc": _first_tc_violation(g), "qc": _first_layer_violations(g, _two_apart(g))[0]}
     witnesses = {key: why for key, why in found.items() if why is not None}
     return found["tc"] is None, found["qc"] is None, witnesses
 
@@ -177,11 +213,7 @@ def _holds(witness: list | None, found) -> bool:
 def is_modular(g: Graph, witness: list | None = None) -> bool:
     """Every vertex triple has a median: the graph is bipartite and satisfies
     the quadrangle condition.  The witness is the first triple without one."""
-    if _first_modular_violation(g, _two_apart(g)) is None:
-        return True
-    if witness is not None:
-        witness.append(_median_witnesses(g, True)[0])
-    return False
+    return _holds(witness, _first_interval_violations(g)[0])
 
 
 def is_median_graph(g: Graph, witness: list | None = None) -> bool:
@@ -191,7 +223,8 @@ def is_median_graph(g: Graph, witness: list | None = None) -> bool:
     repeated vertex always has exactly one.
     """
     pairs = _two_apart(g)
-    if _first_modular_violation(g, pairs) is None and _first_k23(pairs) is None:
+    modular = g.is_bipartite and _first_layer_violations(g, pairs)[0] is None
+    if modular and _first_k23(pairs) is None:
         return True
     if witness is not None:
         witness.append(_median_witnesses(g, False)[1])
@@ -278,39 +311,16 @@ def _first_ball_failure(g: Graph) -> tuple | None:
     return _first_column_failure(g, block)
 
 
-def _first_long_interval_violation(g: Graph) -> tuple | None:
-    """On a modular graph, the first (u, v) with d(u,v) >= 3 whose fan, the
-    neighbours of v inside I(u,v), has no second common neighbour there.
-
-    The second common neighbour lies in layer k-2 of u, k = d(u,v), and is
-    adjacent to the fan, so it is also at distance 2 from v."""
-    adj = g.adj
-    nbr = [sum(1 << x for x in row) for row in adj]
-    for u, du in enumerate(g.dist):
-        layers = _layers(du)
-        for v, k in enumerate(du):
-            if k < 3:
-                continue
-            meet = layers[k - 2]
-            for w in adj[v]:
-                if du[w] == k - 1:  # w is in the fan
-                    meet &= nbr[w]
-            if not meet:
-                return u, v
-    return None
-
-
-def _first_bipartite_helly_violation(g: Graph, no_median: tuple | None):
+def _first_bipartite_helly_violation(g: Graph, found: tuple | None):
     """Decide bipartite Hellyness two independent ways and insist they agree.
 
-    `no_median` is the first triple without a median, None on a modular
-    graph; the interval condition reports it before the long intervals.
-    The result is "not bipartite", a violation or None.
+    `found` is the first interval-condition violation, None when the
+    condition holds; the half-ball test must agree with it.  The result is
+    "not bipartite", `found` or None.
     """
     if not g.is_bipartite:
         return "not bipartite"
     by_half_balls = bipartite_helly_via_half_balls(g)
-    found = no_median if no_median is not None else _first_long_interval_violation(g)
     by_intervals = found is None
     if by_half_balls != by_intervals:
         raise RuntimeError(
@@ -377,17 +387,13 @@ def bipartite_helly_via_half_balls(g: Graph, witness: list | None = None) -> boo
 def bipartite_helly_via_interval_condition(g: Graph, witness: list | None = None) -> bool:
     """Modularity plus the long-interval condition: for d(u,v) >= 3 the
     neighbors of v inside I(u,v) must have a second common neighbor there."""
-    buf: list = []
-    modular = is_modular(g, buf)
-    return _holds(witness, _first_long_interval_violation(g) if modular else buf[0])
+    return _holds(witness, _first_interval_violations(g)[1])
 
 
 def is_bipartite_helly(g: Graph, witness: list | None = None) -> bool:
     """Decide bipartite Hellyness two independent ways and insist they agree."""
-    buf: list = []
-    if g.is_bipartite:
-        is_modular(g, buf)
-    return _holds(witness, _first_bipartite_helly_violation(g, buf[0] if buf else None))
+    found = _first_interval_violations(g)[1] if g.is_bipartite else None
+    return _holds(witness, _first_bipartite_helly_violation(g, found))
 
 
 def is_meshed(g: Graph, witness: list | None = None) -> bool:
@@ -398,7 +404,7 @@ def is_meshed(g: Graph, witness: list | None = None) -> bool:
 
 def classify(g: Graph) -> ClassReport:
     pairs = _two_apart(g)
-    tc_bad, qc_bad = _first_tc_violation(g), _first_qc_violation(g, pairs)
+    tc_bad, (qc_bad, long_bad) = _first_tc_violation(g), _first_layer_violations(g, pairs)
     modular = g.is_bipartite and qc_bad is None
     median = modular and _first_k23(pairs) is None
     weakly_modular = tc_bad is None and qc_bad is None
@@ -411,7 +417,9 @@ def classify(g: Graph) -> ClassReport:
             witnesses["modular"] = no_median
     found = {
         "helly": _first_ball_failure(g),
-        "bipartite_helly": _first_bipartite_helly_violation(g, witnesses.get("modular")),
+        "bipartite_helly": _first_bipartite_helly_violation(
+            g, witnesses.get("modular", long_bad)
+        ),
         # a weakly modular graph is meshed
         "meshed": None if weakly_modular else _first_meshed_violation(g, pairs),
     }

@@ -278,7 +278,11 @@ def cmd_corpus(args):
             argv = _corpus_argv(entry)
             # a --help entry prints its text to stderr, keeping stdout one report
             with contextlib.redirect_stdout(sys.stderr):
-                body, code = run([str(a) for a in argv])
+                args = build_parser().parse_args([str(a) for a in argv])
+                # a corpus inside a corpus could name itself and recurse without end
+                if args.handler is cmd_corpus:
+                    raise InputError(f"corpus entry {argv!r} nests a corpus run")
+                body, code = args.handler(args)
         except SystemExit:  # --help
             body, code = {"error": f"unusable command line {argv!r}"}, 2
         except Exception as exc:

@@ -228,12 +228,18 @@ def _count_calls(monkeypatch, name):
 
 
 def test_classify_runs_modularity_once(monkeypatch):
-    calls = _count_calls(monkeypatch, "_first_qc_violation")
+    calls = _count_calls(monkeypatch, "_first_layer_violations")
     for g, biphelly_witness in ((cycle(6), (0, 2, 4)), (hypercube(3), (0, 7))):
         calls.clear()
         report = classify(g)
         assert len(calls) == 1
         assert report.witnesses["bipartite_helly"] == biphelly_witness
+    # the qc and long-interval probes share the layers of each source
+    layers = _count_calls(monkeypatch, "_layers")
+    for g in (hypercube(3), generate("grid:3,3")):
+        layers.clear()
+        classify(g)
+        assert len(layers) == g.n
     # on its own, the interval condition still tests modularity itself
     calls.clear()
     wit = []
@@ -517,9 +523,12 @@ def test_interval_condition_matches_the_interval_scan():
 @pytest.mark.parametrize("argv, name", [
     (["classify", "grid:14,14"], "classify_grid14x14.json"),
     (["classify", "tests/data/report_inputs/tree300.graph"], "classify_tree300.json"),
+    (["pairing", "double", "tests/data/report_inputs/pairing_counterexample.graph"],
+     "pairing_counterexample_double.json"),
 ])
 def test_large_classify_stdout_is_pinned(capsys, monkeypatch, argv, name):
-    # the half-ball self-check at a few hundred vertices, through the CLI
+    # the half-ball self-check at a few hundred vertices, through the CLI, and
+    # the slowest exact-LP path, `pairing double` on the counterexample graph
     root = Path(__file__).parent.parent
     monkeypatch.chdir(root)
     assert main(argv) == 0
@@ -596,19 +605,18 @@ def test_layer_mask_scans_match_the_list_scans():
             g = _random_tree_product(rng)
         graphs.append(g)
     assert len(graphs) == 772 + len(NAMED) + 2100
-    failures = {"qc": 0, "long interval": 0, "long interval, modular": 0}
+    failures = {"qc": 0, "long interval, modular": 0}
     bipartite = sum(g.is_bipartite for g in graphs)
     assert 500 < bipartite < len(graphs) - 500
     for g in graphs:
         pairs = module._two_apart(g)
         qc = _qc_by_lists(g, pairs)
-        assert module._first_qc_violation(g, pairs) == qc, g.edges()
-        long_interval = _long_interval_by_lists(g)
-        assert module._first_long_interval_violation(g) == long_interval, g.edges()
+        # the long-interval probes run only on a bipartite graph, and the
+        # pass ends at the first qc violation
+        modular = g.is_bipartite and qc is None
+        long_interval = _long_interval_by_lists(g) if modular else None
+        assert module._first_layer_violations(g, pairs) == (qc, long_interval), g.edges()
         failures["qc"] += qc is not None
-        failures["long interval"] += long_interval is not None
-        failures["long interval, modular"] += (
-            long_interval is not None and g.is_bipartite and qc is None
-        )
-    # 654, 1,209 and 536 at this seed
+        failures["long interval, modular"] += long_interval is not None
+    # 654 and 536 at this seed
     assert min(failures.values()) >= 100, failures

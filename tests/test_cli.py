@@ -495,6 +495,17 @@ def test_corpus_runner(capsys, tmp_path):
     assert code == 2
     assert "entries" in json.loads(out)["error"]
 
+    # a manifest that names itself is a usage error for that entry, not a
+    # recursion that ends in a crash
+    manifest.write_text(
+        json.dumps({"entries": [["corpus", str(manifest)], ["classify", "cycle:6"]]})
+    )
+    code, out, _ = capture(capsys, ["corpus", str(manifest)])
+    assert code == 2
+    runs = json.loads(out)["runs"]
+    assert [r["exit"] for r in runs] == [2, 0]
+    assert "nests a corpus" in runs[0]["report"]["error"]
+
 
 def test_shipped_acceptance_manifest(capsys, monkeypatch):
     import pathlib
