@@ -10,13 +10,24 @@ condition, and a modular graph is median iff no two vertices at distance 2
 have three common neighbours (an induced K_{2,3}).  A scan over vertex
 triples runs only to name the witness of a flag that fails.
 
-Two verdicts are implied and not scanned for.  Every weakly modular graph
-is meshed (Bandelt & Chepoi 2008; Chalopin, Chepoi, Hirai & Osajda,
-"Weakly modular graphs and nonpositive curvature", Mem. AMS 2020), so
-`classify` runs the meshed scan only when the triangle or the quadrangle
-condition fails.  Every tree is Helly, since the balls of a tree are
-subtrees and subtrees of a tree have the Helly property, so the ball scan
-runs only on graphs with a cycle.
+Five verdicts are implied and not scanned for:
+
+- a weakly modular graph is meshed (Bandelt & Chepoi 2008; Chalopin,
+  Chepoi, Hirai & Osajda, "Weakly modular graphs and nonpositive
+  curvature", Mem. AMS 2020), so `classify` runs the meshed scan only when
+  the triangle or the quadrangle condition fails;
+- a tree is Helly: its balls are subtrees, and subtrees of a tree have the
+  Helly property, so the ball scan runs only on graphs with a cycle;
+- a bipartite graph satisfies the triangle condition: an edge joins two
+  distance layers of every source, so the tc premise never holds there;
+- a tree is a median graph and satisfies the long-interval condition: no
+  two of its vertices have two common neighbours and every fan has one
+  member, so a tree runs no layer pass and builds no list of pairs at
+  distance 2;
+- on a modular graph, a fan of one or two members satisfies the
+  long-interval condition: one member has a neighbour one layer closer to
+  the source, and two members have a common one there by qc, so only
+  fans of three or more members are probed.
 
 The Berge triple scans, on balls and on half-balls, skip every ground
 triple whose first element shares no member with one of the other two.
@@ -88,11 +99,21 @@ def _layers(du) -> list[int]:
     return layers
 
 
-# list-based on purpose: its premise never holds on a bipartite graph, and a
-# layer-mask version ran the scan 3x slower on grid:14,14, hypercube:6 and tree300
+def _is_tree(g: Graph) -> bool:
+    """A connected graph with n - 1 edges is a tree."""
+    return g.edge_count == g.n - 1
+
+
+# list-based on purpose: a layer-mask version ran the scan 3x slower on
+# grid:14,14, hypercube:6 and tree300, measured before bipartite graphs returned
+# at once
 def _first_tc_violation(g: Graph) -> tuple | None:
     """First (u, v, w) in lexicographic order with vw an edge, d(u,v) =
-    d(u,w) >= 2 and no common neighbour of v and w one step closer to u."""
+    d(u,w) >= 2 and no common neighbour of v and w one step closer to u.
+    An edge of a bipartite graph joins two layers of every source, so the
+    premise never holds there."""
+    if g.is_bipartite:
+        return None
     d, adj = g.dist, g.adj
     return next(
         (
@@ -120,8 +141,15 @@ def _first_layer_violations(g: Graph, pairs) -> tuple:
     common neighbour there; it decides bipartite Hellyness only on a
     modular graph.  The second common neighbour lies in layer k-2 of u,
     k = d(u,v), and is adjacent to the fan, so it is also at distance 2
-    from v.  On a graph that is not bipartite the entry is None.
+    from v.  Only fans of three or more members are probed: one member has
+    a neighbour in layer k-2, and two members, being at distance 2, have
+    one by qc, which holds wherever the entry is read.  On a graph that is
+    not bipartite the entry is None.
+
+    A tree is a median graph, so on a tree both entries are None at once.
     """
+    if _is_tree(g):
+        return None, None
     adj = g.adj
     commons = [(v, w, sum(1 << x for x in common)) for v, w, common in pairs]
     nbr = [sum(1 << x for x in row) for row in adj]
@@ -139,9 +167,13 @@ def _first_layer_violations(g: Graph, pairs) -> tuple:
         for v, k in enumerate(du):
             if k < 3:
                 continue
+            fan = nbr[v] & layers[k - 1]
+            rest = fan & (fan - 1)  # the fan without its lowest member
+            if not rest & (rest - 1):  # one or two members
+                continue
             meet = layers[k - 2]
             for w in adj[v]:
-                if du[w] == k - 1:  # w is in the fan
+                if fan >> w & 1:
                     meet &= nbr[w]
             if not meet:
                 long_interval = u, v
@@ -222,7 +254,8 @@ def is_median_graph(g: Graph, witness: list | None = None) -> bool:
     is the first distinct triple with no or several medians; a triple with a
     repeated vertex always has exactly one.
     """
-    pairs = _two_apart(g)
+    # a tree is median: no two of its vertices have two common neighbours
+    pairs = [] if _is_tree(g) else _two_apart(g)
     modular = g.is_bipartite and _first_layer_violations(g, pairs)[0] is None
     if modular and _first_k23(pairs) is None:
         return True
@@ -303,7 +336,7 @@ def _first_ball_failure(g: Graph) -> tuple | None:
     """Berge failure of the ball family: ball (v, r) is member
     v*(diam+1) + r and holds x iff d(v,x) <= r.  A connected graph with
     n - 1 edges is a tree, whose balls are subtrees, so it has none."""
-    if g.edge_count == g.n - 1:
+    if _is_tree(g):
         return None
     diam = g.diameter
     # bit r is set when a ball of radius r reaches distance k
@@ -403,7 +436,8 @@ def is_meshed(g: Graph, witness: list | None = None) -> bool:
 
 
 def classify(g: Graph) -> ClassReport:
-    pairs = _two_apart(g)
+    # a tree is median and weakly modular, so no scan reads its pair list
+    pairs = [] if _is_tree(g) else _two_apart(g)
     tc_bad, (qc_bad, long_bad) = _first_tc_violation(g), _first_layer_violations(g, pairs)
     modular = g.is_bipartite and qc_bad is None
     median = modular and _first_k23(pairs) is None

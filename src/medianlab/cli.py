@@ -105,7 +105,7 @@ def cmd_verify_connected_medians(args):
 def cmd_pairing_check(args):
     g = load_graph(args.target)
     profile = pf.Profile.parse(args.profile)
-    hit = pr.has_perfect_pairing(g, profile)
+    hit = pr.has_perfect_pairing(g, profile, cap=args.cap)
     if hit is None:
         return _report(g, {"perfect_pairing": False}, False, witnesses={"profile": profile})
     pairing, vertex = hit
@@ -335,6 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = _leaf(psub, "check", cmd_pairing_check)
     q.add_argument("target")
     q.add_argument("--profile", required=True)
+    q.add_argument("--cap", type=int, default=pr.B_MATCHING_NODE_CAP)
     q = _leaf(psub, "search", cmd_pairing_search)
     q.add_argument("target")
     q.add_argument("--support", type=int, required=True)

@@ -19,7 +19,7 @@ from itertools import tee
 from math import lcm
 
 from .combinatorics import STABLE_SET_CAP, adjacency_sets, maximal_stable_sets, stable_sets
-from .errors import InputError
+from .errors import BudgetError, InputError
 from .graph import Graph, orbit_minima
 from .profiles import (
     Profile,
@@ -29,6 +29,9 @@ from .profiles import (
 )
 from .rational_lp import EQ, GE, LE, RationalLinearSystem
 from .report import Report
+
+# default cap on the search nodes of one integral b-matching search
+B_MATCHING_NODE_CAP = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -116,13 +119,15 @@ def _check_demand(n, demand) -> None:
             raise InputError("demands must be nonnegative")
 
 
-def perfect_b_matching(n, edges, demand):
+def perfect_b_matching(n, edges, demand, cap: int = B_MATCHING_NODE_CAP):
     """Backtracking search for an integral perfect b-matching.
 
     Returns the multiset of used edges as a sorted tuple, or None.  The
     search always extends the currently scarcest vertex, the one with the
     fewest options left, breaking ties by index, and never revisits a
-    partner smaller than the previous choice for the same vertex.
+    partner smaller than the previous choice for the same vertex.  It
+    raises `BudgetError` when it would push more than `cap` search nodes
+    (stack frames), so time and memory stay bounded whatever the demand.
     """
     _check_demand(n, demand)
     need = {v: k for v, k in demand.items() if k > 0}
@@ -166,6 +171,7 @@ def perfect_b_matching(n, edges, demand):
     # Depth-first over an explicit stack, so deep searches cannot overflow
     # the interpreter stack; a frame is [vertex, options, next option].
     stack = [frame(None, None)]
+    nodes = 1
     while stack:
         v, opts, i = top = stack[-1]
         if i:  # retract the option tried last
@@ -183,6 +189,9 @@ def perfect_b_matching(n, edges, demand):
         used.append((min(v, w), max(v, w)))
         if not need:
             return tuple(sorted(used))
+        nodes += 1
+        if nodes > cap:
+            raise BudgetError(f"b-matching search exceeded cap {cap} nodes", count=nodes)
         stack.append(frame(v, w))
     return None
 
@@ -284,18 +293,20 @@ def has_fractional_perfect_b_matching(
 # -- pairings ------------------------------------------------------------------
 
 
-def has_perfect_pi_matching(aux: AuxiliaryGraph, profile: Profile):
+def has_perfect_pi_matching(
+    aux: AuxiliaryGraph, profile: Profile, cap: int = B_MATCHING_NODE_CAP
+):
     """Integral perfect profile-matching on A_u, as a Pairing, or None."""
     if not profile.is_even:
         raise InputError("profile must have even total multiplicity")
     edges = list(aux.edges) + [(aux.base, aux.base)]
-    hit = perfect_b_matching(aux.n, edges, dict(profile.counts))
+    hit = perfect_b_matching(aux.n, edges, dict(profile.counts), cap)
     if hit is None:
         return None
     return Pairing.from_pairs(hit)
 
 
-def has_perfect_pairing(g: Graph, profile: Profile):
+def has_perfect_pairing(g: Graph, profile: Profile, cap: int = B_MATCHING_NODE_CAP):
     """A pairing of the profile whose cost reaches min F, plus the median
     vertex witnessing it, or None.
 
@@ -307,7 +318,7 @@ def has_perfect_pairing(g: Graph, profile: Profile):
     if not profile.is_even:
         raise InputError("profile must have even total multiplicity")
     u = min(median_set(g, profile))
-    pairing = has_perfect_pi_matching(auxiliary_graph(g, u), profile)
+    pairing = has_perfect_pi_matching(auxiliary_graph(g, u), profile, cap)
     if pairing is None:
         return None
     return pairing, u

@@ -251,25 +251,36 @@ def test_classify_skips_the_implied_scans(monkeypatch):
     # a weakly modular graph is meshed and a tree is Helly, so classify runs
     # the meshed scan only on graphs that are not weakly modular and the
     # ball scan only on graphs that are not trees; the half-ball self-check
-    # of a bipartite graph always runs
+    # of a bipartite graph always runs.  A tree is median, so it runs no
+    # layer pass and builds no pair list, and a bipartite graph runs no tc
+    # scan, whose body walks the edge list once per source
     meshed = _count_calls(monkeypatch, "_first_meshed_violation")
     columns = _count_calls(monkeypatch, "_first_column_failure")
+    layers = _count_calls(monkeypatch, "_layers")
+    pairs = _count_calls(monkeypatch, "_two_apart")
+    edge_walks = []
+    edges = Graph.edges
+    monkeypatch.setattr(Graph, "edges", lambda g: edge_walks.append(g) or edges(g))
+    counts = (meshed, columns, layers, pairs, edge_walks)
     tree = tree_from_parent_list([0, 0, 1, 1, 2, 4])
-    for g, meshed_scans, column_scans in (
-        (hypercube(3), 0, 2),
-        (generate("grid:3,3"), 0, 2),
-        (complete(4), 0, 1),
-        (tree, 0, 1),
-        (cycle(6), 1, 2),
+    for g, expected in (
+        (hypercube(3), (0, 2, 8, 1, 0)),
+        (generate("grid:3,3"), (0, 2, 9, 1, 0)),
+        (complete(4), (0, 1, 4, 1, 4)),
+        (tree, (0, 1, 0, 0, 0)),
+        (cycle(6), (1, 2, 1, 1, 0)),
     ):
-        meshed.clear()
-        columns.clear()
+        for calls in counts:
+            calls.clear()
         report = classify(g)
-        assert (len(meshed), len(columns)) == (meshed_scans, column_scans)
+        assert tuple(map(len, counts)) == expected, g.edges()
         assert report.meshed == brute_meshed(g)
-    # on its own, is_helly of a tree reads the same shortcut
-    columns.clear()
-    assert is_helly(tree) and not columns
+    # on their own, is_helly and is_median_graph of a tree read the same
+    # shortcuts
+    for calls in counts:
+        calls.clear()
+    assert is_helly(tree) and is_median_graph(tree)
+    assert not any(counts)
 
 
 def _connected_labelled_graphs(max_n):
@@ -620,3 +631,119 @@ def test_layer_mask_scans_match_the_list_scans():
         failures["long interval, modular"] += long_interval is not None
     # 654 and 536 at this seed
     assert min(failures.values()) >= 100, failures
+
+
+# -- the implied verdicts against full scans: the tc scan and the layer pass
+# as they ran before a bipartite graph, a tree and a fan of one or two members
+# were read as implied, kept here as references
+
+
+def _tc_full_scan(g):
+    d, adj = g.dist, g.adj
+    return next(
+        (
+            (u, v, w)
+            for u, du in enumerate(d)
+            for v, w in g.edges()
+            if du[v] == du[w] >= 2
+            and not any(d[w][x] == 1 and du[x] == du[v] - 1 for x in adj[v])
+        ),
+        None,
+    )
+
+
+def _layer_pass_full_scan(g, pairs):
+    module = importlib.import_module("medianlab.classify")
+    adj = g.adj
+    commons = [(v, w, sum(1 << x for x in common)) for v, w, common in pairs]
+    nbr = [sum(1 << x for x in row) for row in adj]
+    long_interval = None
+    for u, du in enumerate(g.dist):
+        layers = module._layers(du)
+        for v, w, common in commons:
+            k = du[v]
+            if k >= 2 and du[w] == k and not common & layers[k - 1]:
+                farther = common & layers[k + 1]
+                if farther:
+                    return (u, v, w, (farther & -farther).bit_length() - 1), None
+        if long_interval is not None or not g.is_bipartite:
+            continue
+        for v, k in enumerate(du):
+            if k < 3:
+                continue
+            meet = layers[k - 2]
+            for w in adj[v]:
+                if du[w] == k - 1:
+                    meet &= nbr[w]
+            if not meet:
+                long_interval = u, v
+                break
+    return None, long_interval
+
+
+IMPLIED_RECOGNIZERS = (
+    is_modular, is_median_graph, bipartite_helly_via_interval_condition,
+    is_bipartite_helly, is_meshed, is_helly,
+)
+
+
+def _verdicts(g):
+    """classify's report and every recognizer's verdict and witness."""
+    found = [classify(g).as_dict(), check_conditions_tc_qc(g)]
+    for recognizer in IMPLIED_RECOGNIZERS:
+        wit = []
+        found.append((recognizer(g, wit), wit))
+    return found
+
+
+def _max_fan(g):
+    """The most members of a fan, the neighbours of v inside I(u,v), over
+    the pairs at distance 3 or more; 0 when there is none."""
+    d = g.dist
+    return max(
+        (sum(d[u][w] == k - 1 for w in g.adj[v])
+         for u in range(g.n) for v in range(g.n) if (k := d[u][v]) >= 3),
+        default=0,
+    )
+
+
+def _implied_verdict_graphs():
+    rng = random.Random(2024)
+    hosts = (hypercube(5), generate("grid:5,5"))
+    graphs = []
+    for i in range(2000):
+        n = rng.randint(4, 14)
+        kind = i % 5
+        if kind == 0:
+            g = random_tree(rng, n)
+        elif kind == 1:
+            g = random_connected_bipartite(rng, max_n=14)
+        elif kind == 2:
+            g = random_connected_graph(rng, n, rng.choice((0.1, 0.2, 0.35)))
+        elif kind == 3:
+            g = _induced_connected(rng, hosts[i % 10 // 5], n)
+        else:
+            g = _random_tree_product(rng) if i % 2 else random_tree(rng, n)
+        graphs.append(g)
+    return graphs
+
+
+def test_implied_verdicts_match_the_full_scans(monkeypatch):
+    module = importlib.import_module("medianlab.classify")
+    graphs = _implied_verdict_graphs()
+    with monkeypatch.context() as m:
+        m.setattr(module, "_first_tc_violation", _tc_full_scan)
+        m.setattr(module, "_first_layer_violations", _layer_pass_full_scan)
+        m.setattr(module, "_is_tree", lambda g: False)
+        expected = [_verdicts(g) for g in graphs]
+    kinds = {"tree": 0, "bipartite, not a tree": 0, "modular, a fan of 3 or more": 0}
+    for g, want in zip(graphs, expected):
+        assert _verdicts(g) == want, g.edges()
+        if g.edge_count == g.n - 1:
+            kinds["tree"] += 1
+        elif g.is_bipartite:
+            kinds["bipartite, not a tree"] += 1
+            kinds["modular, a fan of 3 or more"] += want[0]["modular"] and _max_fan(g) >= 3
+    assert min(kinds["tree"], kinds["bipartite, not a tree"]) >= 300, kinds
+    assert kinds["modular, a fan of 3 or more"] >= 100, kinds
+

@@ -147,6 +147,12 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     assert code == 2  # odd profile rejected
     code, out, _ = capture(capsys, ["pairing", "check", "cycle:6", "--profile", ""])
     assert code == 2 and "nonempty" in json.loads(out)["error"]
+    # a b-matching search that would run without end stops at its node cap,
+    # the default one and one given by --cap
+    for cap in ([], ["--cap", "100"]):
+        argv = ["pairing", "check", "cycle:5", "--profile", "0:99999999999999999999 1:1"]
+        code, out, _ = capture(capsys, argv + cap)
+        assert code == 2 and "cap" in json.loads(out)["error"], cap
     # a negative token cannot cancel against another token
     for profile in ("0:-1", "1:-1 1:2"):
         code, out, _ = capture(capsys, ["median", "cycle:6", "--profile", profile])

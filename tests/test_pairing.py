@@ -149,6 +149,24 @@ def test_has_perfect_pairing_examples():
         has_perfect_pairing(k3, Profile.parse("0"))
 
 
+def test_perfect_b_matching_node_cap():
+    # cycle:5 at base 0 with demand 0:k 1:1, k odd: the edge 01 and then the
+    # loop at 0, one search node per pair but the last, (k + 1) / 2 in all
+    aux = auxiliary_graph(cycle(5), 0)
+    edges = list(aux.edges) + [(0, 0)]
+    hit = perfect_b_matching(aux.n, edges, {0: 19, 1: 1}, cap=10)
+    assert hit == ((0, 0),) * 9 + ((0, 1),)
+    with pytest.raises(BudgetError) as caught:
+        perfect_b_matching(aux.n, edges, {0: 19, 1: 1}, cap=9)
+    assert caught.value.count == 10
+    # the cap bounds the search, not the demand: an input that once ran
+    # without end stops at its cap
+    with pytest.raises(BudgetError):
+        has_perfect_pairing(cycle(5), Profile.parse("0:99999999999999999999 1:1"), cap=1000)
+    # a search that fails fast is not charged for the demand's size
+    assert has_perfect_pairing(complete(3), Profile.parse("0:2 1:2 2:2"), cap=4) is None
+
+
 def test_maximum_pairing_examples():
     # known maximum pairing costs; where a perfect pairing exists its cost is
     # the maximum, and where none does the maximum falls short of min F
