@@ -681,16 +681,13 @@ def _layer_pass_full_scan(g, pairs):
     return None, long_interval
 
 
-IMPLIED_RECOGNIZERS = (
-    is_modular, is_median_graph, bipartite_helly_via_interval_condition,
-    is_bipartite_helly, is_meshed, is_helly,
-)
-
-
 def _verdicts(g):
     """classify's report and every recognizer's verdict and witness."""
     found = [classify(g).as_dict(), check_conditions_tc_qc(g)]
-    for recognizer in IMPLIED_RECOGNIZERS:
+    for recognizer in (
+        is_modular, is_median_graph, bipartite_helly_via_interval_condition,
+        is_bipartite_helly, is_meshed, is_helly,
+    ):
         wit = []
         found.append((recognizer(g, wit), wit))
     return found
@@ -731,6 +728,7 @@ def _implied_verdict_graphs():
 def test_implied_verdicts_match_the_full_scans(monkeypatch):
     module = importlib.import_module("medianlab.classify")
     graphs = _implied_verdict_graphs()
+    # the references, with every tree shortcut off as well
     with monkeypatch.context() as m:
         m.setattr(module, "_first_tc_violation", _tc_full_scan)
         m.setattr(module, "_first_layer_violations", _layer_pass_full_scan)
@@ -744,6 +742,7 @@ def test_implied_verdicts_match_the_full_scans(monkeypatch):
         elif g.is_bipartite:
             kinds["bipartite, not a tree"] += 1
             kinds["modular, a fan of 3 or more"] += want[0]["modular"] and _max_fan(g) >= 3
+    # 849, 814 and 280 at this seed
     assert min(kinds["tree"], kinds["bipartite, not a tree"]) >= 300, kinds
     assert kinds["modular, a fan of 3 or more"] >= 100, kinds
 
