@@ -21,7 +21,7 @@ from .profiles import (
     peak_probes,
     profile_sweep,
 )
-from .report import Report
+from .report import VerificationReport
 
 # default cap on the profiles check (d) of `verify_benzenoid_properties` visits
 VERIFY_PROFILE_CAP = 500_000
@@ -193,7 +193,7 @@ def tree_embedding(b: Benzenoid) -> TreeEmbedding:
 
 
 @dataclass
-class BenzenoidReport(Report):
+class BenzenoidReport(VerificationReport):
     cells: int
     gated_ok: bool
     opposition_ok: bool
@@ -201,15 +201,6 @@ class BenzenoidReport(Report):
     medians_g2_connected: bool
     profiles_checked: int
     failures: list
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.gated_ok
-            and self.opposition_ok
-            and self.peakless_pairs_in_hexagons
-            and self.medians_g2_connected
-        )
 
 
 def verify_benzenoid_properties(
@@ -224,60 +215,55 @@ def verify_benzenoid_properties(
         fails local peaklessness lies in a common hexagon;
     (d) within the budget, median sets are connected in the square of the
         graph.
+
+    Each check only adds failures, and each flag is true iff no failure of
+    its kinds was added.  Checks (a) and (b) read one gate table per
+    hexagon: the gate of every vertex, each member its own.
     """
     g = b.graph
-    failures = []
+    gates = [
+        [x if x in hexa else g.gate(x, hexa) for x in range(g.n)]
+        for hexa in b.hexagons
+    ]
+    failures = [
+        {"not_gated_hexagon": hexa}
+        for hexa, gate in zip(b.hexagons, gates) if None in gate
+    ]
+    failures += [
+        {"not_gated_incomplete_hexagon": pth}
+        for pth in incomplete_hexagons(b) if not g.is_gated(pth)
+    ]
 
-    gated_ok = True
-    for hexa in b.hexagons:
-        if not g.is_gated(hexa):
-            gated_ok = False
-            failures.append({"not_gated_hexagon": hexa})
-    for pth in incomplete_hexagons(b):
-        if not g.is_gated(pth):
-            gated_ok = False
-            failures.append({"not_gated_incomplete_hexagon": pth})
-
-    opposition_ok = True
-    for hexa in b.hexagons:
-        ring = list(hexa)
-        members = set(ring)
-        for x in range(g.n):
-            gate = g.gate(x, ring) if x not in members else x
-            if gate is None:
-                opposition_ok = False
+    for hexa, gate in zip(b.hexagons, gates):
+        ring, members = list(hexa), set(hexa)
+        for x, gx in enumerate(gate):
+            if gx is None:
                 failures.append({"missing_gate": [x, ring]})
                 continue
-            opposite = ring[(ring.index(gate) + 3) % 6]
+            opposite = ring[(ring.index(gx) + 3) % 6]
             if not members <= g.interval(x, opposite):
-                opposition_ok = False
                 failures.append({"opposition": [x, ring, opposite]})
 
     # check (c) probes only the 2-pairs that lie in no common hexagon
     hex_sets = [set(h) for h in b.hexagons]
     probes = [(u, v, inside) for u, v, inside in peak_probes(g, 2, 2)
               if not any({u, v} <= h for h in hex_sets)]
-    peakless_ok = True
-    connected_ok = True
     checked = 0
     for profile, f in profile_sweep(g, max_support, max_mult, cap=cap):
         checked += 1
         for u, v in peak_failures(f, probes):
-            peakless_ok = False
             failures.append({"peakless_pair_outside_hexagon": [u, v, profile]})
         med = minimizers(f)
         if not connected_in_power(g, med, 2):
-            connected_ok = False
-            failures.append(
-                {"median_not_g2_connected": [profile, med]}
-            )
+            failures.append({"median_not_g2_connected": [profile, med]})
 
+    kinds = {kind for failure in failures for kind in failure}
     return BenzenoidReport(
         cells=len(b.cells),
-        gated_ok=gated_ok,
-        opposition_ok=opposition_ok,
-        peakless_pairs_in_hexagons=peakless_ok,
-        medians_g2_connected=connected_ok,
+        gated_ok=kinds.isdisjoint(("not_gated_hexagon", "not_gated_incomplete_hexagon")),
+        opposition_ok=kinds.isdisjoint(("missing_gate", "opposition")),
+        peakless_pairs_in_hexagons="peakless_pair_outside_hexagon" not in kinds,
+        medians_g2_connected="median_not_g2_connected" not in kinds,
         profiles_checked=checked,
         failures=failures,
     )

@@ -10,20 +10,23 @@ condition, and a modular graph is median iff no two vertices at distance 2
 have three common neighbours (an induced K_{2,3}).  A scan over vertex
 triples runs only to name the witness of a flag that fails.
 
-Five verdicts are implied and not scanned for:
+Five verdicts are implied and not scanned for.  All but the first are
+read in the private cores or in `_pairs`, so every public recognizer sees
+them:
 
 - a weakly modular graph is meshed (Bandelt & Chepoi 2008; Chalopin,
   Chepoi, Hirai & Osajda, "Weakly modular graphs and nonpositive
   curvature", Mem. AMS 2020), so `classify` runs the meshed scan only when
-  the triangle or the quadrangle condition fails;
+  the triangle or the quadrangle condition fails; this verdict is read in
+  `classify` only, since `is_meshed` has no tc or qc verdict at hand;
 - a tree is Helly: its balls are subtrees, and subtrees of a tree have the
   Helly property, so the ball scan runs only on graphs with a cycle;
 - a bipartite graph satisfies the triangle condition: an edge joins two
   distance layers of every source, so the tc premise never holds there;
-- a tree is a median graph and satisfies the long-interval condition: no
-  two of its vertices have two common neighbours and every fan has one
-  member, so a tree runs no layer pass and builds no list of pairs at
-  distance 2;
+- a tree is a median graph, is meshed and satisfies the long-interval
+  condition: no two of its vertices have two common neighbours and every
+  fan has one member, so on a tree no recognizer runs a layer pass or
+  builds a list of pairs at distance 2 (`_pairs`);
 - on a modular graph, a fan of one or two members satisfies the
   long-interval condition: one member has a neighbour one layer closer to
   the source, and two members have a common one there by qc, so only
@@ -102,6 +105,12 @@ def _layers(du) -> list[int]:
 def _is_tree(g: Graph) -> bool:
     """A connected graph with n - 1 edges is a tree."""
     return g.edge_count == g.n - 1
+
+
+def _pairs(g: Graph) -> list[tuple[int, int, list[int]]]:
+    """The `_two_apart` list, or [] on a tree, where no scan of the list
+    finds a violation: a tree is a median graph and is meshed."""
+    return [] if _is_tree(g) else _two_apart(g)
 
 
 # list-based on purpose: a layer-mask version ran the scan 3x slower on
@@ -217,9 +226,10 @@ def _first_interval_violations(g: Graph) -> tuple:
     both None on a bipartite Helly graph.  A graph is modular iff it is
     bipartite with no qc violation; the interval condition then fails first
     at a long interval, and otherwise at the triple without a median."""
-    qc_bad, long_bad = _first_layer_violations(g, _two_apart(g))
-    if g.is_bipartite and qc_bad is None:
-        return None, long_bad
+    if g.is_bipartite:
+        qc_bad, long_bad = _first_layer_violations(g, _pairs(g))
+        if qc_bad is None:
+            return None, long_bad
     no_median = _median_witnesses(g, True)[0]
     return no_median, no_median
 
@@ -230,7 +240,7 @@ def check_conditions_tc_qc(g: Graph):
     Returns (tc_holds, qc_holds, witnesses) where witnesses maps 'tc'/'qc'
     to the first violating vertex tuple in lexicographic order.
     """
-    found = {"tc": _first_tc_violation(g), "qc": _first_layer_violations(g, _two_apart(g))[0]}
+    found = {"tc": _first_tc_violation(g), "qc": _first_layer_violations(g, _pairs(g))[0]}
     witnesses = {key: why for key, why in found.items() if why is not None}
     return found["tc"] is None, found["qc"] is None, witnesses
 
@@ -254,8 +264,7 @@ def is_median_graph(g: Graph, witness: list | None = None) -> bool:
     is the first distinct triple with no or several medians; a triple with a
     repeated vertex always has exactly one.
     """
-    # a tree is median: no two of its vertices have two common neighbours
-    pairs = [] if _is_tree(g) else _two_apart(g)
+    pairs = _pairs(g)
     modular = g.is_bipartite and _first_layer_violations(g, pairs)[0] is None
     if modular and _first_k23(pairs) is None:
         return True
@@ -432,12 +441,11 @@ def is_bipartite_helly(g: Graph, witness: list | None = None) -> bool:
 def is_meshed(g: Graph, witness: list | None = None) -> bool:
     """For every u and 2-pair (v,w), some common neighbor x of v,w has
     2 d(u,x) <= d(u,v) + d(u,w)."""
-    return _holds(witness, _first_meshed_violation(g, _two_apart(g)))
+    return _holds(witness, _first_meshed_violation(g, _pairs(g)))
 
 
 def classify(g: Graph) -> ClassReport:
-    # a tree is median and weakly modular, so no scan reads its pair list
-    pairs = [] if _is_tree(g) else _two_apart(g)
+    pairs = _pairs(g)
     tc_bad, (qc_bad, long_bad) = _first_tc_violation(g), _first_layer_violations(g, pairs)
     modular = g.is_bipartite and qc_bad is None
     median = modular and _first_k23(pairs) is None

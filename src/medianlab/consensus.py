@@ -13,7 +13,7 @@ from operator import add
 from .errors import BudgetError, InputError
 from .graph import Graph, cycle
 from .profiles import Profile, extend_f_vector, median_set, minimizers
-from .report import Report
+from .report import Report, VerificationReport
 
 AXIOMS = ("A", "B", "C", "T", "Tminus", "T2", "Ek")
 # default cap on the entries of one tabulated consensus function
@@ -286,7 +286,7 @@ def tabulate_l6(max_len: int) -> TabulatedConsensus:
 
 
 @dataclass
-class L6Report(Report):
+class L6Report(VerificationReport):
     max_len: int
     axiom_a: bool
     axiom_b: bool
@@ -298,22 +298,15 @@ class L6Report(Report):
     failures: list = field(default_factory=list)
     note: str = "verified within budget only"
 
-    @property
-    def ok(self) -> bool:
-        return (
-            self.axiom_a
-            and self.axiom_b
-            and self.axiom_c
-            and self.reduction_identity
-            and self.non_alternate_matches_median
-        )
-
 
 def verify_l6_is_abc(max_len: int = 6) -> L6Report:
     """Tabulate the 6-cycle rule up to max_len and run the anonymity,
     betweenness and consistency checks, the reduction identity over all
     concatenation pairs, and the agreement with the median function on
     non-alternate profiles; also report where the two functions part ways.
+
+    Each check lists its failures, and each flag is true iff its list is
+    empty; `failures` joins the lists in that order.
     """
     if max_len < 3:
         raise BudgetError(
@@ -321,27 +314,19 @@ def verify_l6_is_abc(max_len: int = 6) -> L6Report:
         )
     med = tabulate_median(c6_graph(), max_len)
     table = _l6_from_median(med)
-    failures = []
-    res_a = check_axiom(table, "A")
-    res_b = check_axiom(table, "B")
-    res_c = check_axiom(table, "C")
-    for res in (res_a, res_b, res_c):
-        if not res.holds:
-            failures.append(res)
-
+    res_a, res_b, res_c = (check_axiom(table, axiom) for axiom in "ABC")
     reduced = {key: _reduced(_key_counts(key)) for key in table.table}
-    reduction_ok = True
-    for left, right in _concatenation_pairs(6, max_len):
-        merged = tuple(sorted(left + right))
-        if reduced[merged] != _reduced(tuple(map(add, reduced[left], reduced[right]))):
-            reduction_ok = False
-            failures.append({"reduction": [left, right]})
-
-    non_alt_ok = True
-    for key, value in table.table.items():
-        if not _is_alternate(reduced[key]) and value != med.table[key]:
-            non_alt_ok = False
-            failures.append({"non_alternate_mismatch": key})
+    reduction_fails = [
+        {"reduction": [left, right]}
+        for left, right in _concatenation_pairs(6, max_len)
+        if reduced[tuple(sorted(left + right))]
+        != _reduced(tuple(map(add, reduced[left], reduced[right])))
+    ]
+    non_alt_fails = [
+        {"non_alternate_mismatch": key}
+        for key, value in table.table.items()
+        if not _is_alternate(reduced[key]) and value != med.table[key]
+    ]
 
     witness_key = (0, 2, 4)
     divergence = (witness_key, table.value(witness_key), med.value(witness_key))
@@ -350,9 +335,10 @@ def verify_l6_is_abc(max_len: int = 6) -> L6Report:
         axiom_a=res_a.holds,
         axiom_b=res_b.holds,
         axiom_c=res_c.holds,
-        reduction_identity=reduction_ok,
-        non_alternate_matches_median=non_alt_ok,
+        reduction_identity=not reduction_fails,
+        non_alternate_matches_median=not non_alt_fails,
         divergence_witness=divergence,
         profiles_checked=len(table.table),
-        failures=failures,
+        failures=[res for res in (res_a, res_b, res_c) if not res.holds]
+        + reduction_fails + non_alt_fails,
     )

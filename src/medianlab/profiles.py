@@ -9,7 +9,7 @@ from math import comb, inf
 
 from .errors import BudgetError, FormatError, InputError
 from .graph import Graph, orbit_minima
-from .report import Report
+from .report import VerificationReport
 
 # default cap on the profiles one bounded search may visit
 PROFILE_CAP = 2_000_000
@@ -299,17 +299,13 @@ def _unimodal(f: list[int], balls) -> bool:
 
 
 @dataclass
-class MedianVerificationReport(Report):
+class MedianVerificationReport(VerificationReport):
     power: int
     max_support: int
     max_mult: int
     profiles_checked: int
     failures: list = field(default_factory=list)
     note: str = "verified within budget only"
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
 
 
 def check_unimodal_equals_connected(

@@ -26,6 +26,15 @@ class Report:
         return out
 
 
+class VerificationReport(Report):
+    """Base of the bounded verification reports: each check only adds to
+    `failures`, and the report holds iff none was added."""
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+
 def jsonable(x):
     """A copy of x that `json.dumps` encodes as the reports print it."""
     if x is None or isinstance(x, (bool, int, str)):

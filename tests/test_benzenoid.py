@@ -3,6 +3,7 @@ from dataclasses import replace
 import networkx as nx
 import pytest
 
+import medianlab.benzenoid as benzenoid_module
 from medianlab.benzenoid import (
     build_benzenoid,
     edge_class,
@@ -11,7 +12,7 @@ from medianlab.benzenoid import (
     verify_benzenoid_properties,
 )
 from medianlab.errors import BudgetError, InputError
-from medianlab.graph import cycle, hypercube
+from medianlab.graph import Graph, cycle, hypercube
 from medianlab.profiles import canonical_profiles
 
 from conftest import to_networkx
@@ -191,3 +192,59 @@ def test_verify_budget_cap():
     b = build_benzenoid([(0, 0), (1, 0)])
     with pytest.raises(BudgetError):
         verify_benzenoid_properties(b, 5, 3, cap=10)
+
+
+def _not_gated_hexagon(b, monkeypatch):
+    # a set that is not gated has a vertex without a gate, and this one is
+    # not a ring either, so opposition fails at the vertices with a gate
+    return replace(b, hexagons=b.hexagons + ((0, 1, 2, 3, 4, 6),))
+
+
+def _not_gated_incomplete_hexagon(b, monkeypatch):
+    monkeypatch.setattr(benzenoid_module, "incomplete_hexagons", lambda b: [(0, 9)])
+    return b
+
+
+def _misordered_hexagon(b, monkeypatch):
+    # the first hexagon with two corners swapped: still gated, but the
+    # corner "opposite" a gate is no longer opposite it
+    a, c, d, *rest = b.hexagons[0]
+    return replace(b, hexagons=((a, d, c, *rest),) + b.hexagons[1:])
+
+
+def _peak_outside_hexagons(b, monkeypatch):
+    monkeypatch.setattr(benzenoid_module, "peak_failures", lambda f, probes: [(0, 3)])
+    return b
+
+
+def _median_not_g2_connected(b, monkeypatch):
+    monkeypatch.setattr(benzenoid_module, "connected_in_power", lambda g, med, p: False)
+    return b
+
+
+@pytest.mark.parametrize("broken, kinds, flags_off", [
+    (_not_gated_hexagon, {"not_gated_hexagon", "missing_gate", "opposition"},
+     {"gated_ok", "opposition_ok"}),
+    (_not_gated_incomplete_hexagon, {"not_gated_incomplete_hexagon"}, {"gated_ok"}),
+    (_misordered_hexagon, {"opposition"}, {"opposition_ok"}),
+    (_peak_outside_hexagons, {"peakless_pair_outside_hexagon"}, {"peakless_pairs_in_hexagons"}),
+    (_median_not_g2_connected, {"median_not_g2_connected"}, {"medians_g2_connected"}),
+])
+def test_each_failure_kind_turns_off_its_flag(monkeypatch, broken, kinds, flags_off):
+    flags = {"gated_ok", "opposition_ok", "peakless_pairs_in_hexagons", "medians_g2_connected"}
+    b = build_benzenoid([(0, 0), (1, 0)])
+    report = verify_benzenoid_properties(broken(b, monkeypatch), 2, 2)
+    assert {kind for failure in report.failures for kind in failure} == kinds
+    assert {flag for flag in flags if not getattr(report, flag)} == flags_off
+    assert not report.ok and report.as_dict()["ok"] is False
+
+
+def test_hexagon_checks_read_one_gate_table(monkeypatch):
+    # checks (a) and (b) share one gate per vertex outside each hexagon
+    calls = []
+    gate = Graph.gate
+    monkeypatch.setattr(Graph, "gate", lambda g, x, members: calls.append(x) or gate(g, x, members))
+    for cells, expected in (([(0, 0), (1, 0)], 8), ([(0, 0), (1, 0), (1, 1)], 34)):
+        calls.clear()
+        assert verify_benzenoid_properties(build_benzenoid(cells), 2, 1).ok
+        assert len(calls) == expected

@@ -338,6 +338,28 @@ def test_classify_builds_the_pair_list_once(monkeypatch):
         assert len(calls) == 1
 
 
+def test_recognizers_skip_the_pair_list_and_layer_pass_they_need_not_read(monkeypatch):
+    # no scan of the distance-2 pair list fails on a tree, so no recognizer
+    # builds it there; modularity needs a bipartite graph, so on K4 the
+    # modular and interval-condition recognizers run no layer pass
+    pairs = _count_calls(monkeypatch, "_two_apart")
+    layer_passes = _count_calls(monkeypatch, "_first_layer_violations")
+    tree = tree_from_parent_list([0, 0, 1, 1, 2, 4])
+    for recognizer in (
+        check_conditions_tc_qc, is_modular, is_median_graph, is_helly,
+        bipartite_helly_via_half_balls, bipartite_helly_via_interval_condition,
+        is_bipartite_helly, is_meshed, classify,
+    ):
+        recognizer(tree)
+    assert pairs == []
+    layer_passes.clear()
+    for recognizer in (is_modular, bipartite_helly_via_interval_condition):
+        wit = []
+        assert not recognizer(complete(4), wit)
+        assert wit == [(0, 1, 2)]
+    assert layer_passes == []
+
+
 def test_bipartite_helly_procedures_agree_on_random_graphs():
     rng = random.Random(11)
     for _ in range(60):

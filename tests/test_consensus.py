@@ -1,4 +1,5 @@
 import tracemalloc
+from operator import sub
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,7 @@ import medianlab.consensus as consensus_module
 import medianlab.profiles as profiles_module
 
 from medianlab.consensus import (
+    AxiomResult,
     TabulatedConsensus,
     _c6_counts,
     _is_alternate,
@@ -196,6 +198,50 @@ def test_verify_l6_report():
     assert report.reduction_identity and report.non_alternate_matches_median
     key, l6_value, med_value = report.divergence_witness
     assert key == (0, 2, 4) and l6_value == {0} and med_value == {0, 2, 4}
+
+
+def _axiom_b_fails(monkeypatch):
+    check = consensus_module.check_axiom
+    monkeypatch.setattr(
+        consensus_module, "check_axiom",
+        lambda table, axiom: AxiomResult("B", False) if axiom == "B" else check(table, axiom),
+    )
+
+
+def _reduction_fails(monkeypatch):
+    # the identity compares the reduced merge with the reduced sum
+    monkeypatch.setattr(consensus_module, "add", sub)
+
+
+def _alternation_unseen_after_tabulation(monkeypatch):
+    # the agreement check then takes every alternate key for a
+    # non-alternate one, where the rule parts from the median function
+    build = consensus_module._l6_from_median
+
+    def blind(med):
+        table = build(med)
+        monkeypatch.setattr(consensus_module, "_is_alternate", lambda r: False)
+        return table
+
+    monkeypatch.setattr(consensus_module, "_l6_from_median", blind)
+
+
+@pytest.mark.parametrize("broken, kind, flag", [
+    (_axiom_b_fails, "B", "axiom_b"),
+    (_reduction_fails, "reduction", "reduction_identity"),
+    (_alternation_unseen_after_tabulation, "non_alternate_mismatch",
+     "non_alternate_matches_median"),
+])
+def test_each_l6_failure_kind_turns_off_its_flag(monkeypatch, broken, kind, flag):
+    flags = ("axiom_a", "axiom_b", "axiom_c", "reduction_identity",
+             "non_alternate_matches_median")
+    broken(monkeypatch)
+    report = verify_l6_is_abc(3)
+    assert report.failures and {
+        f.axiom if isinstance(f, AxiomResult) else next(iter(f)) for f in report.failures
+    } == {kind}
+    assert [name for name in flags if not getattr(report, name)] == [flag]
+    assert not report.ok and report.as_dict()["ok"] is False
 
 
 @pytest.mark.parametrize("max_len", range(1, 7))
