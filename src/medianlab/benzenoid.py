@@ -218,7 +218,8 @@ def verify_benzenoid_properties(
 
     Each check only adds failures, and each flag is true iff no failure of
     its kinds was added.  Checks (a) and (b) read one gate table per
-    hexagon: the gate of every vertex, each member its own.
+    hexagon: the gate of every vertex, each member its own, so a hexagon
+    costs n - 6 `Graph.gate` calls.
     """
     g = b.graph
     gates = [
@@ -244,7 +245,11 @@ def verify_benzenoid_properties(
             if not members <= g.interval(x, opposite):
                 failures.append({"opposition": [x, ring, opposite]})
 
-    # check (c) probes only the 2-pairs that lie in no common hexagon
+    # check (c) probes only the 2-pairs that lie in no common hexagon,
+    # filtered once per graph.  The sweep of checks (c) and (d) visits every
+    # profile, without the orbit reduction of `check_unimodal_equals_connected`:
+    # its failures name pairs and median sets as well as profiles, so an
+    # orbit would have to map those too.
     hex_sets = [set(h) for h in b.hexagons]
     probes = [(u, v, inside) for u, v, inside in peak_probes(g, 2, 2)
               if not any({u, v} <= h for h in hex_sets)]

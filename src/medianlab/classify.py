@@ -54,7 +54,9 @@ at a time.
 
 Each recognizer has one private core that returns its first violation, or
 None; the public functions record it as their witness, and `classify`
-calls the cores directly so that shared work is done once.
+calls the cores directly so that shared work is done once: it builds the
+list of pairs at distance 2 once and runs the layer pass once, and reads
+the weakly modular, modular and median flags off their results.
 """
 
 from __future__ import annotations
@@ -80,7 +82,9 @@ class ClassReport(Report):
 
 def _two_apart(g: Graph) -> list[tuple[int, int, list[int]]]:
     """(v, w, common neighbours) for every pair v < w at distance 2, in
-    lexicographic order; the common neighbours ascend."""
+    lexicographic order; the common neighbours ascend.  The qc, K_{2,3} and
+    meshed cores take this list as an argument, so one list serves all
+    three."""
     adj = g.adj
     pairs = []
     for v, dv in enumerate(g.dist):
@@ -109,7 +113,8 @@ def _is_tree(g: Graph) -> bool:
 
 def _pairs(g: Graph) -> list[tuple[int, int, list[int]]]:
     """The `_two_apart` list, or [] on a tree, where no scan of the list
-    finds a violation: a tree is a median graph and is meshed."""
+    finds a violation: a tree is a median graph and is meshed.  Every
+    recognizer takes its list from here."""
     return [] if _is_tree(g) else _two_apart(g)
 
 
@@ -213,7 +218,9 @@ def _median_witnesses(g: Graph, find_modular: bool) -> tuple:
     """(first triple with no median, first triple without exactly one) of
     a graph that has a triple of the second kind; the first is None unless
     `find_modular`.  A triple without a median has no unique one either,
-    so the second comes no later than the first: one walk names both."""
+    so the second comes no later than the first: one walk names both.
+    Every modular and median witness is named here, and only when its flag
+    fails."""
     walk = _median_counts(g)
     not_one, medians = next((t, m) for t, m in walk if m != 1)
     if not find_modular:
@@ -225,7 +232,10 @@ def _first_interval_violations(g: Graph) -> tuple:
     """(first triple without a median, first interval-condition violation),
     both None on a bipartite Helly graph.  A graph is modular iff it is
     bipartite with no qc violation; the interval condition then fails first
-    at a long interval, and otherwise at the triple without a median."""
+    at a long interval, and otherwise at the triple without a median.
+    Modularity is written here once for `is_modular`,
+    `bipartite_helly_via_interval_condition` and `is_bipartite_helly`, and
+    the layer pass runs only on a bipartite graph."""
     if g.is_bipartite:
         qc_bad, long_bad = _first_layer_violations(g, _pairs(g))
         if qc_bad is None:
@@ -336,7 +346,8 @@ def _first_column_failure(g: Graph, block: list[str]) -> tuple | None:
     """The Berge triple criterion on a family with one block of members per
     vertex, its incidence masks read off the distance columns: bits
     v*w .. v*w + w - 1 of the mask of x are `block[d(v,x)]`, a binary
-    string of width w, most significant bit first."""
+    string of width w, most significant bit first.  There is one block per
+    distance, shared by every vertex."""
     masks = [int("".join(map(block.__getitem__, reversed(g.dist[x]))), 2) for x in range(g.n)]
     return _berge_failure(masks, masks)
 
@@ -357,8 +368,10 @@ def _first_bipartite_helly_violation(g: Graph, found: tuple | None):
     """Decide bipartite Hellyness two independent ways and insist they agree.
 
     `found` is the first interval-condition violation, None when the
-    condition holds; the half-ball test must agree with it.  The result is
-    "not bipartite", `found` or None.
+    condition holds; the half-ball test must agree with it, or RuntimeError
+    is raised.  The result is "not bipartite", `found` or None.  No
+    interval scan runs here, and the half-ball scan runs on every bipartite
+    graph, as this self-check.
     """
     if not g.is_bipartite:
         return "not bipartite"
@@ -403,7 +416,8 @@ def bipartite_helly_via_half_balls(g: Graph, witness: list | None = None) -> boo
     The side at distance parity r from v has no vertex at distance r + 1,
     so its half-balls of radii r and r + 1 are one set.  The scan runs on
     one member per radius, (v, r) = {x : d(v,x) <= r and d(v,x) = r mod 2},
-    and names both half-balls of each picked member in its witness.
+    and names both half-balls of each picked member in its witness.  Its
+    masks are therefore as wide as those of the ball scan.
     """
     cls0, _ = g.bipartition()
     diam = g.diameter

@@ -76,7 +76,8 @@ def _maybe_write(args, payload: str) -> None:
 
 def _report(g: Graph, verdicts, holds: bool = True, **extra) -> tuple[dict, int]:
     """The body of a verb on graph g, made JSON-able, and its exit code:
-    1 when the checked property fails, else 0."""
+    1 when the checked property fails, else 0.  Every verb but `corpus`
+    ends here, the one place that adds the graph fingerprint."""
     body = {"graph": g.fingerprint(), **jsonable({"verdicts": verdicts, **extra})}
     return body, 0 if holds else 1
 

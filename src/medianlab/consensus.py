@@ -1,5 +1,11 @@
 """Tabulated consensus functions, axiom checkers, and the alternate-profile
-consensus rule on the 6-cycle that disagrees with the median function."""
+consensus rule on the 6-cycle that disagrees with the median function.
+
+The 6-cycle rule has one home, `_alternate_value` on a count vector.
+`l6_eval` is the only place it meets `median_set`; the rule's table is read
+off the median table.  The text form of a table lives in `formats`, which
+imports this module, so this module imports nothing from it.
+"""
 
 from __future__ import annotations
 
@@ -70,7 +76,9 @@ def _concatenation_pairs(n: int, max_len: int):
     concatenation has length at most max_len, both in key order.
 
     Keys of one length are sorted, so the rights of a given length that are
-    >= left are a suffix of that length's keys, found by bisection."""
+    >= left are a suffix of that length's keys, found by bisection.  This
+    order, left first, then the right's length, then the right, decides
+    axiom C's witness."""
     by_len = [list(combinations_with_replacement(range(n), k))
               for k in range(max_len)]
     for k in range(1, max_len):
@@ -306,7 +314,9 @@ def verify_l6_is_abc(max_len: int = 6) -> L6Report:
     non-alternate profiles; also report where the two functions part ways.
 
     Each check lists its failures, and each flag is true iff its list is
-    empty; `failures` joins the lists in that order.
+    empty; `failures` joins the lists in that order.  The median function
+    is tabulated once and the rule's table is read off it, so no other
+    median set is computed.
     """
     if max_len < 3:
         raise BudgetError(

@@ -17,11 +17,22 @@ from .hypergraphs import Hypergraph
 
 
 def _payload_lines(text: str) -> list[str]:
+    """The stripped lines of `text` without blank lines and `#` comments:
+    the one line reader of every format."""
     return [
         ln.strip()
         for ln in text.splitlines()
         if ln.strip() and not ln.lstrip().startswith("#")
     ]
+
+
+def _header(lines: list[str], kind: str) -> tuple[int, int]:
+    """The two integers of the `a b` header line that `lines` start with."""
+    try:
+        a, b = map(int, lines[0].split())
+    except ValueError:
+        raise FormatError(f"bad {kind} header {lines[0]!r}") from None
+    return a, b
 
 
 def graph_to_text(g: Graph) -> str:
@@ -34,10 +45,7 @@ def graph_from_text(text: str) -> Graph:
     lines = _payload_lines(text)
     if not lines:
         raise FormatError("empty graph file")
-    try:
-        n, m = map(int, lines[0].split())
-    except ValueError:
-        raise FormatError(f"bad graph header {lines[0]!r}") from None
+    n, m = _header(lines, "graph")
     if len(lines) - 1 != m:
         raise FormatError(f"expected {m} edge lines, found {len(lines) - 1}")
     edges = []
@@ -60,10 +68,7 @@ def hypergraph_from_text(text: str) -> Hypergraph:
     lines = _payload_lines(text)
     if not lines:
         raise FormatError("empty hypergraph file")
-    try:
-        n, k = map(int, lines[0].split())
-    except ValueError:
-        raise FormatError(f"bad hypergraph header {lines[0]!r}") from None
+    n, k = _header(lines, "hypergraph")
     if len(lines) - 1 != k:
         raise FormatError(f"expected {k} hyperedge lines, found {len(lines) - 1}")
     edges = []
@@ -105,10 +110,7 @@ def table_from_text(g: Graph, text: str) -> TabulatedConsensus:
     lines = _payload_lines(text)
     if not lines:
         raise FormatError("empty consensus table")
-    try:
-        n, max_len = map(int, lines[0].split())
-    except ValueError:
-        raise FormatError(f"bad table header {lines[0]!r}") from None
+    n, max_len = _header(lines, "table")
     if n != g.n:
         raise FormatError(f"table is for {n} vertices, graph has {g.n}")
     table = {}

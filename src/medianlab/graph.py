@@ -3,6 +3,10 @@
 Distances are hop counts, computed once by breadth-first search from every
 vertex.  Every other primitive (intervals, gates, balls, quasi-medians) is a
 pure read of that table, so instances are safe to share freely.
+
+This module is also the one home of automorphism orbits: the generating set
+`Graph.automorphisms` and the orbit filter `orbit_minima`, which every scan
+reduced modulo Aut(G) reads.
 """
 
 from __future__ import annotations
@@ -24,8 +28,9 @@ MAX_VERTICES = 2048
 # Work the automorphism search may spend, in colour entries read: each
 # search node, and each refinement round in it, costs n + 2m (a colour per
 # vertex and per adjacency entry).  Past it the search reports the trivial
-# group, which is always a correct answer for its callers: they then scan
-# every vertex or support.
+# group and raises nothing: that is always a correct answer for its
+# callers, which then scan every vertex or support, slower but with the
+# same results.
 AUTOMORPHISM_WORK_CAP = 1 << 21
 
 
@@ -386,7 +391,7 @@ def orbit_minima(n: int, supports, generators) -> list:
     yet seen is least in its orbit, since a smaller member would have been
     met first; its orbit, the closure under the generators, is then marked
     seen.  The marks of the k-tuples are one bytearray, indexed by
-    lexicographic rank."""
+    lexicographic rank.  A scan over vertices passes them as 1-tuples."""
     if not generators:
         return list(supports)
     top = max(map(len, supports), default=0)

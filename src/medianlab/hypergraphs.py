@@ -51,8 +51,10 @@ class HellyResult:
 
 
 def is_helly_hypergraph(h: Hypergraph) -> HellyResult:
-    """Berge triple criterion; a failure yields the pairwise intersecting
-    subfamily with empty intersection that the failing triple induces."""
+    """Berge triple criterion, by the scan of
+    `classify.hypergraph_helly_by_triples`; a failure yields the pairwise
+    intersecting subfamily with empty intersection that the failing triple
+    induces."""
     return HellyResult(
         *hypergraph_helly_by_triples(range(h.ground_size), list(h.edges))
     )

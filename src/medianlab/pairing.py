@@ -30,7 +30,8 @@ from .profiles import (
 from .rational_lp import EQ, GE, LE, RationalLinearSystem
 from .report import Report
 
-# default cap on the search nodes of one integral b-matching search
+# default cap on the search nodes of one integral b-matching search;
+# `has_perfect_pi_matching` and `has_perfect_pairing` pass their `cap` through
 B_MATCHING_NODE_CAP = 1 << 19
 
 
@@ -72,6 +73,10 @@ def neighborhood(adj, members) -> frozenset[int]:
     return frozenset().union(*(adj[v] for v in members))
 
 
+# Every Hall test b(S) - b(N(S)) goes through `_hall_row`, as an LP row, or
+# `_hall_excess`, as a value under given weights.
+
+
 def _hall_row(n: int, adj, members) -> list[int]:
     """Coefficients of b(S) - b(N(S)) over the n vertex weights."""
     row = [0] * n
@@ -91,7 +96,9 @@ def _hall_excess(members, hood, weight):
 
 
 def _between(g: Graph, u: int, vertices):
-    """Pairs v < w of the sorted `vertices` with u on a shortest v-w path."""
+    """Pairs v < w of the sorted `vertices` with u on a shortest v-w path:
+    the one betweenness test, run over all vertices by `auxiliary_graph`
+    and over the radius-2 ball by `local_graph`."""
     d = g.dist
     return [
         (v, w)
@@ -128,6 +135,10 @@ def perfect_b_matching(n, edges, demand, cap: int = B_MATCHING_NODE_CAP):
     partner smaller than the previous choice for the same vertex.  It
     raises `BudgetError` when it would push more than `cap` search nodes
     (stack frames), so time and memory stay bounded whatever the demand.
+
+    Partners are listed among the demand's support only, each vertex's
+    option count is kept up to date as demands move, and only the chosen
+    vertex's option list is built.
     """
     _check_demand(n, demand)
     need = {v: k for v, k in demand.items() if k > 0}
@@ -277,7 +288,8 @@ def has_fractional_perfect_b_matching(
     aux: AuxiliaryGraph, demand
 ) -> FractionalMatchingResult:
     """Decide feasibility on A_u; on failure produce a disabling stable set,
-    a stable set S with b(S) > b(N(S))."""
+    the first stable set S in `stable_sets` order with b(S) > b(N(S)).  No
+    LP runs: the max-flow decides."""
     demand = dict(demand)
     edges = list(aux.edges) + [(aux.base, aux.base)]
     cert = fractional_perfect_b_matching(aux.n, edges, demand)
@@ -312,6 +324,8 @@ def has_perfect_pairing(g: Graph, profile: Profile, cap: int = B_MATCHING_NODE_C
 
     Testing a single median suffices: a perfect pairing forces equality of
     weak duality at every median, so either every median works or none does.
+    No pairing costs more than min F, so the maximum pairing cost of the
+    profile equals min F exactly when this returns a pairing.
     """
     if not profile.counts:
         raise InputError("profile must be nonempty")
@@ -512,6 +526,7 @@ def matching_stable_set_check(
                 witness = scale_to_even_profile(system.solve().point)
                 return MatchingStableSetResult(False, variant, witness, s)
         return MatchingStableSetResult(True, variant)
+    # each escape set's neighbourhood once per graph, not once per profile
     hoods = [(t, neighborhood(adj, t)) for t in escapes]
     for profile in canonical_profiles(
         g.n, max_support, max_mult, even_only=True, cap=cap

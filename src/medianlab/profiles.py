@@ -1,4 +1,10 @@
-"""Profiles (vertex multisets), total-distance functions and median sets."""
+"""Profiles (vertex multisets), total-distance functions and median sets.
+
+`Profile` is the one profile form of the package.  f-vectors over the
+canonical profiles have one home, `profile_sweep`: the connected-median
+verification here, `pairing.pairing_property_bounded_search` and check (d)
+of `benzenoid.verify_benzenoid_properties` all run on it.
+"""
 
 from __future__ import annotations
 
@@ -97,7 +103,8 @@ def _check_in_graph(g: Graph, profile: Profile) -> None:
 
 
 def _distance_sum(dv: list[int], counts) -> int:
-    """F(v), the sum of k * d(v, x) over the counts, from v's distances `dv`."""
+    """F(v), the sum of k * d(v, x) over the counts, from v's distances `dv`;
+    every total distance of a single profile is this sum."""
     return sum(k * dv[x] for x, k in counts)
 
 
@@ -209,7 +216,8 @@ def _canonical_key(counts):
 def extend_f_vector(g: Graph, f: list[int], x: int, k: int = 1) -> list[int]:
     """The f-vector of a profile with k more copies of x, as a new list:
     the profile's own f-vector f plus k times the distance row of x, which
-    is also its column since distances are symmetric."""
+    is also its column since distances are symmetric.  This is the one
+    place that rule is written."""
     return [a + k * b for a, b in zip(f, g.dist[x])]
 
 
@@ -242,6 +250,13 @@ def profile_sweep(g: Graph, max_support: int, max_mult: int,
 
 
 # -- bounded verification of connected / unimodal medians ----------------------
+#
+# The per-profile helpers (`minimizers` above, `peak_failures`, `_unimodal`,
+# `connected_in_power`) run once per profile of a sweep, so their
+# inner loops are shaped to run in C: the first three read f through `map`,
+# `compress` and `min`, and `connected_in_power` removes each layer of its
+# search from the unvisited set with one set operation.  `benzenoid` uses
+# them too, and `consensus` uses `minimizers`.
 
 
 def connected_in_power(g: Graph, members: frozenset[int], p: int) -> bool:
@@ -322,7 +337,8 @@ def check_unimodal_equals_connected(
     Any profile for which the three verdicts are not all true is reported,
     in canonical order.  The verdicts are invariant under Aut(G), so only
     profiles on orbit-least supports are checked, and each failing one
-    stands for its whole orbit (`profile_orbit`).
+    stands for its whole orbit (`profile_orbit`).  `profiles_checked` is
+    the closed-form count of all the profiles, orbits included.
     """
     if p < 1:
         raise InputError(f"power must be >= 1, got {p}")

@@ -27,8 +27,9 @@ class Report:
 
 
 class VerificationReport(Report):
-    """Base of the bounded verification reports: each check only adds to
-    `failures`, and the report holds iff none was added."""
+    """Base of the bounded verification reports (`MedianVerificationReport`,
+    `BenzenoidReport`, `L6Report`): each check only adds to `failures`, and
+    the report holds iff none was added."""
 
     @property
     def ok(self) -> bool:

@@ -431,13 +431,6 @@ def _induced_connected(rng, host, k):
     return Graph(k, [(index[u], index[v]) for u, v in host.edges() if u in index and v in index])
 
 
-def _random_connected(rng, n):
-    """A random spanning tree plus extra edges, bipartite or not."""
-    tree = random_tree(rng, n)
-    extra = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.2]
-    return Graph(n, sorted(set(tree.edges()) | set(extra)))
-
-
 def _oracle_graphs():
     graphs = [(spec, generate(spec)) for spec in NAMED]
     rng = random.Random(2008)
@@ -448,7 +441,7 @@ def _oracle_graphs():
         if kind == 0:
             g = random_connected_bipartite(rng, max_n=12)
         elif kind == 1:
-            g = _random_connected(rng, n)
+            g = random_connected_graph(rng, n, 0.2)
         elif kind == 2:
             g = random_tree(rng, n)
         else:
@@ -655,9 +648,9 @@ def test_layer_mask_scans_match_the_list_scans():
     assert min(failures.values()) >= 100, failures
 
 
-# -- the implied verdicts against full scans: the tc scan and the layer pass
-# as they ran before a bipartite graph, a tree and a fan of one or two members
-# were read as implied, kept here as references
+# -- the implied verdicts against full scans: the tc scan without its
+# bipartite shortcut, and the layer pass as the two list scans above, with no
+# tree shortcut and every fan probed
 
 
 def _tc_full_scan(g):
@@ -675,32 +668,12 @@ def _tc_full_scan(g):
 
 
 def _layer_pass_full_scan(g, pairs):
-    module = importlib.import_module("medianlab.classify")
-    adj = g.adj
-    commons = [(v, w, sum(1 << x for x in common)) for v, w, common in pairs]
-    nbr = [sum(1 << x for x in row) for row in adj]
-    long_interval = None
-    for u, du in enumerate(g.dist):
-        layers = module._layers(du)
-        for v, w, common in commons:
-            k = du[v]
-            if k >= 2 and du[w] == k and not common & layers[k - 1]:
-                farther = common & layers[k + 1]
-                if farther:
-                    return (u, v, w, (farther & -farther).bit_length() - 1), None
-        if long_interval is not None or not g.is_bipartite:
-            continue
-        for v, k in enumerate(du):
-            if k < 3:
-                continue
-            meet = layers[k - 2]
-            for w in adj[v]:
-                if du[w] == k - 1:
-                    meet &= nbr[w]
-            if not meet:
-                long_interval = u, v
-                break
-    return None, long_interval
+    """The qc scan, then the long-interval scan on a bipartite graph with no
+    qc violation, every fan probed."""
+    qc = _qc_by_lists(g, pairs)
+    if qc is not None or not g.is_bipartite:
+        return qc, None
+    return None, _long_interval_by_lists(g)
 
 
 def _verdicts(g):

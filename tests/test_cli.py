@@ -42,6 +42,18 @@ def test_graph_text_roundtrip():
         formats.graph_from_text("")
 
 
+@pytest.mark.parametrize("read, text, message", [
+    (formats.graph_from_text, "x y\n", "bad graph header 'x y'"),
+    (formats.hypergraph_from_text, "3\n", "bad hypergraph header '3'"),
+    (lambda text: formats.table_from_text(cycle(6), text), "6 1 2\n",
+     "bad table header '6 1 2'"),
+], ids=["graph", "hypergraph", "table"])
+def test_a_bad_header_names_its_format(read, text, message):
+    with pytest.raises(FormatError) as info:
+        read(text)
+    assert str(info.value) == message
+
+
 def test_hypergraph_text_roundtrip():
     h = Hypergraph.from_lists(4, [[0, 1], [1, 2, 3], [3]])
     assert formats.hypergraph_from_text(formats.hypergraph_to_text(h)) == h

@@ -1,5 +1,6 @@
-"""Every module-level import in the library is used by its own module, so
-what a deletion leaves behind in the import lines is caught."""
+"""Every module-level import in the library and in the test modules is used
+by its own module, so what a deletion leaves behind in the import lines is
+caught."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,8 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "medianlab"
 # __init__.py only re-exports
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).resolve().parent
+TEST_MODULES = sorted(p.name for p in TESTS.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -37,3 +40,8 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_library_imports_are_used(module):
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("module", TEST_MODULES)
+def test_test_imports_are_used(module):
+    assert unused_imports((TESTS / module).read_text(encoding="utf-8")) == []

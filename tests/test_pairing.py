@@ -44,7 +44,7 @@ from medianlab.pairing import (
 from medianlab.profiles import Profile, canonical_profiles, f_vector, median_set, total_distance
 from medianlab.rational_lp import EQ, GE, LE, RationalLinearSystem, _phase_one, _phase_two, _Tableau
 
-from conftest import all_pairings, brute_force_max_pairing
+from conftest import all_pairings, brute_force_max_pairing, random_connected_graph
 
 
 def test_pairing_cost_and_covers():
@@ -341,12 +341,6 @@ def assert_half_integral_certificate(n, edges, demand, cert):
         degree[a] += x
         degree[b] += x
     assert degree == [Fraction(demand.get(v, 0)) for v in range(n)]
-
-
-def random_connected_graph(rng, n, p):
-    edges = {(rng.randrange(v), v) for v in range(1, n)}
-    edges |= {(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p}
-    return Graph(n, sorted(edges))
 
 
 def test_max_flow_matches_lp_and_scipy():
