@@ -11,14 +11,15 @@ have three common neighbours (an induced K_{2,3}).  A scan over vertex
 triples runs only to name the witness of a flag that fails.
 
 Five verdicts are implied and not scanned for.  All but the first are
-read in the private cores or in `_pairs`, so every public recognizer sees
-them:
+read in the private cores or in the record described below, so every
+public recognizer sees them:
 
 - a weakly modular graph is meshed (Bandelt & Chepoi 2008; Chalopin,
   Chepoi, Hirai & Osajda, "Weakly modular graphs and nonpositive
   curvature", Mem. AMS 2020), so `classify` runs the meshed scan only when
-  the triangle or the quadrangle condition fails; this verdict is read in
-  `classify` only, since `is_meshed` has no tc or qc verdict at hand;
+  the triangle or the quadrangle condition fails; `is_meshed` keeps its
+  direct scan, since reading the implied verdict would run the tc scan and
+  the layer pass first, which costs about as much as the scan it saves;
 - a tree is Helly: its balls are subtrees, and subtrees of a tree have the
   Helly property, so the ball scan runs only on graphs with a cycle;
 - a bipartite graph satisfies the triangle condition: an edge joins two
@@ -26,7 +27,7 @@ them:
 - a tree is a median graph, is meshed and satisfies the long-interval
   condition: no two of its vertices have two common neighbours and every
   fan has one member, so on a tree no recognizer runs a layer pass or
-  builds a list of pairs at distance 2 (`_pairs`);
+  builds a list of pairs at distance 2 (`_Scans.pairs`);
 - on a modular graph, a fan of one or two members satisfies the
   long-interval condition: one member has a neighbour one layer closer to
   the source, and two members have a common one there by qc, so only
@@ -52,16 +53,27 @@ bipartite graph and only until their first violation.  The loops keep
 their order, so verdicts and witnesses are those of two scans one vertex
 at a time.
 
-Each recognizer has one private core that returns its first violation, or
-None; the public functions record it as their witness, and `classify`
-calls the cores directly so that shared work is done once: it builds the
-list of pairs at distance 2 once and runs the layer pass once, and reads
-the weakly modular, modular and median flags off their results.
+Each scan has one private core that returns its first violation, or
+None.  The scans that several verdicts share (the list of pairs at
+distance 2, the layer pass and the triple walk) and the rules that
+combine them (weakly modular = tc and qc; modular = bipartite and qc;
+median = modular and no K_{2,3}; the interval condition fails at a long
+interval of a modular graph, else at a triple without a median) are
+written once, as members of one private record, `_Scans`.  `classify`,
+`check_conditions_tc_qc` and the modular, median and bipartite Helly
+recognizers build one record per call and read their verdicts and
+witnesses off it; `is_median_graph` alone names its witness by a walk
+that stops there, and `is_meshed` takes only the pair list.  A member
+runs on its first read and is kept until the call returns, so a scan runs
+at most once per call, and only when some verdict or witness reads it: a
+graph that is not bipartite and fails tc runs no layer pass.  The graph
+stores nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 from .graph import Graph
@@ -82,9 +94,9 @@ class ClassReport(Report):
 
 def _two_apart(g: Graph) -> list[tuple[int, int, list[int]]]:
     """(v, w, common neighbours) for every pair v < w at distance 2, in
-    lexicographic order; the common neighbours ascend.  The qc, K_{2,3} and
-    meshed cores take this list as an argument, so one list serves all
-    three."""
+    lexicographic order; the common neighbours ascend.  The qc and meshed
+    cores take this list as an argument and the median rule reads it (the
+    K_{2,3} test), so one list serves all three."""
     adj = g.adj
     pairs = []
     for v, dv in enumerate(g.dist):
@@ -109,13 +121,6 @@ def _layers(du) -> list[int]:
 def _is_tree(g: Graph) -> bool:
     """A connected graph with n - 1 edges is a tree."""
     return g.edge_count == g.n - 1
-
-
-def _pairs(g: Graph) -> list[tuple[int, int, list[int]]]:
-    """The `_two_apart` list, or [] on a tree, where no scan of the list
-    finds a violation: a tree is a median graph and is meshed.  Every
-    recognizer takes its list from here."""
-    return [] if _is_tree(g) else _two_apart(g)
 
 
 # list-based on purpose: a layer-mask version ran the scan 3x slower on
@@ -195,12 +200,6 @@ def _first_layer_violations(g: Graph, pairs) -> tuple:
     return None, long_interval
 
 
-def _first_k23(pairs) -> tuple | None:
-    """The first pair at distance 2 with three or more common neighbours,
-    the two sides of an induced K_{2,3}, or None."""
-    return next(((v, w) for v, w, common in pairs if len(common) >= 3), None)
-
-
 def _median_counts(g: Graph):
     """Each triple x < y < z in lexicographic order with its number of
     medians.  m is a median exactly when d(x,m) + d(y,m) + d(z,m) is half
@@ -228,20 +227,78 @@ def _median_witnesses(g: Graph, find_modular: bool) -> tuple:
     return (not_one if not medians else next(t for t, m in walk if not m)), not_one
 
 
-def _first_interval_violations(g: Graph) -> tuple:
-    """(first triple without a median, first interval-condition violation),
-    both None on a bipartite Helly graph.  A graph is modular iff it is
-    bipartite with no qc violation; the interval condition then fails first
-    at a long interval, and otherwise at the triple without a median.
-    Modularity is written here once for `is_modular`,
-    `bipartite_helly_via_interval_condition` and `is_bipartite_helly`, and
-    the layer pass runs only on a bipartite graph."""
-    if g.is_bipartite:
-        qc_bad, long_bad = _first_layer_violations(g, _pairs(g))
-        if qc_bad is None:
-            return None, long_bad
-    no_median = _median_witnesses(g, True)[0]
-    return no_median, no_median
+class _Scans:
+    """The scans of one graph that several verdicts share, and the rules
+    that combine them.  Each member runs on its first read and lives as
+    long as the record, which is built per call (module docstring); each
+    `*_violation` member is a flag's first violation, or None when the
+    flag holds."""
+
+    def __init__(self, g: Graph):
+        self.g = g
+
+    @cached_property
+    def pairs(self) -> list[tuple[int, int, list[int]]]:
+        """The `_two_apart` list, or [] on a tree, where no scan of the list
+        finds a violation: a tree is a median graph and is meshed."""
+        return [] if _is_tree(self.g) else _two_apart(self.g)
+
+    @cached_property
+    def layer_pass(self) -> tuple:
+        """(first qc violation, first long-interval violation)."""
+        return _first_layer_violations(self.g, self.pairs)
+
+    @cached_property
+    def modular(self) -> bool:
+        """Bipartite with no qc violation, so the layer pass runs only on a
+        bipartite graph."""
+        return self.g.is_bipartite and self.layer_pass[0] is None
+
+    @cached_property
+    def median(self) -> bool:
+        """Modular with no induced K_{2,3}: no two vertices at distance 2
+        have three common neighbours."""
+        return self.modular and all(len(common) < 3 for _, _, common in self.pairs)
+
+    @cached_property
+    def triples(self) -> tuple:
+        """The triple walk of a graph that is not median; it looks for a
+        triple without a median only when the graph is not modular."""
+        return _median_witnesses(self.g, not self.modular)
+
+    @cached_property
+    def weakly_modular_violation(self) -> tuple | None:
+        """The tc violation, else the qc one: the layer pass runs only when
+        tc holds."""
+        return _first_tc_violation(self.g) or self.layer_pass[0]
+
+    @property
+    def modular_violation(self) -> tuple | None:
+        return None if self.modular else self.triples[0]
+
+    @property
+    def median_violation(self) -> tuple | None:
+        return None if self.median else self.triples[1]
+
+    @property
+    def interval_violation(self) -> tuple | None:
+        """The interval condition fails first at a long interval of a
+        modular graph, and otherwise at the triple without a median."""
+        return self.layer_pass[1] if self.modular else self.modular_violation
+
+    @property
+    def bipartite_helly_violation(self) -> tuple | str | None:
+        """The reason "not bipartite", the interval-condition violation or
+        None.  The half-ball test must agree with the interval condition, or
+        RuntimeError is raised.  The half-ball scan runs on every bipartite
+        graph, as this self-check."""
+        if not self.g.is_bipartite:
+            return "not bipartite"
+        found = self.interval_violation
+        if bipartite_helly_via_half_balls(self.g) != (found is None):
+            raise RuntimeError("bipartite Helly procedures disagree: half-balls="
+                               f"{found is not None} interval-condition={found is None}")
+        return found
 
 
 def check_conditions_tc_qc(g: Graph):
@@ -250,7 +307,7 @@ def check_conditions_tc_qc(g: Graph):
     Returns (tc_holds, qc_holds, witnesses) where witnesses maps 'tc'/'qc'
     to the first violating vertex tuple in lexicographic order.
     """
-    found = {"tc": _first_tc_violation(g), "qc": _first_layer_violations(g, _pairs(g))[0]}
+    found = {"tc": _first_tc_violation(g), "qc": _Scans(g).layer_pass[0]}
     witnesses = {key: why for key, why in found.items() if why is not None}
     return found["tc"] is None, found["qc"] is None, witnesses
 
@@ -265,7 +322,7 @@ def _holds(witness: list | None, found) -> bool:
 def is_modular(g: Graph, witness: list | None = None) -> bool:
     """Every vertex triple has a median: the graph is bipartite and satisfies
     the quadrangle condition.  The witness is the first triple without one."""
-    return _holds(witness, _first_interval_violations(g)[0])
+    return _holds(witness, _Scans(g).modular_violation)
 
 
 def is_median_graph(g: Graph, witness: list | None = None) -> bool:
@@ -274,13 +331,13 @@ def is_median_graph(g: Graph, witness: list | None = None) -> bool:
     is the first distinct triple with no or several medians; a triple with a
     repeated vertex always has exactly one.
     """
-    pairs = _pairs(g)
-    modular = g.is_bipartite and _first_layer_violations(g, pairs)[0] is None
-    if modular and _first_k23(pairs) is None:
-        return True
-    if witness is not None:
+    scans = _Scans(g)
+    if not scans.median and witness is not None:
+        # the walk stops at the witness, with no search for a triple
+        # without a median, which the record's walk makes on a graph that
+        # is not modular
         witness.append(_median_witnesses(g, False)[1])
-    return False
+    return scans.median
 
 
 def _berge_failure(ground_masks: list[int], masks) -> tuple | None:
@@ -364,27 +421,6 @@ def _first_ball_failure(g: Graph) -> tuple | None:
     return _first_column_failure(g, block)
 
 
-def _first_bipartite_helly_violation(g: Graph, found: tuple | None):
-    """Decide bipartite Hellyness two independent ways and insist they agree.
-
-    `found` is the first interval-condition violation, None when the
-    condition holds; the half-ball test must agree with it, or RuntimeError
-    is raised.  The result is "not bipartite", `found` or None.  No
-    interval scan runs here, and the half-ball scan runs on every bipartite
-    graph, as this self-check.
-    """
-    if not g.is_bipartite:
-        return "not bipartite"
-    by_half_balls = bipartite_helly_via_half_balls(g)
-    by_intervals = found is None
-    if by_half_balls != by_intervals:
-        raise RuntimeError(
-            f"bipartite Helly procedures disagree: half-balls={by_half_balls} "
-            f"interval-condition={by_intervals}"
-        )
-    return found
-
-
 def _first_meshed_violation(g: Graph, pairs) -> tuple | None:
     """First (u, v, w) with (v, w, common) in `pairs` and no common
     neighbour x with 2 d(u,x) <= d(u,v) + d(u,w)."""
@@ -443,52 +479,37 @@ def bipartite_helly_via_half_balls(g: Graph, witness: list | None = None) -> boo
 def bipartite_helly_via_interval_condition(g: Graph, witness: list | None = None) -> bool:
     """Modularity plus the long-interval condition: for d(u,v) >= 3 the
     neighbors of v inside I(u,v) must have a second common neighbor there."""
-    return _holds(witness, _first_interval_violations(g)[1])
+    return _holds(witness, _Scans(g).interval_violation)
 
 
 def is_bipartite_helly(g: Graph, witness: list | None = None) -> bool:
     """Decide bipartite Hellyness two independent ways and insist they agree."""
-    found = _first_interval_violations(g)[1] if g.is_bipartite else None
-    return _holds(witness, _first_bipartite_helly_violation(g, found))
+    return _holds(witness, _Scans(g).bipartite_helly_violation)
 
 
 def is_meshed(g: Graph, witness: list | None = None) -> bool:
     """For every u and 2-pair (v,w), some common neighbor x of v,w has
-    2 d(u,x) <= d(u,v) + d(u,w)."""
-    return _holds(witness, _first_meshed_violation(g, _pairs(g)))
+    2 d(u,x) <= d(u,v) + d(u,w).  The scan runs directly: reading the
+    implied verdict would run the tc scan and the layer pass first."""
+    return _holds(witness, _first_meshed_violation(g, _Scans(g).pairs))
 
 
 def classify(g: Graph) -> ClassReport:
-    pairs = _pairs(g)
-    tc_bad, (qc_bad, long_bad) = _first_tc_violation(g), _first_layer_violations(g, pairs)
-    modular = g.is_bipartite and qc_bad is None
-    median = modular and _first_k23(pairs) is None
-    weakly_modular = tc_bad is None and qc_bad is None
-    witnesses = {}
-    if not weakly_modular:
-        witnesses["weakly_modular"] = tc_bad if tc_bad is not None else qc_bad
-    if not median:
-        no_median, witnesses["median"] = _median_witnesses(g, not modular)
-        if not modular:
-            witnesses["modular"] = no_median
+    scans = _Scans(g)
     found = {
+        "weakly_modular": scans.weakly_modular_violation,
+        "median": scans.median_violation,
+        "modular": scans.modular_violation,
         "helly": _first_ball_failure(g),
-        "bipartite_helly": _first_bipartite_helly_violation(
-            g, witnesses.get("modular", long_bad)
-        ),
+        "bipartite_helly": scans.bipartite_helly_violation,
         # a weakly modular graph is meshed
-        "meshed": None if weakly_modular else _first_meshed_violation(g, pairs),
+        "meshed": scans.weakly_modular_violation and _first_meshed_violation(g, scans.pairs),
     }
-    for key, why in found.items():
-        if why is not None:
-            witnesses[key] = (why,) if isinstance(why, str) else why
+    # a violation is a nonempty tuple or the "not bipartite" reason
     return ClassReport(
         bipartite=g.is_bipartite,
-        weakly_modular=weakly_modular,
-        modular=modular,
-        median=median,
-        helly=found["helly"] is None,
-        bipartite_helly=found["bipartite_helly"] is None,
-        meshed=found["meshed"] is None,
-        witnesses=witnesses,
+        **{key: why is None for key, why in found.items()},
+        witnesses={
+            key: (why,) if isinstance(why, str) else why for key, why in found.items() if why
+        },
     )

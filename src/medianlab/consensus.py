@@ -249,12 +249,11 @@ def _is_alternate(r) -> bool:
     return all(r[0::2]) or all(r[1::2])
 
 
-def _alternate_value(c) -> frozenset[int] | None:
-    """The 6-cycle rule on the count vector c of an alternate profile: the
-    singleton of the smallest index carrying the maximum reduced
-    multiplicity of the positive parity class.  None when c is not
+def _alternate_value(r) -> frozenset[int] | None:
+    """The 6-cycle rule on the reduced count vector r of an alternate
+    profile: the singleton of the smallest index carrying the maximum
+    reduced multiplicity of the positive parity class.  None when r is not
     alternate, where the rule is the median function."""
-    r = _reduced(c)
     if not _is_alternate(r):
         return None
     cls = (0, 2, 4) if r[0] > 0 else (1, 3, 5)
@@ -276,21 +275,28 @@ def l6_eval(profile: Profile) -> frozenset[int]:
     """
     if not profile.counts:
         raise InputError("profile must be nonempty")
-    return _alternate_value(_c6_counts(profile)) or median_set(c6_graph(), profile)
+    return _alternate_value(_reduced(_c6_counts(profile))) or median_set(c6_graph(), profile)
 
 
-def _l6_from_median(med: TabulatedConsensus) -> TabulatedConsensus:
+def _reduced_keys(med: TabulatedConsensus) -> dict:
+    """The reduced count vector of every key of a 6-cycle table."""
+    return {key: _reduced(_key_counts(key)) for key in med.table}
+
+
+def _l6_from_median(med: TabulatedConsensus, reduced: dict) -> TabulatedConsensus:
     """The 6-cycle rule's table read off the median table of the 6-cycle:
-    each alternate key's value replaced, every other key's kept."""
+    each alternate key's value replaced, every other key's kept.  `reduced`
+    maps each key to its reduced count vector."""
     return tabulate_function(
         med.graph, med.max_len,
-        lambda key: _alternate_value(_key_counts(key)) or med.table[key],
+        lambda key: _alternate_value(reduced[key]) or med.table[key],
     )
 
 
 def tabulate_l6(max_len: int) -> TabulatedConsensus:
     """The 6-cycle rule on every profile of length 1..max_len."""
-    return _l6_from_median(tabulate_median(c6_graph(), max_len))
+    med = tabulate_median(c6_graph(), max_len)
+    return _l6_from_median(med, _reduced_keys(med))
 
 
 @dataclass
@@ -316,16 +322,16 @@ def verify_l6_is_abc(max_len: int = 6) -> L6Report:
     Each check lists its failures, and each flag is true iff its list is
     empty; `failures` joins the lists in that order.  The median function
     is tabulated once and the rule's table is read off it, so no other
-    median set is computed.
+    median set is computed; each key's count vector is reduced once.
     """
     if max_len < 3:
         raise BudgetError(
             f"the divergence witness needs profiles of length 3, got {max_len}"
         )
     med = tabulate_median(c6_graph(), max_len)
-    table = _l6_from_median(med)
+    reduced = _reduced_keys(med)
+    table = _l6_from_median(med, reduced)
     res_a, res_b, res_c = (check_axiom(table, axiom) for axiom in "ABC")
-    reduced = {key: _reduced(_key_counts(key)) for key in table.table}
     reduction_fails = [
         {"reduction": [left, right]}
         for left, right in _concatenation_pairs(6, max_len)

@@ -269,6 +269,9 @@ def test_classify_skips_the_implied_scans(monkeypatch):
         (complete(4), (0, 1, 4, 1, 4)),
         (tree, (0, 1, 0, 0, 0)),
         (cycle(6), (1, 2, 1, 1, 0)),
+        # tc fails, so weak modularity is decided without the layer pass,
+        # and a graph that is not bipartite is not modular
+        (cycle(5), (1, 1, 0, 1, 1)),
     ):
         for calls in counts:
             calls.clear()
@@ -358,6 +361,20 @@ def test_recognizers_skip_the_pair_list_and_layer_pass_they_need_not_read(monkey
         assert not recognizer(complete(4), wit)
         assert wit == [(0, 1, 2)]
     assert layer_passes == []
+
+
+def test_recognizers_of_a_modular_graph_run_no_triple_walk(monkeypatch):
+    # K_{2,3} is modular and not median: modularity is read off the layer
+    # pass, and only a median witness walks the triples
+    walks = _count_calls(monkeypatch, "_median_witnesses")
+    g = generate("kmn:2,3")
+    for recognizer in (is_modular, bipartite_helly_via_interval_condition, is_bipartite_helly):
+        walks.clear()
+        wit = []
+        assert recognizer(g, wit) and wit == []
+        assert walks == [], recognizer.__name__
+    wit = []
+    assert not is_median_graph(g, wit) and wit == [(2, 3, 4)] and len(walks) == 1
 
 
 def test_bipartite_helly_procedures_agree_on_random_graphs():

@@ -200,6 +200,16 @@ def test_verify_l6_report():
     assert key == (0, 2, 4) and l6_value == {0} and med_value == {0, 2, 4}
 
 
+def test_verify_l6_reduces_each_key_once(monkeypatch):
+    # 923 keys up to length 6, each reduced once, and the 8,400
+    # concatenation pairs, each merge reduced once
+    calls = []
+    reduce = consensus_module._reduced
+    monkeypatch.setattr(consensus_module, "_reduced", lambda c: calls.append(c) or reduce(c))
+    assert verify_l6_is_abc(6).ok
+    assert len(calls) == 923 + 8400
+
+
 def _axiom_b_fails(monkeypatch):
     check = consensus_module.check_axiom
     monkeypatch.setattr(
@@ -218,8 +228,8 @@ def _alternation_unseen_after_tabulation(monkeypatch):
     # non-alternate one, where the rule parts from the median function
     build = consensus_module._l6_from_median
 
-    def blind(med):
-        table = build(med)
+    def blind(med, reduced):
+        table = build(med, reduced)
         monkeypatch.setattr(consensus_module, "_is_alternate", lambda r: False)
         return table
 
