@@ -78,7 +78,7 @@ def _report(g: Graph, verdicts, holds: bool = True, **extra) -> tuple[dict, int]
     """The body of a verb on graph g, made JSON-able, and its exit code:
     1 when the checked property fails, else 0.  Every verb but `corpus`
     ends here, the one place that adds the graph fingerprint."""
-    body = {"graph": g.fingerprint(), **jsonable({"verdicts": verdicts, **extra})}
+    body = {"graph": formats.fingerprint(g), **jsonable({"verdicts": verdicts, **extra})}
     return body, 0 if holds else 1
 
 
@@ -90,9 +90,8 @@ def cmd_classify(args):
 def cmd_median(args):
     g = load_graph(args.target)
     profile = pf.Profile.parse(args.profile)
-    med = pf.median_set(g, profile)
-    total = pf.total_distance(g, profile, min(med)) if profile.counts else 0
-    return _report(g, {"median_set": med, "min_total_distance": total})
+    f = pf.f_vector(g, profile)
+    return _report(g, {"median_set": pf.minimizers(f), "min_total_distance": min(f)})
 
 
 def cmd_verify_connected_medians(args):

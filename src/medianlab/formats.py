@@ -1,13 +1,16 @@
 """Line-based text formats for graphs, hypergraphs, benzenoid cell sets and
-tabulated consensus functions.
+tabulated consensus functions, and the graph fingerprint of the CLI reports.
 
 Every writer/parser pair round-trips: parsing written output reproduces an
-identical object.  Lines starting with '#' are comments.  A consensus table
-is a header `n max_len` followed by one `profile vertices | value vertices`
-line per profile, each profile exactly once.
+identical object.  Lines starting with '#' are comments.  Graphs,
+hypergraphs and cell sets are read by one reader, `_int_rows`.  A consensus
+table is a header `n max_len` followed by one `profile vertices | value
+vertices` line per profile, each profile exactly once.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 from .benzenoid import Benzenoid, build_benzenoid
 from .consensus import TabulatedConsensus, profile_keys
@@ -35,6 +38,32 @@ def _header(lines: list[str], kind: str) -> tuple[int, int]:
     return a, b
 
 
+def _int_rows(text: str, kind: str, row: str, width: int | None,
+              header: bool = True) -> tuple[tuple[int, int] | None, list]:
+    """The `a b` header (None without `header`) and the rows of a `kind`
+    file, each row a tuple of `width` integers, or of any number when
+    `width` is None.  With a header, exactly b row lines must follow it."""
+    lines = _payload_lines(text)
+    if not lines:
+        raise FormatError(f"empty {kind} file")
+    head = None
+    if header:
+        head = _header(lines, kind)
+        lines = lines[1:]
+        if len(lines) != head[1]:
+            raise FormatError(f"expected {head[1]} {row} lines, found {len(lines)}")
+    rows = []
+    for ln in lines:
+        try:
+            ints = tuple(map(int, ln.split()))
+        except ValueError:
+            ints = None
+        if ints is None or width is not None and len(ints) != width:
+            raise FormatError(f"bad {row} line {ln!r}")
+        rows.append(ints)
+    return head, rows
+
+
 def graph_to_text(g: Graph) -> str:
     lines = [f"{g.n} {g.edge_count}"]
     lines += [f"{u} {v}" for u, v in g.edges()]
@@ -42,20 +71,15 @@ def graph_to_text(g: Graph) -> str:
 
 
 def graph_from_text(text: str) -> Graph:
-    lines = _payload_lines(text)
-    if not lines:
-        raise FormatError("empty graph file")
-    n, m = _header(lines, "graph")
-    if len(lines) - 1 != m:
-        raise FormatError(f"expected {m} edge lines, found {len(lines) - 1}")
-    edges = []
-    for ln in lines[1:]:
-        try:
-            u, v = map(int, ln.split())
-        except ValueError:
-            raise FormatError(f"bad edge line {ln!r}") from None
-        edges.append((u, v))
+    (n, _), edges = _int_rows(text, "graph", "edge", 2)
     return Graph(n, edges)
+
+
+def fingerprint(g: Graph) -> dict:
+    """Vertex and edge counts of g and the first 16 hex digits of the
+    SHA-256 of its `graph_to_text` form."""
+    digest = hashlib.sha256(graph_to_text(g).encode()).hexdigest()
+    return {"vertices": g.n, "edges": g.edge_count, "hash": digest[:16]}
 
 
 def hypergraph_to_text(h: Hypergraph) -> str:
@@ -65,18 +89,7 @@ def hypergraph_to_text(h: Hypergraph) -> str:
 
 
 def hypergraph_from_text(text: str) -> Hypergraph:
-    lines = _payload_lines(text)
-    if not lines:
-        raise FormatError("empty hypergraph file")
-    n, k = _header(lines, "hypergraph")
-    if len(lines) - 1 != k:
-        raise FormatError(f"expected {k} hyperedge lines, found {len(lines) - 1}")
-    edges = []
-    for ln in lines[1:]:
-        try:
-            edges.append([int(t) for t in ln.split()])
-        except ValueError:
-            raise FormatError(f"bad hyperedge line {ln!r}") from None
+    (n, _), edges = _int_rows(text, "hypergraph", "hyperedge", None)
     return Hypergraph.from_lists(n, edges)
 
 
@@ -85,15 +98,7 @@ def cells_to_text(b: Benzenoid) -> str:
 
 
 def cells_from_text(text: str) -> Benzenoid:
-    cells = []
-    for ln in _payload_lines(text):
-        try:
-            q, r = map(int, ln.split())
-        except ValueError:
-            raise FormatError(f"bad cell line {ln!r}") from None
-        cells.append((q, r))
-    if not cells:
-        raise FormatError("empty benzenoid cell file")
+    _, cells = _int_rows(text, "benzenoid cell", "cell", 2, header=False)
     return build_benzenoid(cells)
 
 

@@ -11,7 +11,6 @@ reduced modulo Aut(G) reads.
 
 from __future__ import annotations
 
-import hashlib
 from collections import deque
 from collections.abc import Iterable
 from itertools import chain
@@ -135,16 +134,6 @@ class Graph:
         if self._automorphisms is None:
             self._automorphisms = automorphism_generators(self)
         return self._automorphisms
-
-    def fingerprint(self) -> dict:
-        text = f"{self.n} {len(self._edges)}\n" + "".join(
-            f"{u} {v}\n" for u, v in self._edges
-        )
-        return {
-            "vertices": self.n,
-            "edges": len(self._edges),
-            "hash": hashlib.sha256(text.encode()).hexdigest()[:16],
-        }
 
     # -- metric primitives ---------------------------------------------------
 

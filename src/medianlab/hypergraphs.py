@@ -129,16 +129,6 @@ class Counterexample:
     seed_edges: tuple[tuple[int, int], ...]
 
 
-def _complement(n: int, edges) -> list[tuple[int, int]]:
-    present = {tuple(sorted(e)) for e in edges}
-    return [
-        (a, b)
-        for a in range(n)
-        for b in range(a + 1, n)
-        if (a, b) not in present
-    ]
-
-
 _SEEDS = {
     # two disjoint triangles: no perfect matching, fractional one exists
     "pairing": (6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),
@@ -170,7 +160,9 @@ def build_counterexample(kind: str) -> Counterexample:
         degree[b] += 1
     if min(degree) < 1:
         raise RuntimeError("seed graph has an isolated vertex")
-    if max(map(len, maximal_stable_sets(c_n, adjacency_sets(c_n, c_edges)))) > m:
+    # the maximal stable sets of C are the maximal cliques of B = complement(C)
+    stable = maximal_stable_sets(c_n, adjacency_sets(c_n, c_edges))
+    if max(map(len, stable)) > m:
         raise RuntimeError("seed graph has a stable set above half its order")
     ones = {v: 1 for v in range(c_n)}
     if kind == "pairing":
@@ -181,8 +173,7 @@ def build_counterexample(kind: str) -> Counterexample:
             raise RuntimeError(
                 "seed graph unexpectedly has a fractional perfect matching"
             )
-    b_edges = _complement(c_n, c_edges)
-    dual = dual_hypergraph(clique_hypergraph(c_n, b_edges))
+    dual = dual_hypergraph(Hypergraph(c_n, tuple(stable)))
     inc = incidence_graph(dual)
     profile = Profile.from_vertices(inc.edge_vertices)
     return Counterexample(

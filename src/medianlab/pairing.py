@@ -157,7 +157,6 @@ def perfect_b_matching(n, edges, demand, cap: int = B_MATCHING_NODE_CAP):
     # a partner w is an option for v while need[w] > 0, or need[w] > 1
     # for a loop (w == v); count[v] is the number of v's options
     count = {v: sum(need[w] > (w == v) for w in ws) for v, ws in partners.items()}
-    used: list[tuple[int, int]] = []
 
     def step(x, delta):  # need[x] moves by delta, +1 or -1
         before = need.get(x, 0)
@@ -180,7 +179,8 @@ def perfect_b_matching(n, edges, demand, cap: int = B_MATCHING_NODE_CAP):
         return [v, opts, 0]
 
     # Depth-first over an explicit stack, so deep searches cannot overflow
-    # the interpreter stack; a frame is [vertex, options, next option].
+    # the interpreter stack; a frame is [vertex, options, next option], and
+    # its pair is its vertex with the option tried last.
     stack = [frame(None, None)]
     nodes = 1
     while stack:
@@ -189,7 +189,6 @@ def perfect_b_matching(n, edges, demand, cap: int = B_MATCHING_NODE_CAP):
             w = opts[i - 1]
             step(v, 1)
             step(w, 1)
-            used.pop()
         if i == len(opts):
             stack.pop()
             continue
@@ -197,9 +196,10 @@ def perfect_b_matching(n, edges, demand, cap: int = B_MATCHING_NODE_CAP):
         top[2] = i + 1
         step(v, -1)
         step(w, -1)
-        used.append((min(v, w), max(v, w)))
         if not need:
-            return tuple(sorted(used))
+            return tuple(sorted(
+                (min(x, o[k - 1]), max(x, o[k - 1])) for x, o, k in stack
+            ))
         nodes += 1
         if nodes > cap:
             raise BudgetError(f"b-matching search exceeded cap {cap} nodes", count=nodes)

@@ -124,9 +124,8 @@ def minimizers(f: list[int]) -> frozenset[int]:
 
 
 def median_set(g: Graph, profile: Profile) -> frozenset[int]:
-    """Vertices minimizing the total distance; all of V for the empty profile."""
-    if not profile.counts:
-        return frozenset(range(g.n))
+    """Vertices minimizing the total distance; all of V for the empty
+    profile, whose f-vector is all zeros."""
     return minimizers(f_vector(g, profile))
 
 

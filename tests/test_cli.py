@@ -47,7 +47,18 @@ def test_graph_text_roundtrip():
     (formats.hypergraph_from_text, "3\n", "bad hypergraph header '3'"),
     (lambda text: formats.table_from_text(cycle(6), text), "6 1 2\n",
      "bad table header '6 1 2'"),
-], ids=["graph", "hypergraph", "table"])
+    # the messages of the one reader of the graph, hypergraph and cell formats
+    (formats.graph_from_text, "", "empty graph file"),
+    (formats.hypergraph_from_text, "# a comment\n\n", "empty hypergraph file"),
+    (formats.cells_from_text, "\n", "empty benzenoid cell file"),
+    (formats.graph_from_text, "3 2\n0 1\n", "expected 2 edge lines, found 1"),
+    (formats.hypergraph_from_text, "3 1\n", "expected 1 hyperedge lines, found 0"),
+    (formats.graph_from_text, "3 1\n0 1 2\n", "bad edge line '0 1 2'"),
+    (formats.hypergraph_from_text, "2 1\n0 x\n", "bad hyperedge line '0 x'"),
+    (formats.cells_from_text, "0 0 0\n", "bad cell line '0 0 0'"),
+], ids=["graph", "hypergraph", "table", "graph-empty", "hypergraph-empty",
+        "cells-empty", "graph-count", "hypergraph-count", "graph-line",
+        "hypergraph-line", "cells-line"])
 def test_a_bad_header_names_its_format(read, text, message):
     with pytest.raises(FormatError) as info:
         read(text)
@@ -104,6 +115,14 @@ def test_median_verb(capsys):
     code, out, _ = capture(capsys, ["median", "cycle:6", "--profile", "0 2 4"])
     assert code == 0
     assert json.loads(out)["verdicts"]["median_set"] == [0, 2, 4]
+
+
+def test_median_verb_on_the_empty_profile(capsys):
+    # the f-vector of the empty profile is all zeros: every vertex is a median
+    code, out, _ = capture(capsys, ["median", "cycle:6", "--profile", ""])
+    assert code == 0
+    verdicts = json.loads(out)["verdicts"]
+    assert verdicts == {"median_set": [0, 1, 2, 3, 4, 5], "min_total_distance": 0}
 
 
 def test_consensus_l6_verb(capsys):

@@ -5,6 +5,7 @@ import networkx as nx
 import pytest
 
 from medianlab.classify import is_bipartite_helly
+from medianlab.combinatorics import adjacency_sets, maximal_stable_sets
 from medianlab.errors import InputError
 from medianlab.graph import cycle
 from medianlab.hypergraphs import (
@@ -93,6 +94,21 @@ def test_clique_hypergraph_examples():
     assert len(h.edges) == 5 and all(len(e) == 2 for e in h.edges)
     h = clique_hypergraph(2, [])  # two isolated vertices
     assert h.edges == (frozenset({0}), frozenset({1}))
+
+
+def test_clique_hypergraph_of_the_complement_is_the_maximal_stable_sets():
+    # build_counterexample reads the clique hypergraph of the complement
+    # off the seed's maximal stable sets
+    rng = random.Random(53)
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        edges = [
+            (a, b) for a, b in combinations(range(n), 2) if rng.random() < 0.4
+        ]
+        present = set(edges)
+        complement = [e for e in combinations(range(n), 2) if e not in present]
+        stable = maximal_stable_sets(n, adjacency_sets(n, edges))
+        assert list(clique_hypergraph(n, complement).edges) == stable
 
 
 def test_incidence_graph_single_edge_is_four_cycle():

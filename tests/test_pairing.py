@@ -1,6 +1,7 @@
 import inspect
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import islice
 
@@ -165,6 +166,23 @@ def test_perfect_b_matching_node_cap():
         has_perfect_pairing(cycle(5), Profile.parse("0:99999999999999999999 1:1"), cap=1000)
     # a search that fails fast is not charged for the demand's size
     assert has_perfect_pairing(complete(3), Profile.parse("0:2 1:2 2:2"), cap=4) is None
+
+
+def test_perfect_b_matching_frame_memory():
+    # the loop at 0 meets the huge demand one search node at a time, so the
+    # search pushes frames until the cap; each frame holds its vertex, its
+    # options and its next option, and the matching is read off the stack
+    aux = auxiliary_graph(cycle(5), 0)
+    edges = list(aux.edges) + [(0, 0)]
+    cap = 1 << 14
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError):
+            perfect_b_matching(aux.n, edges, {0: 10**20 - 1, 1: 1}, cap=cap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 200 * cap
 
 
 def test_maximum_pairing_examples():
