@@ -8,7 +8,8 @@ Verdicts are read off the distance table through local characterizations
 graph is modular iff it is bipartite and satisfies the quadrangle
 condition, and a modular graph is median iff no two vertices at distance 2
 have three common neighbours (an induced K_{2,3}).  A scan over vertex
-triples runs only to name the witness of a flag that fails.
+triples runs only to name the witness of a flag that fails, and only when
+that witness is asked for.
 
 Five verdicts are implied and not scanned for.  All but the first are
 read in the private cores or in the record described below, so every
@@ -57,17 +58,22 @@ Each scan has one private core that returns its first violation, or
 None.  The scans that several verdicts share (the list of pairs at
 distance 2, the layer pass and the triple walk) and the rules that
 combine them (weakly modular = tc and qc; modular = bipartite and qc;
-median = modular and no K_{2,3}; the interval condition fails at a long
-interval of a modular graph, else at a triple without a median) are
-written once, as members of one private record, `_Scans`.  `classify`,
-`check_conditions_tc_qc` and the modular, median and bipartite Helly
-recognizers build one record per call and read their verdicts and
-witnesses off it; `is_median_graph` alone names its witness by a walk
-that stops there, and `is_meshed` takes only the pair list.  A member
-runs on its first read and is kept until the call returns, so a scan runs
-at most once per call, and only when some verdict or witness reads it: a
-graph that is not bipartite and fails tc runs no layer pass.  The graph
-stores nothing.
+median = modular and no K_{2,3}; the interval condition = modular and no
+long-interval violation; bipartite Helly = the interval condition,
+checked against the half-ball test) are written once, as members of one
+private record, `_Scans`.  `classify`, `check_conditions_tc_qc` and the
+modular, median, interval-condition and bipartite Helly recognizers build
+one record per call and read their verdicts off it, flags first;
+`is_meshed` takes only the pair list.  A witness is read only when its
+flag fails and it is asked for: by `classify`, or by a recognizer given a
+witness list.  The triple walk runs at most once per record: it stops at
+the first triple without exactly one median, the median witness, and
+goes on to the first triple without a median, the modular witness, only
+when that is read.  A member runs on its first read and is kept until
+the call returns, so a scan runs at most once per call, and only when
+some verdict or witness reads it: a graph that is not bipartite and
+fails tc runs no layer pass, and a recognizer without a witness list
+walks no triples.  The graph stores nothing.
 """
 
 from __future__ import annotations
@@ -213,26 +219,15 @@ def _median_counts(g: Graph):
         yield (x, y, z), sum(2 * (a + b + c) == perimeter for a, b, c in zip(dx, dy, dz))
 
 
-def _median_witnesses(g: Graph, find_modular: bool) -> tuple:
-    """(first triple with no median, first triple without exactly one) of
-    a graph that has a triple of the second kind; the first is None unless
-    `find_modular`.  A triple without a median has no unique one either,
-    so the second comes no later than the first: one walk names both.
-    Every modular and median witness is named here, and only when its flag
-    fails."""
-    walk = _median_counts(g)
-    not_one, medians = next((t, m) for t, m in walk if m != 1)
-    if not find_modular:
-        return None, not_one
-    return (not_one if not medians else next(t for t, m in walk if not m)), not_one
-
-
 class _Scans:
     """The scans of one graph that several verdicts share, and the rules
     that combine them.  Each member runs on its first read and lives as
-    long as the record, which is built per call (module docstring); each
-    `*_violation` member is a flag's first violation, or None when the
-    flag holds."""
+    long as the record, which is built per call (module docstring).  The
+    flags `modular`, `median`, `interval` and `bipartite_helly` read the
+    pair list and the layer pass and never walk the triples.  Each flag's
+    `*_violation` member is its first violation and is read only when the
+    flag fails (`violation`); `weakly_modular_violation`, which has no
+    flag, is None when tc and qc hold."""
 
     def __init__(self, g: Graph):
         self.g = g
@@ -261,10 +256,28 @@ class _Scans:
         return self.modular and all(len(common) < 3 for _, _, common in self.pairs)
 
     @cached_property
-    def triples(self) -> tuple:
-        """The triple walk of a graph that is not median; it looks for a
-        triple without a median only when the graph is not modular."""
-        return _median_witnesses(self.g, not self.modular)
+    def interval(self) -> bool:
+        """Modular with no long-interval violation."""
+        return self.modular and self.layer_pass[1] is None
+
+    @cached_property
+    def bipartite_helly(self) -> bool:
+        """The interval condition.  On a bipartite graph the half-ball test
+        must agree with it, or RuntimeError is raised: the half-ball scan
+        runs on every bipartite graph, as this self-check."""
+        holds = self.interval
+        if self.g.is_bipartite and bipartite_helly_via_half_balls(self.g) != holds:
+            raise RuntimeError("bipartite Helly procedures disagree: half-balls="
+                               f"{not holds} interval-condition={holds}")
+        return holds
+
+    @cached_property
+    def walk(self) -> tuple:
+        """The triple walk of a graph that is not median, stopped at its
+        first triple without exactly one median: ((that triple, its number
+        of medians), the rest of the walk)."""
+        walk = _median_counts(self.g)
+        return next((t, m) for t, m in walk if m != 1), walk
 
     @cached_property
     def weakly_modular_violation(self) -> tuple | None:
@@ -272,37 +285,36 @@ class _Scans:
         tc holds."""
         return _first_tc_violation(self.g) or self.layer_pass[0]
 
-    @property
-    def modular_violation(self) -> tuple | None:
-        return None if self.modular else self.triples[0]
+    def violation(self, flag: str) -> tuple | str | None:
+        """None when the flag named `flag` holds, else its violation."""
+        return None if getattr(self, flag) else getattr(self, flag + "_violation")
 
     @property
-    def median_violation(self) -> tuple | None:
-        return None if self.median else self.triples[1]
+    def median_violation(self) -> tuple:
+        return self.walk[0][0]
+
+    @cached_property
+    def modular_violation(self) -> tuple:
+        """A triple without a median has no unique one either, so it comes
+        no earlier than the median witness: the walk goes on from there."""
+        (triple, medians), rest = self.walk
+        return triple if not medians else next(t for t, m in rest if not m)
 
     @property
-    def interval_violation(self) -> tuple | None:
+    def interval_violation(self) -> tuple:
         """The interval condition fails first at a long interval of a
         modular graph, and otherwise at the triple without a median."""
         return self.layer_pass[1] if self.modular else self.modular_violation
 
     @property
-    def bipartite_helly_violation(self) -> tuple | str | None:
-        """The reason "not bipartite", the interval-condition violation or
-        None.  The half-ball test must agree with the interval condition, or
-        RuntimeError is raised.  The half-ball scan runs on every bipartite
-        graph, as this self-check."""
-        if not self.g.is_bipartite:
-            return "not bipartite"
-        found = self.interval_violation
-        if bipartite_helly_via_half_balls(self.g) != (found is None):
-            raise RuntimeError("bipartite Helly procedures disagree: half-balls="
-                               f"{found is not None} interval-condition={found is None}")
-        return found
+    def bipartite_helly_violation(self) -> tuple | str:
+        """The interval-condition violation, or the reason "not bipartite"."""
+        return self.interval_violation if self.g.is_bipartite else "not bipartite"
 
 
 def check_conditions_tc_qc(g: Graph):
-    """Scan the triangle and quadrangle condition premises exhaustively.
+    """Scan the triangle and quadrangle condition premises, each up to its
+    first violation.
 
     Returns (tc_holds, qc_holds, witnesses) where witnesses maps 'tc'/'qc'
     to the first violating vertex tuple in lexicographic order.
@@ -319,10 +331,17 @@ def _holds(witness: list | None, found) -> bool:
     return found is None
 
 
+def _recognize(g: Graph, flag: str, witness: list | None) -> bool:
+    """The `_Scans` flag named `flag`; its violation is read, and recorded
+    in `witness`, only when the flag fails and a list was passed."""
+    scans = _Scans(g)
+    return getattr(scans, flag) if witness is None else _holds(witness, scans.violation(flag))
+
+
 def is_modular(g: Graph, witness: list | None = None) -> bool:
     """Every vertex triple has a median: the graph is bipartite and satisfies
     the quadrangle condition.  The witness is the first triple without one."""
-    return _holds(witness, _Scans(g).modular_violation)
+    return _recognize(g, "modular", witness)
 
 
 def is_median_graph(g: Graph, witness: list | None = None) -> bool:
@@ -331,13 +350,7 @@ def is_median_graph(g: Graph, witness: list | None = None) -> bool:
     is the first distinct triple with no or several medians; a triple with a
     repeated vertex always has exactly one.
     """
-    scans = _Scans(g)
-    if not scans.median and witness is not None:
-        # the walk stops at the witness, with no search for a triple
-        # without a median, which the record's walk makes on a graph that
-        # is not modular
-        witness.append(_median_witnesses(g, False)[1])
-    return scans.median
+    return _recognize(g, "median", witness)
 
 
 def _berge_failure(ground_masks: list[int], masks) -> tuple | None:
@@ -463,7 +476,7 @@ def bipartite_helly_via_half_balls(g: Graph, witness: list | None = None) -> boo
         for k in range(diam + 1)
     ]
     found = _first_column_failure(g, block)
-    if found is not None:
+    if found is not None and witness is not None:
         # a picked member holds two vertices, so r >= 1; its side is v's
         # for r even and the other side for r odd
         width = 2 * diam + 1
@@ -479,12 +492,12 @@ def bipartite_helly_via_half_balls(g: Graph, witness: list | None = None) -> boo
 def bipartite_helly_via_interval_condition(g: Graph, witness: list | None = None) -> bool:
     """Modularity plus the long-interval condition: for d(u,v) >= 3 the
     neighbors of v inside I(u,v) must have a second common neighbor there."""
-    return _holds(witness, _Scans(g).interval_violation)
+    return _recognize(g, "interval", witness)
 
 
 def is_bipartite_helly(g: Graph, witness: list | None = None) -> bool:
     """Decide bipartite Hellyness two independent ways and insist they agree."""
-    return _holds(witness, _Scans(g).bipartite_helly_violation)
+    return _recognize(g, "bipartite_helly", witness)
 
 
 def is_meshed(g: Graph, witness: list | None = None) -> bool:
@@ -498,10 +511,10 @@ def classify(g: Graph) -> ClassReport:
     scans = _Scans(g)
     found = {
         "weakly_modular": scans.weakly_modular_violation,
-        "median": scans.median_violation,
-        "modular": scans.modular_violation,
+        "median": scans.violation("median"),
+        "modular": scans.violation("modular"),
         "helly": _first_ball_failure(g),
-        "bipartite_helly": scans.bipartite_helly_violation,
+        "bipartite_helly": scans.violation("bipartite_helly"),
         # a weakly modular graph is meshed
         "meshed": scans.weakly_modular_violation and _first_meshed_violation(g, scans.pairs),
     }

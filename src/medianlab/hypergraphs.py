@@ -154,14 +154,11 @@ def build_counterexample(kind: str) -> Counterexample:
         raise InputError(f"unknown counterexample kind {kind!r}")
     c_n, c_edges = _SEEDS[kind]
     m = c_n // 2
-    degree = [0] * c_n
-    for a, b in c_edges:
-        degree[a] += 1
-        degree[b] += 1
-    if min(degree) < 1:
+    adj = adjacency_sets(c_n, c_edges)
+    if not all(adj):
         raise RuntimeError("seed graph has an isolated vertex")
     # the maximal stable sets of C are the maximal cliques of B = complement(C)
-    stable = maximal_stable_sets(c_n, adjacency_sets(c_n, c_edges))
+    stable = maximal_stable_sets(c_n, adj)
     if max(map(len, stable)) > m:
         raise RuntimeError("seed graph has a stable set above half its order")
     ones = {v: 1 for v in range(c_n)}

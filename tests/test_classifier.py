@@ -363,10 +363,17 @@ def test_recognizers_skip_the_pair_list_and_layer_pass_they_need_not_read(monkey
     assert layer_passes == []
 
 
+# the recognizers that read a flag off the record and walk the triples only
+# to name a witness
+WITNESS_ON_DEMAND = (
+    is_modular, is_median_graph, bipartite_helly_via_interval_condition, is_bipartite_helly,
+)
+
+
 def test_recognizers_of_a_modular_graph_run_no_triple_walk(monkeypatch):
     # K_{2,3} is modular and not median: modularity is read off the layer
     # pass, and only a median witness walks the triples
-    walks = _count_calls(monkeypatch, "_median_witnesses")
+    walks = _count_calls(monkeypatch, "_median_counts")
     g = generate("kmn:2,3")
     for recognizer in (is_modular, bipartite_helly_via_interval_condition, is_bipartite_helly):
         walks.clear()
@@ -375,6 +382,15 @@ def test_recognizers_of_a_modular_graph_run_no_triple_walk(monkeypatch):
         assert walks == [], recognizer.__name__
     wit = []
     assert not is_median_graph(g, wit) and wit == [(2, 3, 4)] and len(walks) == 1
+    # without a witness list a failing verdict is read off the flags alone,
+    # also where no triple has a median or the graph is not bipartite
+    hexagon_with_a_leaf = Graph(7, [(i, (i + 1) % 6) for i in range(6)] + [(0, 6)])
+    assert hexagon_with_a_leaf.is_bipartite and not is_modular(hexagon_with_a_leaf, [])
+    walks.clear()
+    for g in (cycle(6), cycle(8), complete(4), hexagon_with_a_leaf):
+        for recognizer in WITNESS_ON_DEMAND:
+            assert not recognizer(g), recognizer.__name__
+    assert walks == []
 
 
 def test_bipartite_helly_procedures_agree_on_random_graphs():
@@ -488,10 +504,15 @@ def _named(found):
     return [] if found is None else [found]
 
 
-def test_modular_and_median_match_the_triple_scan():
+def test_modular_and_median_match_the_triple_scan(monkeypatch):
+    walks = _count_calls(monkeypatch, "_median_counts")
     kinds = set()
     for name, g in ORACLE_GRAPHS:
         no_median, not_one = _triple_oracle(g)
+        walks.clear()
+        assert is_modular(g) == (no_median is None), name
+        assert is_median_graph(g) == (not_one is None), name
+        assert walks == [], name
         kinds.add((g.is_bipartite, no_median is None, not_one is None))
         wit = []
         assert is_modular(g, wit) == (no_median is None), name
@@ -549,12 +570,18 @@ def _interval_condition_by_intervals(g):
     return None
 
 
-def test_interval_condition_matches_the_interval_scan():
+def test_interval_condition_matches_the_interval_scan(monkeypatch):
+    walks = _count_calls(monkeypatch, "_median_counts")
     verdicts = set()
     for name, g in ORACLE_GRAPHS:
         buf = []
         modular = is_modular(g, buf)
         expected = _interval_condition_by_intervals(g) if modular else buf[0]
+        walks.clear()
+        assert bipartite_helly_via_interval_condition(g) == (expected is None), name
+        # the interval condition implies bipartite, so the verdicts agree
+        assert is_bipartite_helly(g) == (expected is None), name
+        assert walks == [], name
         wit = []
         assert bipartite_helly_via_interval_condition(g, wit) == (expected is None), name
         assert wit == _named(expected), name

@@ -1,6 +1,7 @@
 """Every module-level import in the library and in the test modules is used
-by its own module, so what a deletion leaves behind in the import lines is
-caught."""
+by its own module, and every private module-level function, class and
+constant of the library is referenced in the library, so what a deletion
+leaves behind in the import lines or in the private helpers is caught."""
 
 import ast
 from pathlib import Path
@@ -35,6 +36,47 @@ def test_finds_an_unused_import():
         "print(sys.argv, gcd)\n"
     )
     assert unused_imports(source) == ["os", "lcm"]
+
+
+def unreferenced_private_names(sources: list[str]) -> list[str]:
+    """Names with one leading underscore that a module of `sources` binds at
+    module level by def, class or assignment and that no module reads, as a
+    name, an attribute or an imported name."""
+    bound, read = [], set()
+    for source in sources:
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                bound.append(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                bound += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+            elif isinstance(n, ast.ImportFrom):
+                read.update(a.name for a in n.names)
+    return [
+        name for name in bound
+        if name.startswith("_") and not name.startswith("__") and name not in read
+    ]
+
+
+def test_finds_an_unreferenced_private_name():
+    sources = [
+        "__version__ = '1'\n_CAP = 3\n_SPARE = 4\n"
+        "def _helper():\n    return _CAP\n"
+        "class _Gone:\n    pass\n",
+        "from .a import _helper\nprint(_helper())\n",
+    ]
+    assert unreferenced_private_names(sources) == ["_SPARE", "_Gone"]
+
+
+def test_library_private_names_are_referenced():
+    sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
+    assert unreferenced_private_names(sources) == []
 
 
 @pytest.mark.parametrize("module", MODULES)
