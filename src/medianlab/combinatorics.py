@@ -25,7 +25,8 @@ def stable_sets(n, adj, exclude=(), cap=STABLE_SET_CAP):
     (typically looped ones) are never used.  Raises BudgetError once more
     than `cap` sets have been produced.
     """
-    usable = [v for v in range(n) if v not in set(exclude)]
+    excluded = set(exclude)
+    usable = [v for v in range(n) if v not in excluded]
     produced = 0
     # (current, candidates); siblings go under the extension: pre-order
     stack = [([], usable)]

@@ -134,7 +134,8 @@ def perfect_b_matching(n, edges, demand, cap: int = B_MATCHING_NODE_CAP):
     fewest options left, breaking ties by index, and never revisits a
     partner smaller than the previous choice for the same vertex.  It
     raises `BudgetError` when it would push more than `cap` search nodes
-    (stack frames), so time and memory stay bounded whatever the demand.
+    (stack frames, the first one included, so a cap below 1 stops it at
+    once), so time and memory stay bounded whatever the demand.
 
     Partners are listed among the demand's support only, each vertex's
     option count is kept up to date as demands move, and only the chosen
@@ -172,17 +173,23 @@ def perfect_b_matching(n, edges, demand, cap: int = B_MATCHING_NODE_CAP):
         if (before > 1) != (after > 1) and x in partners[x]:
             count[x] += delta
 
-    def frame(last_vertex, last_partner):
-        v = min(need, key=lambda x: (count[x], x))
-        lo = last_partner if v == last_vertex else -1
-        opts = [w for w in partners[v] if w >= lo and need.get(w, 0) > (w == v)]
-        return [v, opts, 0]
-
     # Depth-first over an explicit stack, so deep searches cannot overflow
     # the interpreter stack; a frame is [vertex, options, next option], and
     # its pair is its vertex with the option tried last.
-    stack = [frame(None, None)]
-    nodes = 1
+    stack = []
+    nodes = 0
+
+    def push(last_vertex, last_partner):  # every frame, the first too, counts
+        nonlocal nodes
+        nodes += 1
+        if nodes > cap:
+            raise BudgetError(f"b-matching search exceeded cap {cap} nodes", count=nodes)
+        v = min(need, key=lambda x: (count[x], x))
+        lo = last_partner if v == last_vertex else -1
+        opts = [w for w in partners[v] if w >= lo and need.get(w, 0) > (w == v)]
+        stack.append([v, opts, 0])
+
+    push(None, None)
     while stack:
         v, opts, i = top = stack[-1]
         if i:  # retract the option tried last
@@ -200,10 +207,7 @@ def perfect_b_matching(n, edges, demand, cap: int = B_MATCHING_NODE_CAP):
             return tuple(sorted(
                 (min(x, o[k - 1]), max(x, o[k - 1])) for x, o, k in stack
             ))
-        nodes += 1
-        if nodes > cap:
-            raise BudgetError(f"b-matching search exceeded cap {cap} nodes", count=nodes)
-        stack.append(frame(v, w))
+        push(v, w)
     return None
 
 
@@ -213,68 +217,103 @@ def fractional_perfect_b_matching(n, edges, demand):
     endpoint of an edge adds its weight to its vertex's degree, so a loop
     counts twice.
 
-    Decided by an integral maximum flow on the bipartite double cover
-    (Schrijver, Combinatorial Optimization, 2003): the source feeds v' and
-    v'' drains to the sink, each with capacity b(v); an edge vw becomes
-    the arcs v'->w'' and w'->v'', and a loop at v the arc v'->v''.  A
-    flow saturating every source arc gives the half-integral certificate
+    Decided by an integral transportation flow on the bipartite double
+    cover (Schrijver, Combinatorial Optimization, 2003).  Each vertex v
+    with demand has a left copy v' with supply b(v) and a right copy v''
+    with room b(v); an edge vw, used once per unordered pair and only
+    between vertices with demand, becomes the arcs v'->w'' and w'->v'',
+    and a loop at v the arc v'->v''.  The arcs have no capacity of their
+    own: the supply at v' already bounds what any of them can carry.  A
+    flow that places every supply gives the half-integral certificate
     x_vw = (f(v'w'') + f(w'v''))/2 and x_vv = f(v'v'')/2, and a fractional
     perfect b-matching x gives such a flow (x_vw on both arcs, 2x_vv on
     the loop's), so the two exist together.
+
+    A greedy start lets each v' in turn push what it can to its w'' in
+    edge-list order; `_augment` then places the rest along shortest
+    augmenting paths, and the answer is None as soon as supply is left
+    with no augmenting path.
     """
     _check_demand(n, demand)
-    need = {v: k for v, k in demand.items() if k}
-    # nodes: v' is v, v'' is n + v, then the source and the sink
-    source, sink = 2 * n, 2 * n + 1
-    residual = [{} for _ in range(2 * n + 2)]
-    for v, k in need.items():
-        residual[source][v] = k
-        residual[n + v] = {sink: k}
-    used = {}  # the edges that can carry weight, each unordered pair once
+    supply = {v: k for v, k in demand.items() if k}  # left at each v'
+    room = dict(supply)  # left at each w''
+    partners = {v: [] for v in supply}  # v'->w'' arcs; also the x' with x'->v''
+    used = []  # the edges that can carry weight, each unordered pair once
+    flow = {}  # f(v'w'') by arc (v, w)
     for a, b in edges:
-        if a in need and b in need and (a, b) not in used and (b, a) not in used:
-            used[(a, b)] = None
-            residual[a][n + b] = need[a]
-            residual[b][n + a] = need[b]
-    for x in range(2 * n + 2):  # reverse arcs start empty
-        for y in list(residual[x]):
-            residual[y].setdefault(x, 0)
-    flow = 0
-    while path := _augmenting_path(residual, source, sink):
-        push = min(residual[x][y] for x, y in path)
-        for x, y in path:
-            residual[x][y] -= push
-            residual[y][x] += push
-        flow += push
-    if flow != sum(need.values()):
-        return None
+        if a in supply and b in supply and b not in partners[a]:
+            used.append((a, b))
+            partners[a].append(b)
+            if a != b:
+                partners[b].append(a)
+            flow[a, b] = flow[b, a] = 0
+    for v, ws in partners.items():
+        for w in ws:
+            push = min(supply[v], room[w])
+            if push:
+                flow[v, w] = push
+                supply[v] -= push
+                room[w] -= push
+    left = sum(supply.values())
+    while left:
+        push = _augment(partners, flow, supply, room)
+        if not push:
+            return None
+        left -= push
     cert = {}
     for a, b in used:
-        # the flow on a'->b'' sits on its reverse arc; a loop's one arc
-        # is read twice here
-        x = Fraction(residual[n + b][a] + residual[n + a][b]) / (4 if a == b else 2)
-        if x:
-            cert[(a, b)] = x
+        # a loop's one arc is read twice here
+        if total := flow[a, b] + flow[b, a]:
+            cert[(a, b)] = Fraction(total, 4 if a == b else 2)
     return cert
 
 
-def _augmenting_path(residual, source, sink):
-    """Arcs of a shortest source-sink path with residual capacity left
-    (breadth first, neighbours in insertion order), or None."""
-    parent = {source: None}
-    queue = [source]
+def _augment(partners, flow, supply, room):
+    """Push flow along one shortest augmenting path of the transportation
+    network and return the amount, or 0 when no path is left.
+
+    The search is breadth first from every v' with supply left at once.
+    It goes forward along any arc x'->w'' and back from w'' to x' only
+    where f(x'w'') > 0, and stops at the first w'' with room left.  The
+    path's bottleneck is the smallest of the source's supply, the room at
+    its end and the flow on its backward arcs; forward arcs never bind.
+    """
+    # the w'' each reached x' came from (None at a source), and the x' each
+    # reached w'' came from
+    from_right = dict.fromkeys(v for v, k in supply.items() if k)
+    from_left = {}
+    queue = list(from_right)
+    end = None
     for x in queue:
-        for y, room in residual[x].items():
-            if room and y not in parent:
-                parent[y] = x
-                if y == sink:
-                    path = []
-                    while parent[y] is not None:
-                        path.append((parent[y], y))
-                        y = parent[y]
-                    return path
-                queue.append(y)
-    return None
+        for w in partners[x]:
+            if w in from_left:
+                continue
+            from_left[w] = x
+            if room[w]:
+                end = w
+                break
+            for y in partners[w]:
+                if y not in from_right and flow[y, w]:
+                    from_right[y] = w
+                    queue.append(y)
+        if end is not None:
+            break
+    else:
+        return 0
+    x = from_left[end]
+    forward, backward = [(x, end)], []
+    while (w := from_right[x]) is not None:
+        backward.append((x, w))
+        x = from_left[w]
+        forward.append((x, w))
+    push = min(supply[x], room[end], *(flow[arc] for arc in backward))
+    supply[x] -= push
+    room[end] -= push
+    for arc in forward:
+        flow[arc] += push
+    for arc in backward:
+        flow[arc] -= push
+    return push
 
 
 @dataclass

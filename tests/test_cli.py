@@ -346,6 +346,20 @@ def test_cap_errors_exit_two(capsys):
     assert "cap" in json.loads(out)["error"]
 
 
+def test_pairing_check_cap_below_one_exits_two(capsys):
+    # the first search frame counts against the cap, as the first item does
+    # in every other capped verb
+    argv = ["pairing", "check", "cycle:6", "--profile", "0 3", "--cap", "1"]
+    code, out, _ = capture(capsys, argv)
+    assert code == 0 and json.loads(out)["verdicts"]["pairing"] == [[0, 3]]
+    for cap in ("0", "-5"):
+        argv[-1] = cap
+        code, out, _ = capture(capsys, argv)
+        assert code == 2
+        body = json.loads(out)
+        assert body["command"] == argv and body["error"] == f"b-matching search exceeded cap {cap} nodes"
+
+
 def test_budget_errors_exit_two_at_once(capsys, tmp_path):
     huge_table = tmp_path / "huge.table"
     huge_table.write_text("6 1000000000\n")

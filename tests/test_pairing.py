@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import medianlab.pairing as pairing_module
 from medianlab.combinatorics import maximal_cliques, maximal_stable_sets, stable_sets
 from medianlab.errors import BudgetError, InputError
 from medianlab.graph import (
@@ -166,6 +167,20 @@ def test_perfect_b_matching_node_cap():
         has_perfect_pairing(cycle(5), Profile.parse("0:99999999999999999999 1:1"), cap=1000)
     # a search that fails fast is not charged for the demand's size
     assert has_perfect_pairing(complete(3), Profile.parse("0:2 1:2 2:2"), cap=4) is None
+
+
+def test_perfect_b_matching_charges_its_first_frame():
+    # the pair 03 of cycle:6 takes one search node: cap 1 finds it, and a
+    # cap below 1 stops the search before its first frame
+    aux = auxiliary_graph(cycle(6), 0)
+    edges = list(aux.edges) + [(0, 0)]
+    assert perfect_b_matching(aux.n, edges, {0: 1, 3: 1}, cap=1) == ((0, 3),)
+    for cap in (0, -5):
+        with pytest.raises(BudgetError, match=f"cap {cap} nodes") as caught:
+            perfect_b_matching(aux.n, edges, {0: 1, 3: 1}, cap=cap)
+        assert caught.value.count == 1
+        with pytest.raises(BudgetError):
+            has_perfect_pairing(cycle(6), Profile.parse("0 3"), cap=cap)
 
 
 def test_perfect_b_matching_frame_memory():
@@ -409,6 +424,155 @@ def test_max_flow_matches_lp_and_scipy():
         verdicts.append(cert is not None)
     assert verdicts[-2:] == [True, False]  # the seeds, as build_counterexample needs
     assert 150 < sum(verdicts) < len(verdicts) - 150
+
+
+def double_cover_max_flow(n, edges, demand):
+    """Edmonds-Karp on the bipartite double cover as a dict-of-dicts
+    residual graph: the source feeds v' and v'' drains to the sink, each
+    with capacity b(v); an edge vw gives v'->w'' and w'->v'' with
+    capacities b(v) and b(w), a loop at v the arc v'->v''.  Returns whether
+    a maximum flow saturates every source arc."""
+    need = {v: k for v, k in demand.items() if k}
+    # nodes: v' is v, v'' is n + v, then the source and the sink
+    source, sink = 2 * n, 2 * n + 1
+    residual = [{} for _ in range(2 * n + 2)]
+    for v, k in need.items():
+        residual[source][v] = k
+        residual[n + v] = {sink: k}
+    used = {}
+    for a, b in edges:
+        if a in need and b in need and (a, b) not in used and (b, a) not in used:
+            used[(a, b)] = None
+            residual[a][n + b] = need[a]
+            residual[b][n + a] = need[b]
+    for x in range(2 * n + 2):  # reverse arcs start empty
+        for y in list(residual[x]):
+            residual[y].setdefault(x, 0)
+
+    def augmenting_path():
+        parent = {source: None}
+        queue = [source]
+        for x in queue:
+            for y, room in residual[x].items():
+                if room and y not in parent:
+                    parent[y] = x
+                    if y == sink:
+                        path = []
+                        while parent[y] is not None:
+                            path.append((parent[y], y))
+                            y = parent[y]
+                        return path
+                    queue.append(y)
+        return None
+
+    flow = 0
+    while path := augmenting_path():
+        push = min(residual[x][y] for x, y in path)
+        for x, y in path:
+            residual[x][y] -= push
+            residual[y][x] += push
+        flow += push
+    return flow == sum(need.values())
+
+
+def _drawn_like_the_benchmark(rng):
+    """A tree, a connected bipartite graph or a connected graph with a
+    triangle on 6 to 10 vertices, a base vertex u, and a demand that is the
+    degree vector of random weights on A_u (always feasible) or independent
+    draws from 0..3 (zeros kept as entries)."""
+    n = rng.randint(6, 10)
+    family = rng.randrange(3)
+    if family == 0:
+        edges = {(i, rng.randrange(i)) for i in range(1, n)}
+    elif family == 1:
+        side = [0, 1] + [rng.randrange(2) for _ in range(n - 2)]
+        edges = {(1, 0)}
+        for v in range(2, n):
+            edges.add((v, rng.choice([w for w in range(v) if side[w] != side[v]])))
+        edges |= {(b, a) for a in range(n) for b in range(a + 1, n)
+                  if side[a] != side[b] and rng.random() < 0.25}
+    else:
+        edges = {(1, 0), (2, 1), (2, 0)} | {(v, rng.randrange(v)) for v in range(3, n)}
+        edges |= {(b, a) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.2}
+    g = Graph(n, sorted(edges))
+    u = rng.randrange(n)
+    aux = auxiliary_graph(g, u)
+    if rng.random() < 0.5:
+        demand = dict.fromkeys(range(n), 0)
+        for a, b in rng.sample(list(aux.edges) + [(u, u)], min(len(aux.edges) + 1, rng.randint(2, 5))):
+            k = rng.randint(1, 3)
+            demand[a] += k
+            demand[b] += k
+    else:
+        demand = {v: rng.randint(0, 3) for v in range(n)}
+    return aux, demand
+
+
+def _first_disabling_set(aux, demand):
+    adj = aux.adjacency()
+    for s in stable_sets(aux.n, adj, exclude=(aux.base,)):
+        if sum(demand.get(v, 0) for v in s) > sum(demand.get(v, 0) for v in neighborhood(adj, s)):
+            return s
+    return None
+
+
+def test_transportation_flow_matches_oracles():
+    """On 2,400 inputs drawn as the benchmark draws its fractional jobs,
+    half of them with loops added anywhere, edges repeated and edges
+    reversed, the flow's verdict equals the double-cover Edmonds-Karp's and
+    the exact LP's; every certificate is exact, positive, half-integral and
+    on listed edges, and a "no" names the first disabling stable set."""
+    rng = random.Random(2024)
+    verdicts = []
+    for i in range(2400):
+        aux, demand = _drawn_like_the_benchmark(rng)
+        edges = list(aux.edges) + [(aux.base, aux.base)]
+        if i % 2:
+            edges += [(v, v) for v in rng.sample(range(aux.n), rng.randint(1, 3))]
+            edges += rng.choices(edges, k=2)
+            edges += [(b, a) for a, b in rng.sample(edges, min(3, len(edges)))]
+            rng.shuffle(edges)
+        cert = fractional_perfect_b_matching(aux.n, edges, demand)
+        feasible = cert is not None
+        assert feasible == double_cover_max_flow(aux.n, edges, demand)
+        assert feasible == (lp_fractional_perfect_b_matching(aux.n, edges, demand) is not None)
+        if feasible:
+            assert_half_integral_certificate(aux.n, edges, demand, cert)
+        if i % 2 == 0:
+            res = has_fractional_perfect_b_matching(aux, demand)
+            assert res.feasible == feasible and res.certificate == cert
+            assert res.disabling_set == (None if feasible else _first_disabling_set(aux, demand))
+        verdicts.append(feasible)
+    assert 800 < sum(verdicts) < 1600
+
+
+def test_transportation_flow_is_scale_free(monkeypatch):
+    """k times a demand is feasible exactly when the demand is, with an
+    exact certificate, and takes no more augmentations, for k = 2 and
+    k = 10**12."""
+    calls = []
+
+    def counting(*args):
+        calls.append(None)
+        return augment(*args)
+
+    augment = pairing_module._augment
+    monkeypatch.setattr(pairing_module, "_augment", counting)
+    rng = random.Random(12)
+    for _ in range(300):
+        aux, demand = _drawn_like_the_benchmark(rng)
+        edges = list(aux.edges) + [(aux.base, aux.base)]
+        calls.clear()
+        feasible = fractional_perfect_b_matching(aux.n, edges, demand) is not None
+        base = len(calls)
+        for k in (2, 10**12):
+            scaled = {v: k * b for v, b in demand.items()}
+            calls.clear()
+            cert = fractional_perfect_b_matching(aux.n, edges, scaled)
+            assert (cert is not None) == feasible
+            assert len(calls) <= base
+            if cert is not None:
+                assert_half_integral_certificate(aux.n, edges, scaled, cert)
 
 
 def test_me_polytope_structure():
