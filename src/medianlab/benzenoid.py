@@ -5,15 +5,20 @@ Cells are axial coordinates (q, r) on a pointy-top hexagonal lattice.  A
 cell's center sits at lattice point (2q + r, 3r) and its six corners at the
 fixed offsets below, so vertex numbering, edge lists and class labels are
 all reproducible from the cell set alone.
+
+The lattice also does the searching: the cells are connected when
+`graph.component_labels` over cell adjacency puts them in one class, each
+tree of the embedding is a contraction of the components that
+`component_labels` finds once a class's edges are removed, and the
+incomplete hexagons are read off the cells next to the benzenoid.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import InputError
-from .graph import Graph
+from .graph import Graph, component_labels
 from .profiles import (
     connected_in_power,
     minimizers,
@@ -59,35 +64,32 @@ class Benzenoid:
 def build_benzenoid(cells) -> Benzenoid:
     """Assemble the graph of a hole-free connected union of hexagon cells.
 
-    Cell connectivity is BFS over cell adjacency; hole-freeness is the Euler
-    count v - e + (cells + 1) = 2, which fails exactly when the union
-    encloses extra faces.
+    Cell connectivity is read off `component_labels` over cell adjacency;
+    hole-freeness is the Euler count v - e + (cells + 1) = 2, which fails
+    exactly when the union encloses extra faces.
     """
     cell_list = sorted(set((int(q), int(r)) for q, r in cells))
     if not cell_list:
         raise InputError("benzenoid needs at least one cell")
-    cell_set = set(cell_list)
-    seen = {cell_list[0]}
-    queue = deque([cell_list[0]])
-    while queue:
-        q, r = queue.popleft()
-        for dq, dr in _CELL_NEIGHBORS:
-            nxt = (q + dq, r + dr)
-            if nxt in cell_set and nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    if len(seen) < len(cell_set):
-        stray = sorted(cell_set - seen)[0]
-        raise InputError(f"cell set is disconnected at cell {stray}")
+    position = {c: i for i, c in enumerate(cell_list)}
+    labels = component_labels(len(cell_list), (
+        (i, position[q + dq, r + dr])
+        for i, (q, r) in enumerate(cell_list)
+        for dq, dr in _CELL_NEIGHBORS
+        if (q + dq, r + dr) in position
+    ))
+    if any(labels):
+        # label 1 goes to the least cell outside cell 0's class
+        raise InputError(f"cell set is disconnected at cell {cell_list[labels.index(1)]}")
 
     points = sorted({_corner(q, r, k) for q, r in cell_list for k in range(6)})
     index = {p: i for i, p in enumerate(points)}
-    edge_set = set()
-    for q, r in cell_list:
-        ring = [index[_corner(q, r, k)] for k in range(6)]
-        for k in range(6):
-            a, b = ring[k], ring[(k + 1) % 6]
-            edge_set.add((min(a, b), max(a, b)))
+    hexes = tuple(
+        tuple(index[_corner(q, r, k)] for k in range(6)) for q, r in cell_list
+    )
+    edge_set = {
+        (min(a, b), max(a, b)) for ring in hexes for a, b in zip(ring, ring[1:] + ring[:1])
+    }
     v, e, f = len(points), len(edge_set), len(cell_list) + 1
     if v - e + f != 2:
         raise InputError(
@@ -97,35 +99,33 @@ def build_benzenoid(cells) -> Benzenoid:
     classes = {
         (a, b): edge_class(points[a], points[b]) for a, b in sorted(edge_set)
     }
-    hexes = tuple(
-        tuple(index[_corner(q, r, k)] for k in range(6)) for q, r in cell_list
-    )
     return Benzenoid(tuple(cell_list), graph, tuple(points), classes, hexes)
 
 
 def incomplete_hexagons(b: Benzenoid) -> list[tuple[int, int, int, int]]:
-    """Length-3 paths using one edge of each class that lie in no hexagon."""
-    g = b.graph
-    hex_sets = [set(h) for h in b.hexagons]
+    """Length-3 paths using one edge of each class that lie in no hexagon,
+    each oriented so that its first vertex is less than its last, sorted.
+
+    Every lattice vertex has one edge of each class, and the class gives
+    the direction up to sign, so a 3-path whose first and last edges differ
+    in class turns the same way twice, and its four vertices are
+    consecutive corners of one lattice cell.  That cell meets b, so it is
+    one of b's cells or next to one.  Two lattice hexagons share at most two
+    vertices, so the path lies in a hexagon of b exactly when that cell is
+    one of b's.  Hence the paths are the runs of four consecutive corners,
+    all three edges in b, of the cells next to b but not in it.
+    """
+    index = {p: v for v, p in enumerate(b.coords)}
+    cells = set(b.cells)
+    around = {(q + dq, r + dr) for q, r in cells for dq, dr in _CELL_NEIGHBORS} - cells
     found = []
-    for v1 in range(g.n):
-        for v0 in g.neighbors(v1):
-            for v2 in g.neighbors(v1):
-                if v2 == v0:
-                    continue
-                for v3 in g.neighbors(v2):
-                    if v3 in (v0, v1) or v0 > v3:
-                        continue
-                    labels = {
-                        b.edge_classes[(min(v0, v1), max(v0, v1))],
-                        b.edge_classes[(min(v1, v2), max(v1, v2))],
-                        b.edge_classes[(min(v2, v3), max(v2, v3))],
-                    }
-                    if labels != {1, 2, 3}:
-                        continue
-                    if any({v0, v1, v2, v3} <= h for h in hex_sets):
-                        continue
-                    found.append((v0, v1, v2, v3))
+    for q, r in around:
+        # a corner outside b is -1, so no edge of b ends at it
+        ring = [index.get(_corner(q, r, k), -1) for k in range(6)] * 2
+        for k in range(6):
+            run = ring[k:k + 4]
+            if all((min(x, y), max(x, y)) in b.edge_classes for x, y in zip(run, run[1:])):
+                found.append(tuple(run if run[0] < run[3] else reversed(run)))
     return sorted(found)
 
 
@@ -148,28 +148,13 @@ def tree_embedding(b: Benzenoid) -> TreeEmbedding:
     trees = []
     coords = [[0] * g.n for _ in range(3)]
     for label in (1, 2, 3):
-        removed = set(b.class_edges(label))
-        comp = [-1] * g.n
-        order = []
-        for start in range(g.n):
-            if comp[start] >= 0:
-                continue
-            comp[start] = len(order)
-            order.append(start)
-            queue = deque([start])
-            while queue:
-                x = queue.popleft()
-                for y in g.neighbors(x):
-                    key = (min(x, y), max(x, y))
-                    if key in removed or comp[y] >= 0:
-                        continue
-                    comp[y] = comp[x]
-                    queue.append(y)
+        removed = b.class_edges(label)
+        comp = component_labels(g.n, (e for e in g.edges() if b.edge_classes[e] != label))
         links = {
             (min(comp[a], comp[b]), max(comp[a], comp[b]))
             for a, b in removed
         }
-        tree = Graph(len(order), sorted(links))
+        tree = Graph(max(comp) + 1, sorted(links))
         if tree.edge_count != tree.n - 1:
             raise RuntimeError(
                 f"class {label} contraction is not a tree "

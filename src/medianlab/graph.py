@@ -4,13 +4,20 @@ Distances are hop counts, computed once by breadth-first search from every
 vertex.  Every other primitive (intervals, gates, balls, quasi-medians) is a
 pure read of that table, so instances are safe to share freely.
 
+Each distance row is `bytes` while n <= 256, so that no distance passes
+255, and an `array('H')` above that.  A row then costs n or 2n bytes, where
+a tuple costs 8n bytes of pointers and 28 more for each distance above 256,
+and every read of it is still an int.
+
 This module is also the one home of automorphism orbits: the generating set
 `Graph.automorphisms` and the orbit filter `orbit_minima`, which every scan
-reduced modulo Aut(G) reads.
+reduced modulo Aut(G) reads, and of union–find (`_union`, `_find`), which
+the orbit search and `component_labels` share.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from collections.abc import Iterable
 from itertools import chain
@@ -26,9 +33,10 @@ MAX_VERTICES = 2048
 
 # Work the automorphism search may spend, in colour entries read: each
 # search node, and each refinement round in it, costs n + 2m (a colour per
-# vertex and per adjacency entry).  Past it the search reports the trivial
-# group and raises nothing: that is always a correct answer for its
-# callers, which then scan every vertex or support, slower but with the
+# vertex and per adjacency entry).  Past it the search reports the
+# generators found so far and raises nothing: they generate a subgroup,
+# whose orbits are finer, so that is always a correct answer for its
+# callers, which then scan more vertices or supports, slower but with the
 # same results.
 AUTOMORPHISM_WORK_CAP = 1 << 21
 
@@ -73,7 +81,7 @@ class Graph:
         self._bipartition = (even, frozenset(range(n)) - even) if bipartite else None
         self._automorphisms = None  # computed on first use
 
-    def _bfs(self, source: int) -> tuple[int, ...]:
+    def _bfs(self, source: int) -> bytes | array:
         dist = [-1] * self.n
         dist[source] = 0
         queue = deque([source])
@@ -86,7 +94,7 @@ class Graph:
         for v, d in enumerate(dist):
             if d < 0:
                 raise DisconnectedGraphError(source, v)
-        return tuple(dist)
+        return bytes(dist) if self.n <= 256 else array("H", dist)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -128,9 +136,9 @@ class Graph:
 
     def automorphisms(self) -> tuple[tuple[int, ...], ...]:
         """A generating set of Aut(G), each generator a tuple p mapping v to
-        p[v]; empty for the trivial group, or when the search passes
-        AUTOMORPHISM_WORK_CAP.  Computed on the first call by
-        `automorphism_generators` and kept."""
+        p[v]; empty for the trivial group.  Past AUTOMORPHISM_WORK_CAP it
+        generates a subgroup, possibly the trivial one.  Computed on the
+        first call by `automorphism_generators` and kept."""
         if self._automorphisms is None:
             self._automorphisms = automorphism_generators(self)
         return self._automorphisms
@@ -246,6 +254,17 @@ def _find(parent, a) -> int:
     return a
 
 
+def component_labels(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """The class of each of 0..n-1 under the equivalence the pairs generate,
+    the classes numbered in the order of their least members: the labels a
+    breadth-first search from each unlabelled vertex in turn would give."""
+    parent = list(range(n))
+    for a, b in pairs:
+        _union(parent, a, b)
+    number = {}
+    return [number.setdefault(_find(parent, x), len(number)) for x in range(n)]
+
+
 def automorphism_generators(g: Graph) -> tuple[tuple[int, ...], ...]:
     """A generating set of Aut(G) by individualisation and refinement
     (McKay and Piperno, Practical graph isomorphism, II, 2014).
@@ -264,7 +283,9 @@ def automorphism_generators(g: Graph) -> tuple[tuple[int, ...], ...]:
 
     Refinement stops once a colouring is discrete.  Each search node, and
     each refinement round in it, costs n + 2m; a search that would spend
-    more than AUTOMORPHISM_WORK_CAP returns the trivial group, ().
+    more than AUTOMORPHISM_WORK_CAP returns the generators found so far.
+    Each is checked edge by edge, so they generate a subgroup of Aut(G),
+    the trivial one when the cap stops the first path.
     """
     n, adj, dist = g.n, g.adj, g.dist
     edges = g.edges()
@@ -342,6 +363,7 @@ def automorphism_generators(g: Graph) -> tuple[tuple[int, ...], ...]:
             stack.append((d + 1, child, iter(target(child, count))))
         return None
 
+    generators = []
     try:
         col, count = refine([tuple(sorted(row)) for row in dist])
         path = []  # (colouring, target colour's vertices) of each inner node
@@ -352,7 +374,6 @@ def automorphism_generators(g: Graph) -> tuple[tuple[int, ...], ...]:
             col, count = individualise(col, cell[0])
             shapes.append(sizes(col, count))
         leaf = col
-        generators = []
         orbit = list(range(n))
         for depth in reversed(range(len(path))):
             node, cell = path[depth]
@@ -366,7 +387,7 @@ def automorphism_generators(g: Graph) -> tuple[tuple[int, ...], ...]:
                     for x in range(n):
                         _union(orbit, x, sigma[x])
     except _WorkCapHit:
-        return ()
+        pass
     return tuple(generators)
 
 

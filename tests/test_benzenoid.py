@@ -1,4 +1,8 @@
+import importlib
+import random
+from collections import deque
 from dataclasses import replace
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -11,6 +15,7 @@ from medianlab.benzenoid import (
     tree_embedding,
     verify_benzenoid_properties,
 )
+from medianlab.cli import main
 from medianlab.errors import BudgetError, InputError
 from medianlab.graph import Graph, cycle, hypercube
 from medianlab.profiles import canonical_profiles
@@ -68,6 +73,9 @@ def test_rejections():
     with pytest.raises(InputError) as err:
         build_benzenoid([(0, 0), (2, 0)])
     assert "disconnected" in str(err.value)
+    # the message names the least cell outside the least cell's component
+    with pytest.raises(InputError, match=r"disconnected at cell \(0, 0\)$"):
+        build_benzenoid([(5, 0), (0, 0), (-3, 0), (1, 0), (-3, 1)])
     ring = [(0, 0), (1, 0), (1, 1), (0, 2), (-1, 2), (-1, 1)]
     with pytest.raises(InputError) as err:
         build_benzenoid(ring)
@@ -248,3 +256,91 @@ def test_hexagon_checks_read_one_gate_table(monkeypatch):
         calls.clear()
         assert verify_benzenoid_properties(build_benzenoid(cells), 2, 1).ok
         assert len(calls) == expected
+
+
+# -- oracles for `incomplete_hexagons` and `tree_embedding`: a path search
+# four levels of neighbours deep and a breadth-first component labelling
+
+
+def four_deep_incomplete_hexagons(b):
+    """Every path v0 v1 v2 v3 with v0 < v3 and one edge of each class, found
+    by walking four levels of neighbours, that lies in no hexagon of b."""
+    g = b.graph
+    hex_sets = [set(h) for h in b.hexagons]
+    found = []
+    for v1 in range(g.n):
+        for v0 in g.neighbors(v1):
+            for v2 in g.neighbors(v1):
+                if v2 == v0:
+                    continue
+                for v3 in g.neighbors(v2):
+                    if v3 in (v0, v1) or v0 > v3:
+                        continue
+                    labels = {
+                        b.edge_classes[(min(v0, v1), max(v0, v1))],
+                        b.edge_classes[(min(v1, v2), max(v1, v2))],
+                        b.edge_classes[(min(v2, v3), max(v2, v3))],
+                    }
+                    if labels != {1, 2, 3}:
+                        continue
+                    if any({v0, v1, v2, v3} <= h for h in hex_sets):
+                        continue
+                    found.append((v0, v1, v2, v3))
+    return sorted(found)
+
+
+def bfs_tree_embedding(b):
+    """phi and the tree edge lists, with each class's components labelled by
+    a breadth-first search from each unlabelled vertex in turn."""
+    g = b.graph
+    columns, tree_edges = [], []
+    for label in (1, 2, 3):
+        removed = set(b.class_edges(label))
+        comp = [-1] * g.n
+        count = 0
+        for start in range(g.n):
+            if comp[start] >= 0:
+                continue
+            comp[start] = count
+            count += 1
+            queue = deque([start])
+            while queue:
+                x = queue.popleft()
+                for y in g.neighbors(x):
+                    if (min(x, y), max(x, y)) not in removed and comp[y] < 0:
+                        comp[y] = comp[x]
+                        queue.append(y)
+        columns.append(comp)
+        tree_edges.append(tuple(sorted(
+            {(min(comp[u], comp[v]), max(comp[u], comp[v])) for u, v in removed}
+        )))
+    return tuple(zip(*columns)), tree_edges
+
+
+def test_incomplete_hexagons_and_embedding_match_the_oracles(monkeypatch):
+    # hole-free connected cell sets grown as the benchmark grows them
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    gen = importlib.import_module("gen")
+    rng = random.Random(2026)
+    paths = 0
+    for _ in range(500):
+        cells = gen.random_benzenoid(rng, rng.randint(1, 16))
+        b = build_benzenoid(cells)
+        found = incomplete_hexagons(b)
+        assert found == four_deep_incomplete_hexagons(b), cells
+        paths += len(found)
+        emb = tree_embedding(b)
+        phi, tree_edges = bfs_tree_embedding(b)
+        assert emb.phi == phi, cells
+        assert [t.edges() for t in emb.trees] == tree_edges, cells
+    assert paths > 500
+
+
+@pytest.mark.parametrize("verb", ["build", "embed"])
+def test_branched_benzenoid_stdout_is_pinned(capsys, monkeypatch, verb):
+    # a three-armed 7-cell benzenoid with three incomplete hexagons
+    root = Path(__file__).parent.parent
+    monkeypatch.chdir(root)
+    assert main(["benzenoid", verb, "tests/data/report_inputs/branched7.cells"]) == 0
+    pinned = root / "tests" / "data" / f"benzenoid_branched7_{verb}.json"
+    assert capsys.readouterr().out == pinned.read_text()

@@ -1,4 +1,7 @@
 import itertools
+import random
+import tracemalloc
+from array import array
 
 import networkx as nx
 import pytest
@@ -12,6 +15,7 @@ from medianlab.graph import (
     bhat,
     bn,
     complete,
+    component_labels,
     cycle,
     generate,
     hypercube,
@@ -82,6 +86,40 @@ def test_generate_rejects_bad_specs():
     for spec in ("cycle", "cycle:2", "nosuch:3", "grid:3", "bn:2", "cycle:x"):
         with pytest.raises(InputError):
             generate(spec)
+
+
+def test_distance_rows_are_compact():
+    # a row is bytes up to 256 vertices, where no distance passes 255, and an
+    # array('H') above.  With rows of tuples, building path(1024) peaked at
+    # 26.4 MiB under tracemalloc, and path(2048) at 131 MiB; path(2048) takes
+    # about 15 s under tracemalloc, which hooks each int and iterator the
+    # 4M BFS steps allocate, so the bound is checked at n = 1024
+    for k, kind in ((256, bytes), (257, array)):
+        g = path(k)
+        assert {type(row) for row in g.dist} == {kind}
+        assert g.d(0, k - 1) == g.diameter == k - 1
+    tracemalloc.start()
+    try:
+        g = path(1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.d(1023, 0) == 1023
+    assert peak < 8 * 2**20
+
+
+def test_component_labels_match_networkx():
+    rng = random.Random(31)
+    for _ in range(400):
+        n = rng.randint(1, 14)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, n))]
+        h = nx.Graph()
+        h.add_nodes_from(range(n))  # vertices in no pair are their own class
+        h.add_edges_from(pairs)
+        classes = sorted(nx.connected_components(h), key=min)
+        assert component_labels(n, pairs) == [
+            next(i for i, c in enumerate(classes) if x in c) for x in range(n)
+        ]
 
 
 def test_vertex_count_cap():

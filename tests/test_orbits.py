@@ -16,6 +16,7 @@ from networkx.algorithms.isomorphism import GraphMatcher
 import medianlab.graph as graph_module
 from medianlab.cli import main
 from medianlab.errors import BudgetError
+from medianlab.formats import graph_from_text
 from medianlab.graph import (
     Graph,
     automorphism_generators,
@@ -105,11 +106,15 @@ def random_graphs(seed, count, max_n):
             yield random_connected_graph(rng, n, rng.choice((0.1, 0.3, 0.5, 0.8)))
 
 
+def is_automorphism(g, p):
+    return sorted(p) == list(range(g.n)) and (
+        {tuple(sorted((p[u], p[v]))) for u, v in g.edges()} == set(g.edges())
+    )
+
+
 def assert_matches_networkx(g):
     generators = g.automorphisms()
-    for p in generators:
-        assert sorted(p) == list(range(g.n))
-        assert {tuple(sorted((p[u], p[v]))) for u, v in g.edges()} == set(g.edges())
+    assert all(is_automorphism(g, p) for p in generators)
     group = group_closure(g.n, generators)
     oracle = nx_automorphisms(g)
     assert orbits_of(g.n, group) == orbits_of(g.n, oracle)
@@ -187,6 +192,48 @@ def test_work_cap_gives_the_trivial_group(monkeypatch):
             monkeypatch.setattr(graph_module, "AUTOMORPHISM_WORK_CAP", cap)
             assert automorphism_generators(g) == ()
         monkeypatch.undo()
+
+
+def test_work_cap_midway_keeps_the_generators_found(monkeypatch):
+    # the least cap past which the search has found one generator stops it
+    # before the last: the generators found are kept, each an automorphism,
+    # and the orbits of the subgroup they generate are finer, so the searches
+    # reduced modulo it keep their group-free results
+    for spec in ("cycle:7", "kmn:3,3", "grid:3,3", "bn:4"):
+        g = generate(spec)
+        full = automorphism_generators(g)
+        step = g.n + 2 * len(g.edges())
+        monkeypatch.setattr(graph_module, "AUTOMORPHISM_WORK_CAP", 2)
+        plain = generate(spec)
+        assert plain.automorphisms() == ()
+        group_free = (
+            check_unimodal_equals_connected(plain, 1, 3, 2).as_dict(),
+            pairing_property_bounded_search(plain, 3, 2),
+        )
+        cap = step
+        while True:
+            monkeypatch.setattr(graph_module, "AUTOMORPHISM_WORK_CAP", cap)
+            partial = automorphism_generators(g)
+            if partial:
+                break
+            cap += step
+        assert 0 < len(partial) < len(full), spec
+        assert all(is_automorphism(g, p) for p in partial)
+        h = generate(spec)
+        assert h.automorphisms() == partial
+        assert group_free == (
+            check_unimodal_equals_connected(h, 1, 3, 2).as_dict(),
+            pairing_property_bounded_search(h, 3, 2),
+        )
+        monkeypatch.undo()
+
+
+def test_tree300_keeps_its_generators_at_the_cap():
+    # the search on this tree passes AUTOMORPHISM_WORK_CAP; the twin leaf
+    # transpositions found before it stay
+    g = graph_from_text((DATA / "report_inputs" / "tree300.graph").read_text())
+    generators = automorphism_generators(g)
+    assert generators and all(is_automorphism(g, p) for p in generators)
 
 
 def test_orbit_minima_against_explicit_orbits():
