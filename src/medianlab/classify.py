@@ -54,6 +54,13 @@ bipartite graph and only until their first violation.  The loops keep
 their order, so verdicts and witnesses are those of two scans one vertex
 at a time.
 
+The triple walk (`_median_counts`) packs each distance row once per walk
+into one int with a field of 8 or 16 bits per vertex, so a triple's
+median count is one addition of three ints and a count of the fields of
+the sum equal to half the perimeter, by `bytes.count` or by a popcount.
+The fields are wide enough that no carry crosses one, so the count is
+exact.
+
 Each scan has one private core that returns its first violation, or
 None.  The scans that several verdicts share (the list of pairs at
 distance 2, the layer pass and the triple walk) and the rules that
@@ -78,9 +85,10 @@ walks no triples.  The graph stores nothing.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
 
 from .graph import Graph
 from .report import Report
@@ -206,17 +214,61 @@ def _first_layer_violations(g: Graph, pairs) -> tuple:
     return None, long_interval
 
 
+def _packed_rows(g: Graph) -> tuple[list[int], int]:
+    """The distance rows as ints with one field of `width` bytes per vertex,
+    and that width: field v of row u holds d(u,v).  The fields are 8 bits
+    wide when the rows are `bytes` and 3 diam <= 255, so that a sum of
+    three rows fits them, else 16 bits.  8-bit fields are the row's bytes
+    read little-endian; 16-bit ones are read through `tobytes()` in the
+    machine's byte order, the order `array` writes them in, so each field
+    holds its entry on any machine."""
+    d = g.dist
+    # diam <= n - 1, so the diameter, an O(n^2) read, is needed only past
+    # 86 vertices
+    if isinstance(d[0], bytes) and (g.n <= 86 or 3 * g.diameter <= 255):
+        return [int.from_bytes(row, "little") for row in d], 1
+    # array("H", row) on bytes would read each two bytes as one entry
+    wide = (row if isinstance(row, array) else array("H", iter(row)) for row in d)
+    return [int.from_bytes(row.tobytes(), sys.byteorder) for row in wide], 2
+
+
 def _median_counts(g: Graph):
     """Each triple x < y < z in lexicographic order with its number of
     medians.  m is a median exactly when d(x,m) + d(y,m) + d(z,m) is half
     the perimeter d(x,y) + d(y,z) + d(x,z): the three triangle inequalities
     such as d(x,m) + d(m,y) >= d(x,y) are then tight.
+
+    The rows are packed once per walk (`_packed_rows`), so the three sums
+    of a triple are one int addition, and the medians are the fields of
+    the sum equal to half the perimeter.  An odd perimeter has no half, so
+    no median.  A field of the sum is at most 3 diam, which its width
+    holds (255 for 8 bits, 3 * 2047 for 16), so no carry crosses a field
+    and the count is exact.  8-bit fields are counted by `bytes.count` on
+    the sum's little-endian bytes, the byte order they were packed in.
+    16-bit fields are counted in the sum XOR the half in every field: a
+    field is zero there iff it held the half, and since each is below
+    2^13, adding 0x7fff to it sets its top bit, without a carry out,
+    iff it is not zero.  So the count is n minus the set top bits, and
+    the order of the fields, which follows the machine's byte order, does
+    not matter.
     """
-    d = g.dist
-    for x, y, z in combinations(range(g.n), 3):
-        dx, dy, dz = d[x], d[y], d[z]
-        perimeter = dx[y] + dy[z] + dx[z]
-        yield (x, y, z), sum(2 * (a + b + c) == perimeter for a, b, c in zip(dx, dy, dz))
+    d, n = g.dist, g.n
+    rows, width = _packed_rows(g)
+    ones = ((1 << 16 * n) - 1) // 0xFFFF  # 1 in every 16-bit field
+    low, high = 0x7FFF * ones, 0x8000 * ones
+    for x in range(n):
+        dx, rx = d[x], rows[x]
+        for y in range(x + 1, n):
+            dy, dxy, rxy = d[y], dx[y], rx + rows[y]
+            for z in range(y + 1, n):
+                perimeter = dxy + dy[z] + dx[z]
+                if perimeter & 1:
+                    yield (x, y, z), 0
+                elif width == 1:
+                    yield (x, y, z), (rxy + rows[z]).to_bytes(n, "little").count(perimeter >> 1)
+                else:
+                    v = (rxy + rows[z]) ^ (perimeter >> 1) * ones
+                    yield (x, y, z), n - ((v + low) & high).bit_count()
 
 
 class _Scans:

@@ -1,12 +1,15 @@
 import importlib
 import json
 import random
-from itertools import combinations
+from itertools import combinations, islice
 from pathlib import Path
 
 import pytest
 
 from medianlab.classify import (
+    _median_counts,
+    _packed_rows,
+    _Scans,
     bipartite_helly_via_half_balls,
     bipartite_helly_via_interval_condition,
     check_conditions_tc_qc,
@@ -590,15 +593,57 @@ def test_interval_condition_matches_the_interval_scan(monkeypatch):
     assert verdicts == {True, False}
 
 
+def _median_counts_by_columns(g):
+    """The triple walk one vertex at a time, the oracle of the packed
+    `_median_counts`: each triple with its number of medians m, those with
+    2 (d(x,m) + d(y,m) + d(z,m)) equal to the perimeter."""
+    d = g.dist
+    for x, y, z in combinations(range(g.n), 3):
+        dx, dy, dz = d[x], d[y], d[z]
+        perimeter = dx[y] + dy[z] + dx[z]
+        yield (x, y, z), sum(2 * (a + b + c) == perimeter for a, b, c in zip(dx, dy, dz))
+
+
+# graphs on both sides of each field-width boundary: bytes rows take 8-bit
+# fields up to diameter 85 (3 * 85 = 255) and 16-bit ones from 86 on, and
+# array('H') rows, past 256 vertices, always take 16-bit fields; the
+# diameter is read only past 86 vertices, where path:87 first reaches 86
+WIDTH_GRAPHS = {
+    "cycle:170": 1, "cycle:171": 1, "cycle:172": 2, "cycle:173": 2,
+    "cycle:300": 2, "cycle:301": 2, "path:86": 1, "path:87": 2,
+}
+
+
+def test_packed_walk_matches_the_walk_by_columns():
+    graphs = ORACLE_GRAPHS + [(spec, generate(spec)) for spec in WIDTH_GRAPHS]
+    for name, g in graphs:
+        packed = list(islice(_median_counts(g), 20000))
+        assert packed == list(islice(_median_counts_by_columns(g), 20000)), name
+    for spec, width in WIDTH_GRAPHS.items():
+        assert _packed_rows(generate(spec))[1] == width, spec
+
+
+@pytest.mark.parametrize("k", [3, 4, 100, 129, 600])
+def test_even_cycle_witnesses_in_closed_form(k):
+    # C_2k: (0, 1, z) has its one median at 0 or 1, and (0, 2, k + 1) is
+    # the first triple without exactly one median, and it has none; k = 3
+    # and 4 take 8-bit fields from bytes rows, k = 100 16-bit fields from
+    # bytes rows, and k = 129 and 600 16-bit fields from array rows
+    scans = _Scans(cycle(2 * k))
+    assert scans.median_violation == scans.modular_violation == (0, 2, k + 1)
+
+
 @pytest.mark.parametrize("argv, name", [
     (["classify", "grid:14,14"], "classify_grid14x14.json"),
     (["classify", "tests/data/report_inputs/tree300.graph"], "classify_tree300.json"),
     (["pairing", "double", "tests/data/report_inputs/pairing_counterexample.graph"],
      "pairing_counterexample_double.json"),
+    (["classify", "cycle:300"], "classify_cycle300.json"),
 ])
 def test_large_classify_stdout_is_pinned(capsys, monkeypatch, argv, name):
-    # the half-ball self-check at a few hundred vertices, through the CLI, and
-    # the slowest exact-LP path, `pairing double` on the counterexample graph
+    # the half-ball self-check at a few hundred vertices, through the CLI, the
+    # packed triple walk on array('H') rows (cycle:300, not median), and the
+    # slowest exact-LP path, `pairing double` on the counterexample graph
     root = Path(__file__).parent.parent
     monkeypatch.chdir(root)
     assert main(argv) == 0
