@@ -55,11 +55,10 @@ their order, so verdicts and witnesses are those of two scans one vertex
 at a time.
 
 The triple walk (`_median_counts`) packs each distance row once per walk
-into one int with a field of 8 or 16 bits per vertex, so a triple's
-median count is one addition of three ints and a count of the fields of
-the sum equal to half the perimeter, by `bytes.count` or by a popcount.
-The fields are wide enough that no carry crosses one, so the count is
-exact.
+into one int with a field of 8 bits per vertex up to 43 vertices and of
+16 bits beyond, so a triple's median count is one addition of three ints
+and a popcount of the fields of the sum equal to half the perimeter.  The
+fields are wide enough that no carry crosses one, so the count is exact.
 
 Each scan has one private core that returns its first violation, or
 None.  The scans that several verdicts share (the list of pairs at
@@ -214,22 +213,24 @@ def _first_layer_violations(g: Graph, pairs) -> tuple:
     return None, long_interval
 
 
-def _packed_rows(g: Graph) -> tuple[list[int], int]:
-    """The distance rows as ints with one field of `width` bytes per vertex,
-    and that width: field v of row u holds d(u,v).  The fields are 8 bits
-    wide when the rows are `bytes` and 3 diam <= 255, so that a sum of
-    three rows fits them, else 16 bits.  8-bit fields are the row's bytes
-    read little-endian; 16-bit ones are read through `tobytes()` in the
-    machine's byte order, the order `array` writes them in, so each field
-    holds its entry on any machine."""
-    d = g.dist
-    # diam <= n - 1, so the diameter, an O(n^2) read, is needed only past
-    # 86 vertices
-    if isinstance(d[0], bytes) and (g.n <= 86 or 3 * g.diameter <= 255):
-        return [int.from_bytes(row, "little") for row in d], 1
-    # array("H", row) on bytes would read each two bytes as one entry
-    wide = (row if isinstance(row, array) else array("H", iter(row)) for row in d)
-    return [int.from_bytes(row.tobytes(), sys.byteorder) for row in wide], 2
+def _packed_rows(d, bits: int) -> list[int]:
+    """The distance rows `d` as ints with one field of `bits` bits (8 or
+    16) per vertex: field v of row u holds d(u,v).  8-bit fields are the
+    bytes of a `bytes` row read little-endian.  A `bytes` row is widened to
+    16-bit fields by writing its entries to the even bytes of a zeroed
+    buffer, read little-endian (`array("H", row)` would read each two bytes
+    as one entry); an `array('H')` row is read through `tobytes()` in the
+    machine's byte order, so each field holds its entry, though on a
+    big-endian machine the fields run from the top."""
+    if bits == 8:
+        return [int.from_bytes(row, "little") for row in d]
+    if isinstance(d[0], array):
+        return [int.from_bytes(row.tobytes(), sys.byteorder) for row in d]
+    wide, rows = bytearray(2 * len(d)), []
+    for row in d:
+        wide[::2] = row
+        rows.append(int.from_bytes(wide, "little"))
+    return rows
 
 
 def _median_counts(g: Graph):
@@ -241,21 +242,21 @@ def _median_counts(g: Graph):
     The rows are packed once per walk (`_packed_rows`), so the three sums
     of a triple are one int addition, and the medians are the fields of
     the sum equal to half the perimeter.  An odd perimeter has no half, so
-    no median.  A field of the sum is at most 3 diam, which its width
-    holds (255 for 8 bits, 3 * 2047 for 16), so no carry crosses a field
-    and the count is exact.  8-bit fields are counted by `bytes.count` on
-    the sum's little-endian bytes, the byte order they were packed in.
-    16-bit fields are counted in the sum XOR the half in every field: a
-    field is zero there iff it held the half, and since each is below
-    2^13, adding 0x7fff to it sets its top bit, without a carry out,
-    iff it is not zero.  So the count is n minus the set top bits, and
-    the order of the fields, which follows the machine's byte order, does
-    not matter.
+    no median.  The fields are counted in the sum XOR the half in every
+    field: a field is zero there iff it held the half.  The fields are 8
+    bits wide up to 43 vertices and 16 bits wide beyond, so a field of the
+    sum, at most 3 diam <= 3 (n - 1), is below 2^7 or below 2^13, below
+    half its range; so are the half and the XOR of the two.  Adding
+    2^(bits-1) - 1 to such a field sets its top bit iff it is not zero,
+    without a carry out of the field.  The count is n minus the set top
+    bits, exact, and blind to the order of the fields.
     """
     d, n = g.dist, g.n
-    rows, width = _packed_rows(g)
-    ones = ((1 << 16 * n) - 1) // 0xFFFF  # 1 in every 16-bit field
-    low, high = 0x7FFF * ones, 0x8000 * ones
+    bits = 8 if n <= 43 else 16
+    rows = _packed_rows(d, bits)
+    ones = ((1 << bits * n) - 1) // ((1 << bits) - 1)  # 1 in every field
+    top = 1 << bits - 1
+    low, high = (top - 1) * ones, top * ones
     for x in range(n):
         dx, rx = d[x], rows[x]
         for y in range(x + 1, n):
@@ -264,8 +265,6 @@ def _median_counts(g: Graph):
                 perimeter = dxy + dy[z] + dx[z]
                 if perimeter & 1:
                     yield (x, y, z), 0
-                elif width == 1:
-                    yield (x, y, z), (rxy + rows[z]).to_bytes(n, "little").count(perimeter >> 1)
                 else:
                     v = (rxy + rows[z]) ^ (perimeter >> 1) * ones
                     yield (x, y, z), n - ((v + low) & high).bit_count()

@@ -8,7 +8,6 @@ import pytest
 
 from medianlab.classify import (
     _median_counts,
-    _packed_rows,
     _Scans,
     bipartite_helly_via_half_balls,
     bipartite_helly_via_interval_condition,
@@ -604,31 +603,36 @@ def _median_counts_by_columns(g):
         yield (x, y, z), sum(2 * (a + b + c) == perimeter for a, b, c in zip(dx, dy, dz))
 
 
-# graphs on both sides of each field-width boundary: bytes rows take 8-bit
-# fields up to diameter 85 (3 * 85 = 255) and 16-bit ones from 86 on, and
-# array('H') rows, past 256 vertices, always take 16-bit fields; the
-# diameter is read only past 86 vertices, where path:87 first reaches 86
-WIDTH_GRAPHS = {
-    "cycle:170": 1, "cycle:171": 1, "cycle:172": 2, "cycle:173": 2,
-    "cycle:300": 2, "cycle:301": 2, "path:86": 1, "path:87": 2,
-}
+def _k23_with_tail(n):
+    """K_{2,3} with sides {3, 4} and {0, 1, 2}, and a path 2, 5, 6, ..., n - 1
+    hung off 2: the triples (0, 1, z) for z = 2 and z >= 5 have the two
+    medians 3 and 4, and the diameter is n - 3."""
+    sides = [(a, b) for a in (3, 4) for b in (0, 1, 2)]
+    return Graph(n, sides + [(2 if v == 5 else v - 1, v) for v in range(5, n)])
+
+
+# graphs on both sides of each boundary of the packing: 8-bit fields up to
+# 43 vertices and 16-bit ones beyond, bytes rows up to 256 vertices and
+# array('H') rows beyond; K_{2,3} with a tail puts triples with two medians
+# on every side, and path:45 is the smallest graph with a sum of three
+# distances, 44 + 43 + 42, that 8 bits cannot count
+WIDTH_GRAPHS = [(spec, generate(spec)) for spec in (
+    "cycle:43", "cycle:44", "path:43", "path:44", "path:45", "cycle:300", "cycle:301",
+)] + [(f"k23+tail:{n}", _k23_with_tail(n)) for n in (43, 44, 256, 257)]
 
 
 def test_packed_walk_matches_the_walk_by_columns():
-    graphs = ORACLE_GRAPHS + [(spec, generate(spec)) for spec in WIDTH_GRAPHS]
-    for name, g in graphs:
+    for name, g in ORACLE_GRAPHS + WIDTH_GRAPHS:
         packed = list(islice(_median_counts(g), 20000))
         assert packed == list(islice(_median_counts_by_columns(g), 20000)), name
-    for spec, width in WIDTH_GRAPHS.items():
-        assert _packed_rows(generate(spec))[1] == width, spec
 
 
-@pytest.mark.parametrize("k", [3, 4, 100, 129, 600])
+@pytest.mark.parametrize("k", [3, 4, 21, 22, 100, 129, 600])
 def test_even_cycle_witnesses_in_closed_form(k):
     # C_2k: (0, 1, z) has its one median at 0 or 1, and (0, 2, k + 1) is
-    # the first triple without exactly one median, and it has none; k = 3
-    # and 4 take 8-bit fields from bytes rows, k = 100 16-bit fields from
-    # bytes rows, and k = 129 and 600 16-bit fields from array rows
+    # the first triple without exactly one median, and it has none; k = 3,
+    # 4 and 21 take 8-bit fields, k = 22 and 100 16-bit fields from bytes
+    # rows, and k = 129 and 600 16-bit fields from array rows
     scans = _Scans(cycle(2 * k))
     assert scans.median_violation == scans.modular_violation == (0, 2, k + 1)
 
