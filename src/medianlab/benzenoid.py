@@ -20,11 +20,15 @@ from dataclasses import dataclass
 from .errors import InputError
 from .graph import Graph, component_labels
 from .profiles import (
+    PeakProbes,
+    ball_masks,
     connected_in_power,
+    median_mask,
     minimizers,
     peak_failures,
     peak_probes,
     profile_sweep,
+    sweep_bits,
 )
 from .report import VerificationReport
 
@@ -231,21 +235,27 @@ def verify_benzenoid_properties(
                 failures.append({"opposition": [x, ring, opposite]})
 
     # check (c) probes only the 2-pairs that lie in no common hexagon,
-    # filtered once per graph.  The sweep of checks (c) and (d) visits every
-    # profile, without the orbit reduction of `check_unimodal_equals_connected`:
-    # its failures name pairs and median sets as well as profiles, so an
-    # orbit would have to map those too.
+    # filtered and compiled once per graph for the sweep's field width
+    # (`PeakProbes`): each profile gathers its f-vector at every probe in
+    # one call and compares the packed values field by field, and
+    # `peak_failures` reads the failing pairs in probe order.  Check (d)
+    # reads the median set as a bit mask and searches it over the masks of
+    # the balls of radius 2.  The sweep visits every profile, without the
+    # orbit reduction of `check_unimodal_equals_connected`: its failures
+    # name pairs and median sets as well as profiles, so an orbit would
+    # have to map those too.
     hex_sets = [set(h) for h in b.hexagons]
-    probes = [(u, v, inside) for u, v, inside in peak_probes(g, 2, 2)
-              if not any({u, v} <= h for h in hex_sets)]
+    probes = PeakProbes([(u, v, inside) for u, v, inside in peak_probes(g, 2, 2)
+                         if not any({u, v} <= h for h in hex_sets)],
+                        sweep_bits(g, max_support, max_mult))
+    balls = ball_masks(g, 2)
     checked = 0
     for profile, f in profile_sweep(g, max_support, max_mult, cap=cap):
         checked += 1
         for u, v in peak_failures(f, probes):
             failures.append({"peakless_pair_outside_hexagon": [u, v, profile]})
-        med = minimizers(f)
-        if not connected_in_power(g, med, 2):
-            failures.append({"median_not_g2_connected": [profile, med]})
+        if not connected_in_power(median_mask(f), balls):
+            failures.append({"median_not_g2_connected": [profile, minimizers(f)]})
 
     kinds = {kind for failure in failures for kind in failure}
     return BenzenoidReport(

@@ -383,7 +383,8 @@ def pairing_property_bounded_search(
     """First even profile within budget with no perfect pairing, or None.
 
     As in `has_perfect_pairing`, each profile is tested at its least median
-    vertex, the first index where f is least; the auxiliary graph of a
+    vertex, the first index where f is least, read with `min` and `index`
+    on the packed f-vector the sweep yields; the auxiliary graph of a
     vertex is built the first time it is that median.
 
     Only profiles on orbit-least supports under Aut(G) are tested.  The

@@ -2,16 +2,31 @@
 
 `Profile` is the one profile form of the package.  f-vectors over the
 canonical profiles have one home, `profile_sweep`: the connected-median
-verification here, `pairing.pairing_property_bounded_search` and check (d)
-of `benzenoid.verify_benzenoid_properties` all run on it.
+verification here, `pairing.pairing_property_bounded_search` and checks
+(c) and (d) of `benzenoid.verify_benzenoid_properties` all run on it.
+
+The sweep carries each f-vector packed: one int with a field of `bits`
+bits per vertex, vertex 0 in the least significant field, and every
+distance row packed the same way once per sweep, so adding k copies of x
+to a profile is one int operation, F + k * row[x].  The width is chosen
+once per sweep (`sweep_bits`) from the bound max_support * max_mult *
+diam on every f-value: 8, 16, 32 or 64 bits, or a wider power of two,
+the least in which the bound stays below half the field's range.  So no
+sum carries into the next field, and the field tests of the per-profile
+checks (the comment above `median_mask`) are exact.  Under the default
+caps every f-value is below 2 * 10^6; a raised cap can push the bound
+past 2^63, and fields wider than 64 bits are read as a list of ints.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations, compress, product
-from math import comb, inf
+from math import comb
+from operator import itemgetter
 
 from .errors import BudgetError, FormatError, InputError
 from .graph import Graph, orbit_minima
@@ -215,26 +230,87 @@ def _canonical_key(counts):
 def extend_f_vector(g: Graph, f: list[int], x: int, k: int = 1) -> list[int]:
     """The f-vector of a profile with k more copies of x, as a new list:
     the profile's own f-vector f plus k times the distance row of x, which
-    is also its column since distances are symmetric.  This is the one
-    place that rule is written."""
+    is also its column since distances are symmetric.  `profile_sweep`
+    applies the same rule to packed f-vectors, one int addition."""
     return [a + k * b for a, b in zip(f, g.dist[x])]
+
+
+# -- packed f-vectors ----------------------------------------------------------
+
+# array typecode of each field width up to 64 bits; packed ints are read
+# little-endian, so a big-endian machine swaps the bytes of each array item
+_TYPECODES = {array(code).itemsize * 8: code for code in "BHIQ"}
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
+def field_bits(bound: int) -> int:
+    """The field width, 8, 16, 32, 64 or a larger power of two, in which
+    every value 0..bound stays below half the field's range; 8 when the
+    bound is negative, as it is for a budget the sweep refuses."""
+    bits = 8
+    while bound >> bits - 1 > 0:
+        bits *= 2
+    return bits
+
+
+def sweep_bits(g: Graph, max_support: int, max_mult: int) -> int:
+    """The field width of `profile_sweep` under this budget: no f-value
+    passes max_support * max_mult * diam."""
+    return field_bits(max_support * max_mult * g.diameter)
+
+
+def pack_fields(values, bits: int) -> int:
+    """One int whose field i, `bits` wide and counted from the least
+    significant end, holds values[i]."""
+    if bits == 8:
+        return int.from_bytes(bytes(values), "little")
+    if bits in _TYPECODES:
+        packed = array(_TYPECODES[bits])
+        packed.extend(values)  # array(code, values) reads `bytes` as raw memory
+        if _BIG_ENDIAN:
+            packed.byteswap()
+        return int.from_bytes(packed, "little")
+    return sum(v << bits * i for i, v in enumerate(values))
+
+
+def unpack_fields(packed: int, bits: int, n: int):
+    """The first n fields of a `pack_fields` int, as `bytes` (8 bits), an
+    `array` (16 to 64 bits) or a list (wider)."""
+    if bits == 8:
+        return packed.to_bytes(n, "little")
+    if bits in _TYPECODES:
+        values = array(_TYPECODES[bits], packed.to_bytes(bits // 8 * n, "little"))
+        if _BIG_ENDIAN:
+            values.byteswap()
+        return values
+    mask = (1 << bits) - 1
+    return [packed >> shift & mask for shift in range(0, bits * n, bits)]
 
 
 def profile_sweep(g: Graph, max_support: int, max_mult: int,
                   even_only: bool = False, cap: int = PROFILE_CAP, group=None):
-    """Yield (profile, f-vector) for every profile of
+    """Yield (profile, f) for every profile of
     canonical_profiles(g.n, ..., group), in its order and under its budget
-    check.
+    check.  f is the profile's f-vector as `unpack_fields` gives it in the
+    width `sweep_bits(g, max_support, max_mult)`: `bytes`, an `array` or
+    a list, new for each profile.
 
-    A profile's f is its prefix's (all pairs but the last), extended by the
-    last pair (`extend_f_vector`).  `partial[j]` holds the f-vector of the current profile's
-    first j pairs; the next profile keeps the entries of the pairs it shares
-    with this one and adds the rest, so memory stays O(max_support * n).
-    Each yielded f is a new list.
+    The sweep carries each f-vector packed (`pack_fields`), so a profile's
+    is its prefix's (all pairs but the last) plus k times the packed
+    distance row of the last pair's vertex x, one int addition; the width
+    keeps every field below half its range, so no addition carries into
+    the next field.  `partial[j]` holds the packed f-vector of the current
+    profile's first j pairs; the next profile keeps the entries of the
+    pairs it shares with this one and adds the rest, so memory stays
+    O(max_support * n) fields.  The rows are packed once the budget check
+    has passed.
     """
-    partial = [[0] * g.n]
-    last = ()
-    for profile in canonical_profiles(g.n, max_support, max_mult, even_only, cap, group):
+    n = g.n
+    bits = sweep_bits(g, max_support, max_mult)
+    partial, rows, last = [0], None, ()
+    for profile in canonical_profiles(n, max_support, max_mult, even_only, cap, group):
+        if rows is None:
+            rows = [pack_fields(row, bits) for row in g.dist]
         pairs = profile.counts
         top = len(pairs) - 1
         i = 0  # partial[0..i] hold prefixes of this profile
@@ -242,34 +318,83 @@ def profile_sweep(g: Graph, max_support: int, max_mult: int,
             i += 1
         del partial[i + 1:]
         for x, k in pairs[i:top]:
-            partial.append(extend_f_vector(g, partial[-1], x, k))
+            partial.append(partial[-1] + k * rows[x])
         x, k = pairs[top]
-        yield profile, extend_f_vector(g, partial[top], x, k)
+        yield profile, unpack_fields(partial[top] + k * rows[x], bits, n)
         last = pairs
 
 
 # -- bounded verification of connected / unimodal medians ----------------------
 #
-# The per-profile helpers (`minimizers` above, `peak_failures`, `_unimodal`,
-# `connected_in_power`) run once per profile of a sweep, so their
-# inner loops are shaped to run in C: the first three read f through `map`,
-# `compress` and `min`, and `connected_in_power` removes each layer of its
-# search from the unvisited set with one set operation.  `benzenoid` uses
-# them too, and `consensus` uses `minimizers`.
+# The per-profile checks run once per profile of a sweep, on the f-vector
+# it yields, with C-level operations and no loop over the vertices:
+#
+# - the median set is read off that sequence with `min` and, on `bytes`,
+#   one `translate` to the binary digits of its mask, or else `count` and
+#   `index` (`median_mask`);
+# - G^p-connectivity is a breadth-first search over bit masks of the
+#   balls of radius p (`ball_masks`), one OR per member reached, and a
+#   single median needs none;
+# - the peak probes (`PeakProbes`) and the punctured balls of the
+#   unimodality test (`_PuncturedBalls`) gather f at the vertices they
+#   compare with one `itemgetter` call.  The gather lists block by block
+#   u, v, then the j-th interior vertex of every probe (or the vertex,
+#   then its j-th ball member), a shorter interior or ball repeating a
+#   member, so field i of every block belongs to probe (or vertex) i.  The
+#   gathered values are packed in the sweep's width and compared a block
+#   at a time.  With H the top bit of every field and every field below
+#   half its range, ((A | H) - B) & H has the top bit of field i set iff
+#   A_i >= B_i: the field of A | H is at least 2^(bits-1) > B_i, so no
+#   field borrows from the next, and it keeps its top bit exactly when
+#   A_i - B_i >= 0.  A field X_i below half its range, as the XOR of two
+#   such fields is, is nonzero iff (X + (H - ones)) & H has its top bit
+#   set, and the sum carries out of no field.  Both tests are exact, and
+#   the failures are read off the set top bits lowest first, which is
+#   probe order.  Repeating a member changes no verdict: the interior test
+#   is an AND over the members and the ball test an OR.
+#
+# `benzenoid` uses these too, and `consensus` uses `minimizers`.
 
 
-def connected_in_power(g: Graph, members: frozenset[int], p: int) -> bool:
-    """The members induce a connected subgraph of the p-th power of g."""
-    if len(members) < 2:
+def median_mask(f) -> int:
+    """The median set of an f-vector as a vertex bit mask: bit v set iff
+    f[v] is least.  `bytes` are translated to the digits of the mask, a 1
+    where f is least, and read in base 2 from the last vertex on."""
+    best = min(f)
+    if type(f) is bytes:
+        return int(f.translate(_ZEROS[:best] + b"1" + _ZEROS[best + 1:])[::-1], 2)
+    v = f.index(best)
+    mask = 1 << v
+    for _ in range(f.count(best) - 1):
+        v = f.index(best, v + 1)
+        mask |= 1 << v
+    return mask
+
+
+_ZEROS = b"0" * 256
+
+
+def ball_masks(g: Graph, p: int) -> list[int]:
+    """For each vertex v, the bit mask of the vertices w with d(v, w) <= p."""
+    return [sum(1 << w for w, d in enumerate(dv) if d <= p) for dv in g.dist]
+
+
+def connected_in_power(members: int, balls) -> bool:
+    """The members (a vertex bit mask) induce a connected subgraph of the
+    graph where y is a neighbour of x when bit y of balls[x] is set: of the
+    p-th power of g when `balls` is `ball_masks(g, p)`."""
+    if not members & members - 1:
         return bool(members)
-    left = set(members)
-    reached = [left.pop()]
-    for x in reached:  # breadth first; the list grows as it is walked
-        dx = g.dist[x]
-        near = [y for y in left if dx[y] <= p]
-        left.difference_update(near)
-        reached += near
-    return not left
+    reached = frontier = members & -members
+    while frontier:
+        near = 0
+        while frontier:
+            low = frontier & -frontier
+            near |= balls[low.bit_length() - 1]
+            frontier ^= low
+        frontier = near & members & ~reached
+        reached |= frontier
+    return reached == members
 
 
 def peak_probes(g: Graph, lo: int, hi: int) -> list:
@@ -283,33 +408,96 @@ def peak_probes(g: Graph, lo: int, hi: int) -> list:
     ]
 
 
-def peak_failures(f: list[int], probes):
-    """Yield the probed pairs (u, v) where f is not locally peakless: no
-    interior vertex lies below max(f(u), f(v)) or on an f(u) = f(v) plateau.
+class _Gather:
+    """f gathered at `columns` with one `itemgetter` call (`get`), packed in
+    one field width and cut into blocks of `count` fields: block j, f at
+    columns[j * count:(j + 1) * count], is `packed >> shifts[j] & mask`.
+    Every gather below has two blocks or more, so `get` returns a tuple
+    (an `itemgetter` of one column would return a scalar)."""
 
-    With `low` the least f-value inside, that is low > hi, or low == hi
-    where f(u) != f(v); an empty interior always fails."""
-    get = f.__getitem__
-    for u, v, interior in probes:
-        fu, fv = f[u], f[v]
-        hi = fu if fu > fv else fv
-        low = min(map(get, interior), default=inf)
-        if low > hi or (low == hi and fu != fv):
-            yield u, v
-
-
-def _punctured_balls(g: Graph, p: int) -> list[list[int]]:
-    """For each vertex v, the vertices w with 0 < d(v, w) <= p."""
-    return [[w for w, d in enumerate(dv) if 0 < d <= p] for dv in g.dist]
+    def __init__(self, columns, count: int, bits: int):
+        self.get, self.bits = itemgetter(*columns), bits
+        self.shifts = range(0, len(columns) * bits, count * bits)
+        self.mask = (1 << count * bits) - 1
+        self.ones = self.mask // ((1 << bits) - 1)  # 1 in every field
+        self.high = self.ones << bits - 1  # the top bit of every field
 
 
-def _unimodal(f: list[int], balls) -> bool:
+class PeakProbes(_Gather):
+    """`peak_probes` compiled for f-vectors of one field width: f is
+    gathered at every u (block 0), at every v (block 1), and at the j-th
+    interior vertex of every probe (block j + 2), a shorter interior
+    repeating its members."""
+
+    def __init__(self, probes, bits: int):
+        self.pairs, self.bits = [(u, v) for u, v, _ in probes], bits
+        if not probes:
+            return
+        interiors = [sorted(inside) or [u] for u, _, inside in probes]
+        columns = [u for u, _ in self.pairs] + [v for _, v in self.pairs]
+        for j in range(max(map(len, interiors))):
+            columns += [inside[j % len(inside)] for inside in interiors]
+        super().__init__(columns, len(probes), bits)
+        self.inner = self.shifts[2:]
+        # an empty interior fails whatever it is padded with
+        self.always = sum(1 << i * bits + bits - 1
+                          for i, (_, _, inside) in enumerate(probes) if not inside)
+
+    def failing(self, f) -> int:
+        """The top bit of field i is set iff probe i fails on f: every
+        interior value w has w >= f(u) and w >= f(v), and not
+        w = f(u) = f(v)."""
+        if not self.pairs:
+            return 0
+        packed = pack_fields(self.get(f), self.bits)
+        mask, high = self.mask, self.high
+        low = high - self.ones
+        fu, fv = packed & mask, packed >> self.shifts[1] & mask
+        fail = high
+        for shift in self.inner:
+            w = packed >> shift & mask
+            fail &= ((w | high) - fu) & ((w | high) - fv) & ((w ^ fu | w ^ fv) + low)
+        return fail | self.always
+
+
+def peak_failures(f, probes: PeakProbes) -> list:
+    """The probed pairs (u, v) where f is not locally peakless, in probe
+    order: no interior vertex lies below max(f(u), f(v)) or on an
+    f(u) = f(v) plateau."""
+    fail, pairs, bits = probes.failing(f), probes.pairs, probes.bits
+    found = []
+    while fail:
+        low = fail & -fail
+        found.append(pairs[(low.bit_length() - 1) // bits])
+        fail ^= low
+    return found
+
+
+class _PuncturedBalls(_Gather):
+    """f gathered at every vertex v (block 0) and at the j-th vertex w with
+    0 < d(v, w) <= p (block j + 1), a smaller ball repeating its members
+    and an empty one repeating v, which is never below f[v]."""
+
+    def __init__(self, g: Graph, p: int, bits: int):
+        balls = [[w for w, d in enumerate(dv) if 0 < d <= p] or [v]
+                 for v, dv in enumerate(g.dist)]
+        columns = list(range(g.n))
+        for j in range(max(map(len, balls))):
+            columns += [ball[j % len(ball)] for ball in balls]
+        super().__init__(columns, g.n, bits)
+        self.around = self.shifts[1:]
+
+
+def _unimodal(f, balls: _PuncturedBalls) -> bool:
     """Every local minimum of f is a global one: each vertex off the minimum
-    has a smaller value in its punctured ball (`_punctured_balls`)."""
-    best = min(f)
-    get = f.__getitem__
-    return all(fv == best or min(map(get, ball), default=fv) < fv
-               for fv, ball in zip(f, balls))
+    has a smaller value in its punctured ball."""
+    packed = pack_fields(balls.get(f), balls.bits)
+    mask, high = balls.mask, balls.high
+    own = packed & mask
+    good = ((min(f) * balls.ones | high) - own) & high  # f[v] <= min f
+    for shift in balls.around:
+        good |= high ^ ((packed >> shift & mask | high) - own) & high  # below f[v]
+    return good == high
 
 
 @dataclass
@@ -341,15 +529,16 @@ def check_unimodal_equals_connected(
     """
     if p < 1:
         raise InputError(f"power must be >= 1, got {p}")
-    probes = peak_probes(g, p + 1, 2 * p)
-    balls = _punctured_balls(g, p)
+    bits = sweep_bits(g, max_support, max_mult)
+    probes = PeakProbes(peak_probes(g, p + 1, 2 * p), bits)
+    around = _PuncturedBalls(g, p, bits)
+    balls = ball_masks(g, p)
     failures = {}
     sweep = profile_sweep(g, max_support, max_mult, cap=cap, group=g.automorphisms)
     for profile, f in sweep:
-        med = minimizers(f)
-        uni = _unimodal(f, balls)
-        conn = connected_in_power(g, med, p)
-        peak = next(peak_failures(f, probes), None) is None
+        uni = _unimodal(f, around)
+        conn = connected_in_power(median_mask(f), balls)
+        peak = not probes.failing(f)
         if not (uni and conn and peak):
             verdicts = {"unimodal": uni, "connected": conn, "peakless": peak}
             for counts in profile_orbit(profile, g.automorphisms()):

@@ -2,13 +2,16 @@
 
 Oracles deliberately avoid the library's own code paths: networkx for
 distances and isomorphism, explicit enumeration for Helly checks and
-maximum pairings.
+maximum pairings.  The list kernels of the profile sweep are the forms
+that `medianlab.profiles` ran before its f-vectors were packed, kept as
+the oracles of the packed ones.
 """
 
 from __future__ import annotations
 
 import random
 from itertools import combinations
+from math import inf
 
 import networkx as nx
 import pytest
@@ -25,6 +28,7 @@ from medianlab.graph import (
     path,
     tree_from_parent_list,
 )
+from medianlab.profiles import PROFILE_CAP, canonical_profiles, extend_f_vector
 
 
 def to_networkx(g: Graph) -> nx.Graph:
@@ -106,6 +110,70 @@ def random_connected_graph(rng: random.Random, n: int, density: float) -> Graph:
         if rng.random() < density:
             edges.add((u, v))
     return Graph(n, sorted(edges))
+
+
+# -- the list kernels of the profile sweep -------------------------------------
+
+
+def list_profile_sweep(g: Graph, max_support: int, max_mult: int,
+                       even_only: bool = False, cap: int = PROFILE_CAP, group=None):
+    """(profile, f-vector as a list) over canonical_profiles, each f its
+    prefix's extended by the last pair (`extend_f_vector`)."""
+    partial = [[0] * g.n]
+    last = ()
+    for profile in canonical_profiles(g.n, max_support, max_mult, even_only, cap, group):
+        pairs = profile.counts
+        top = len(pairs) - 1
+        i = 0  # partial[0..i] hold prefixes of this profile
+        while i < top and i + 1 < len(partial) and pairs[i] == last[i]:
+            i += 1
+        del partial[i + 1:]
+        for x, k in pairs[i:top]:
+            partial.append(extend_f_vector(g, partial[-1], x, k))
+        x, k = pairs[top]
+        yield profile, extend_f_vector(g, partial[top], x, k)
+        last = pairs
+
+
+def list_connected_in_power(g: Graph, members, p: int) -> bool:
+    """The members (a vertex set) induce a connected subgraph of the p-th
+    power of g."""
+    if len(members) < 2:
+        return bool(members)
+    left = set(members)
+    reached = [left.pop()]
+    for x in reached:  # breadth first; the list grows as it is walked
+        dx = g.dist[x]
+        near = [y for y in left if dx[y] <= p]
+        left.difference_update(near)
+        reached += near
+    return not left
+
+
+def list_peak_failures(f, probes):
+    """The probed pairs (u, v) of `profiles.peak_probes` where f is not
+    locally peakless, in probe order; an empty interior always fails."""
+    get = f.__getitem__
+    for u, v, interior in probes:
+        fu, fv = f[u], f[v]
+        hi = fu if fu > fv else fv
+        low = min(map(get, interior), default=inf)
+        if low > hi or (low == hi and fu != fv):
+            yield u, v
+
+
+def list_punctured_balls(g: Graph, p: int) -> list[list[int]]:
+    """For each vertex v, the vertices w with 0 < d(v, w) <= p."""
+    return [[w for w, d in enumerate(dv) if 0 < d <= p] for dv in g.dist]
+
+
+def list_unimodal(f, balls) -> bool:
+    """Every vertex off the minimum of f has a smaller value in its
+    punctured ball (`list_punctured_balls`)."""
+    best = min(f)
+    get = f.__getitem__
+    return all(fv == best or min(map(get, ball), default=fv) < fv
+               for fv, ball in zip(f, balls))
 
 
 @pytest.fixture(scope="session")

@@ -18,9 +18,14 @@ from medianlab.benzenoid import (
 from medianlab.cli import main
 from medianlab.errors import BudgetError, InputError
 from medianlab.graph import Graph, cycle, hypercube
-from medianlab.profiles import canonical_profiles
+from medianlab.profiles import canonical_profiles, minimizers, peak_probes
 
-from conftest import to_networkx
+from conftest import (
+    list_connected_in_power,
+    list_peak_failures,
+    list_profile_sweep,
+    to_networkx,
+)
 
 
 def test_single_cell_is_a_hexagon():
@@ -226,7 +231,7 @@ def _peak_outside_hexagons(b, monkeypatch):
 
 
 def _median_not_g2_connected(b, monkeypatch):
-    monkeypatch.setattr(benzenoid_module, "connected_in_power", lambda g, med, p: False)
+    monkeypatch.setattr(benzenoid_module, "connected_in_power", lambda members, balls: False)
     return b
 
 
@@ -344,3 +349,51 @@ def test_branched_benzenoid_stdout_is_pinned(capsys, monkeypatch, verb):
     assert main(["benzenoid", verb, "tests/data/report_inputs/branched7.cells"]) == 0
     pinned = root / "tests" / "data" / f"benzenoid_branched7_{verb}.json"
     assert capsys.readouterr().out == pinned.read_text()
+
+
+def test_branched_benzenoid_verification_stdout_is_pinned(capsys, monkeypatch):
+    # 34,280 profiles through checks (c) and (d)
+    root = Path(__file__).parent.parent
+    monkeypatch.chdir(root)
+    argv = ["benzenoid", "verify", "tests/data/report_inputs/branched7.cells",
+            "--support", "3", "--mult", "2"]
+    assert main(argv) == 0
+    pinned = root / "tests" / "data" / "benzenoid_branched7_verify_s3_m2.json"
+    assert capsys.readouterr().out == pinned.read_text()
+
+
+SWEEP_KINDS = {"peakless_pair_outside_hexagon", "median_not_g2_connected"}
+
+
+def list_sweep_failures(b, max_support, max_mult):
+    """Checks (c) and (d) of verify_benzenoid_properties on the list kernels."""
+    g = b.graph
+    hex_sets = [set(h) for h in b.hexagons]
+    probes = [(u, v, inside) for u, v, inside in peak_probes(g, 2, 2)
+              if not any({u, v} <= h for h in hex_sets)]
+    failures = []
+    for profile, f in list_profile_sweep(g, max_support, max_mult):
+        for u, v in list_peak_failures(f, probes):
+            failures.append({"peakless_pair_outside_hexagon": [u, v, profile]})
+        med = minimizers(f)
+        if not list_connected_in_power(g, med, 2):
+            failures.append({"median_not_g2_connected": [profile, med]})
+    return failures
+
+
+def test_sweep_checks_match_the_list_kernels_on_random_benzenoids(monkeypatch):
+    # with its first hexagon dropped, a benzenoid fails check (c) on the
+    # 2-pairs of that hexagon, so the failures and their order are compared
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    gen = importlib.import_module("gen")
+    rng = random.Random(33)
+    compared = 0
+    for _ in range(30):
+        b = build_benzenoid(gen.random_benzenoid(rng, rng.randint(1, 6)))
+        support, mult = rng.choice(((2, 1), (2, 2), (3, 1)))
+        for cut in (b, replace(b, hexagons=b.hexagons[1:])):
+            report = verify_benzenoid_properties(cut, support, mult)
+            got = [failure for failure in report.failures if SWEEP_KINDS & failure.keys()]
+            assert got == list_sweep_failures(cut, support, mult), b.cells
+            compared += len(got)
+    assert compared > 1000

@@ -34,20 +34,24 @@ from medianlab.pairing import (
 )
 from medianlab.profiles import (
     Profile,
-    _punctured_balls,
-    _unimodal,
     canonical_profiles,
     check_unimodal_equals_connected,
-    connected_in_power,
     count_canonical_profiles,
     f_vector,
     minimizers,
-    peak_failures,
     peak_probes,
     profile_orbit,
 )
 
-from conftest import random_connected_graph, random_tree, to_networkx
+from conftest import (
+    list_connected_in_power,
+    list_peak_failures,
+    list_punctured_balls,
+    list_unimodal,
+    random_connected_graph,
+    random_tree,
+    to_networkx,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -269,15 +273,16 @@ def test_profile_orbit_is_the_image_under_the_whole_group():
 
 
 def full_unimodal_check(g, p, max_support, max_mult):
-    """check_unimodal_equals_connected's failures by visiting every profile."""
+    """check_unimodal_equals_connected's failures by visiting every profile,
+    on the list kernels."""
     probes = peak_probes(g, p + 1, 2 * p)
-    balls = _punctured_balls(g, p)
+    balls = list_punctured_balls(g, p)
     failures = []
     for profile in canonical_profiles(g.n, max_support, max_mult):
         f = f_vector(g, profile)
-        uni = _unimodal(f, balls)
-        conn = connected_in_power(g, minimizers(f), p)
-        peak = next(peak_failures(f, probes), None) is None
+        uni = list_unimodal(f, balls)
+        conn = list_connected_in_power(g, minimizers(f), p)
+        peak = next(list_peak_failures(f, probes), None) is None
         if not (uni and conn and peak):
             failures.append(
                 {"profile": profile, "unimodal": uni, "connected": conn, "peakless": peak}

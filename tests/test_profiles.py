@@ -1,4 +1,5 @@
 import random
+from array import array
 from collections import deque
 
 import pytest
@@ -11,27 +12,48 @@ from medianlab.consensus import (
     tabulate_median,
 )
 from medianlab.errors import BudgetError, FormatError, InputError
-from medianlab.pairing import has_perfect_pairing, pairing_property_bounded_search
+from medianlab.pairing import (
+    auxiliary_graph,
+    has_perfect_pairing,
+    has_perfect_pi_matching,
+    pairing_property_bounded_search,
+)
+import medianlab.profiles as profiles_module
 from medianlab.profiles import (
+    PeakProbes,
     Profile,
-    _punctured_balls,
+    _PuncturedBalls,
     _unimodal,
+    ball_masks,
     canonical_profiles,
     check_unimodal_equals_connected,
     connected_in_power,
     count_canonical_profiles,
     f_vector,
+    field_bits,
     is_local_median,
+    median_mask,
     median_set,
     minimizers,
+    pack_fields,
     peak_failures,
     peak_probes,
     profile_sweep,
+    sweep_bits,
     total_distance,
+    unpack_fields,
 )
-from medianlab.graph import complete, cycle, hypercube
+from medianlab.graph import complete, cycle, generate, hypercube, path
 
-from conftest import nx_distance, random_connected_graph
+from conftest import (
+    list_connected_in_power,
+    list_peak_failures,
+    list_profile_sweep,
+    list_punctured_balls,
+    list_unimodal,
+    nx_distance,
+    random_connected_graph,
+)
 
 
 def test_parse_and_format():
@@ -177,7 +199,7 @@ def test_profile_sweep_matches_canonical_profiles_and_f_vector(corpus):
                     expected = list(canonical_profiles(g.n, support, mult, even_only))
                     assert [profile for profile, _ in swept] == expected
                     for profile, f in swept:
-                        assert f == f_vector(g, profile), profile
+                        assert list(f) == f_vector(g, profile), profile
     g = hypercube(3)
     for even_only in (False, True):
         sweep = profile_sweep(g, 8, 4, even_only, cap=10)
@@ -190,7 +212,7 @@ def test_profile_sweep_matches_canonical_profiles_and_f_vector(corpus):
 
 
 # The scans as they were written before they ran in C: the references for the
-# rewritten ones.
+# list kernels (conftest) and the packed ones.
 
 def reference_peak_failures(f, probes):
     for u, v, interior in probes:
@@ -233,17 +255,194 @@ def graph_and_values(draw):
     return g, draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
 
 
-@given(graph_and_values(), st.integers(1, 3), st.data())
-def test_rewritten_scans_match_their_reference_forms(gf, p, data):
+def mask_of(vertices) -> int:
+    return sum(1 << v for v in vertices)
+
+
+@given(graph_and_values(), st.integers(1, 3), st.sampled_from((8, 16, 32, 64, 128)),
+       st.data())
+def test_rewritten_scans_match_their_reference_forms(gf, p, bits, data):
     g, f = gf
+    packed = unpack_fields(pack_fields(f, bits), bits, g.n)
+    assert list(packed) == f
     for lo, hi in ((p, 2 * p), (p + 1, 2 * p), (2, 2)):
         probes = peak_probes(g, lo, hi)  # lo = 1 gives empty interiors
-        assert list(peak_failures(f, probes)) == list(reference_peak_failures(f, probes))
-    assert _unimodal(f, _punctured_balls(g, p)) == reference_unimodal(g, f, p)
+        expected = list(reference_peak_failures(f, probes))
+        assert list(list_peak_failures(f, probes)) == expected
+        assert list(peak_failures(packed, PeakProbes(probes, bits))) == expected
+    expected = reference_unimodal(g, f, p)
+    assert list_unimodal(f, list_punctured_balls(g, p)) == expected
+    assert _unimodal(packed, _PuncturedBalls(g, p, bits)) == expected
+    assert median_mask(packed) == mask_of(minimizers(f))
     members = data.draw(st.frozensets(st.integers(0, g.n - 1)))
+    balls = ball_masks(g, p)
     for chosen in (members, minimizers(f)):
         expected = reference_connected_in_power(g, chosen, p)
-        assert connected_in_power(g, chosen, p) == expected
+        assert list_connected_in_power(g, chosen, p) == expected
+        assert connected_in_power(mask_of(chosen), balls) == expected
+
+
+# The packed sweep against the list kernels, profile by profile.
+
+def kernel_check(g, p, bits):
+    """A function of (packed f, list f) asserting that every packed kernel
+    reads what its list kernel reads at power p; it returns whether the
+    profile fails one of the three verdicts."""
+    probes = peak_probes(g, p + 1, 2 * p)
+    packed_probes = PeakProbes(probes, bits)
+    around, balls = _PuncturedBalls(g, p, bits), ball_masks(g, p)
+    list_balls = list_punctured_balls(g, p)
+
+    def check(f, lf):
+        assert list(f) == lf
+        med = minimizers(lf)
+        assert median_mask(f) == mask_of(med) and minimizers(f) == med
+        assert f.index(min(f)) == lf.index(min(lf))  # the pairing search's median
+        conn = list_connected_in_power(g, med, p)
+        assert connected_in_power(median_mask(f), balls) == conn
+        peaks = list(list_peak_failures(lf, probes))
+        assert list(peak_failures(f, packed_probes)) == peaks
+        assert (packed_probes.failing(f) == 0) == (peaks == [])
+        uni = list_unimodal(lf, list_balls)
+        assert _unimodal(f, around) == uni
+        return not (uni and conn and not peaks)
+
+    return check
+
+
+def assert_sweeps_agree(g, p, max_support, max_mult, **options) -> int:
+    """The packed and the list sweep yield the same profiles and f-vectors,
+    and every kernel agrees on each; the number of failing profiles."""
+    check = kernel_check(g, p, sweep_bits(g, max_support, max_mult))
+    failing = 0
+    for (profile, f), (expected, lf) in zip(
+        profile_sweep(g, max_support, max_mult, **options),
+        list_profile_sweep(g, max_support, max_mult, **options),
+        strict=True,
+    ):
+        assert profile == expected
+        failing += check(f, lf)
+    return failing
+
+
+# failing profiles at support 3 and multiplicity 2, per the list kernels
+@pytest.mark.parametrize("spec, p, failing", [
+    ("cycle:5", 1, 130), ("cycle:7", 1, 378), ("cycle:7", 2, 378), ("kmn:2,3", 1, 5),
+    ("kmn:2,3", 2, 0), ("bn:4", 2, 0), ("bn:5", 1, 100),
+])
+def test_packed_sweep_matches_the_list_kernels(spec, p, failing):
+    g = generate(spec)
+    assert assert_sweeps_agree(g, p, 3, 2) == failing
+    assert assert_sweeps_agree(g, p, 3, 2, group=g.automorphisms) <= failing
+    assert_sweeps_agree(g, p, 2, 3, even_only=True)
+
+
+def list_pairing_search(g, max_support, max_mult):
+    """`pairing_property_bounded_search` on the list sweep."""
+    aux = {}
+    sweep = list_profile_sweep(g, max_support, max_mult, even_only=True, group=g.automorphisms)
+    for profile, f in sweep:
+        u = f.index(min(f))
+        if u not in aux:
+            aux[u] = auxiliary_graph(g, u)
+        if has_perfect_pi_matching(aux[u], profile) is None:
+            return profile
+    return None
+
+
+def test_pairing_search_witnesses_match_the_list_sweep():
+    witnesses = 0
+    for spec in ("cycle:5", "cycle:7", "kmn:2,3", "bn:4", "hypercube:3", "path:5"):
+        g = generate(spec)
+        for budget in ((2, 2), (3, 2)):
+            expected = list_pairing_search(g, *budget)
+            assert pairing_property_bounded_search(g, *budget) == expected
+            witnesses += expected is not None
+    assert witnesses > 0
+
+
+def test_packed_kernels_at_the_edges():
+    # one vertex: f is all zeros and the single vertex is the median
+    g = path(1)
+    assert assert_sweeps_agree(g, 1, 1, 4) == 0
+    assert [bytes(f) for _, f in profile_sweep(g, 1, 2)] == [b"\0", b"\0"]
+    # no probes: a complete graph has no pair at distance 2 or more
+    assert peak_probes(complete(4), 2, 2) == []
+    assert list(peak_failures(b"\1\0\1\1", PeakProbes([], 8))) == []
+    assert assert_sweeps_agree(complete(4), 1, 3, 2) == 0
+    # exactly one probe, (0, 2) on a path of three vertices
+    assert [(u, v) for u, v, _ in peak_probes(path(3), 2, 2)] == [(0, 2)]
+    assert assert_sweeps_agree(path(3), 1, 3, 3) == 0
+    probes = PeakProbes(peak_probes(path(3), 2, 2), 8)
+    assert list(peak_failures(b"\0\2\0", probes)) == [(0, 2)]  # a peak at 1
+    assert list(peak_failures(b"\1\1\1", probes)) == []  # a plateau
+
+
+def test_field_widths_at_their_boundaries():
+    bounds = (0, 127, 128, 2**15 - 1, 2**15, 2**31 - 1, 2**31, 2**63 - 1, 2**63)
+    assert [field_bits(b) for b in bounds] == [8, 8, 16, 16, 32, 32, 64, 64, 128]
+    # a budget with a multiplicity below 1 is refused, not swept
+    assert field_bits(-2) == 8
+    for mult in (0, -2):
+        with pytest.raises(InputError):
+            next(profile_sweep(cycle(5), 2, mult))
+        with pytest.raises(InputError):
+            check_unimodal_equals_connected(cycle(5), 1, 2, mult)
+    for bits in (8, 16, 32, 64, 128, 256):
+        top = 2 ** (bits - 1) - 1
+        values = [top, 0, 1, top - 1, top]
+        assert list(unpack_fields(pack_fields(values, bits), bits, 5)) == values
+    # a path of n vertices has diameter n - 1, the bound of support 1 and
+    # multiplicity 1, and the profile of an end vertex reaches it
+    for n, bits, form in ((128, 8, bytes), (129, 16, array)):
+        g = path(n)
+        assert sweep_bits(g, 1, 1) == bits
+        assert max(max(f) for _, f in profile_sweep(g, 1, 1)) == n - 1
+        assert {type(f) for _, f in profile_sweep(g, 1, 1)} == {form}
+        for p in (1, 2):
+            assert assert_sweeps_agree(g, p, 1, 1) == 0
+
+
+def test_packed_kernels_in_every_width():
+    # scaling f by a constant c > 0 keeps every comparison, so the kernels
+    # read c * f in a width whose fields hold c * bound as they read f; c is
+    # the largest that fits, so the top fields sit just below half the range
+    for spec, p in (("cycle:5", 1), ("cycle:7", 2), ("bn:5", 1)):
+        g = generate(spec)
+        bound = 3 * 2 * g.diameter
+        for bits in (8, 16, 32, 64, 128, 256):
+            scale = (2 ** (bits - 1) - 1) // bound
+            check = kernel_check(g, p, bits)
+            failing = 0
+            for _, lf in list_profile_sweep(g, 3, 2):
+                scaled = [scale * x for x in lf]
+                failing += check(unpack_fields(pack_fields(scaled, bits), bits, g.n), scaled)
+            assert failing > 0
+
+
+@pytest.mark.parametrize("m, bits", [(2**14, 32), (2**30, 64), (2**62, 128)])
+def test_sweeps_of_large_multiplicities_under_a_raised_cap(monkeypatch, m, bits):
+    # support 2 and multiplicity m on the 7-cycle bound f by 6m, and each
+    # profile here reaches about 5m; at m = 2^62 that passes 2^63, so the
+    # fields are 128 bits wide and f is a list.
+    # The sweep is read on the last profiles of the canonical order, since
+    # the whole budget has about 21 m^2 profiles
+    g = generate("cycle:7")
+    tail = [Profile(counts) for counts in (
+        ((0, m), (5, m)), ((0, m - 1), (6, m)), ((0, m), (6, m - 1)), ((0, m), (6, m)),
+        ((1, m), (2, m)),
+    )]
+    monkeypatch.setattr(profiles_module, "canonical_profiles", lambda *args: iter(tail))
+    assert sweep_bits(g, 2, m) == bits
+    swept = list(profile_sweep(g, 2, m, cap=2**200))
+    assert [profile for profile, _ in swept] == tail
+    for p in (1, 2):
+        check = kernel_check(g, p, bits)
+        for profile, f in swept:
+            lf = f_vector(g, profile)
+            assert max(lf) >= 5 * m - 3
+            check(f, lf)
+    assert (type(f) is list) == (bits > 64) and (max(f) > 2**63) == (bits > 64)
 
 
 def test_sweep_users_match_per_profile_recomputation():
