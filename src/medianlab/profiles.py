@@ -15,13 +15,12 @@ the least in which the bound stays below half the field's range.  So no
 sum carries into the next field, and the field tests of the per-profile
 checks (the comment above `median_mask`) are exact.  Under the default
 caps every f-value is below 2 * 10^6; a raised cap can push the bound
-past 2^63, and fields wider than 64 bits are read as a list of ints.
+past 2^63.  Each profile's f-vector is yielded as `bytes` at 8 bits (a
+bound up to 127) and as a list of ints in any wider width.
 """
 
 from __future__ import annotations
 
-import sys
-from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations, compress, product
@@ -237,11 +236,6 @@ def extend_f_vector(g: Graph, f: list[int], x: int, k: int = 1) -> list[int]:
 
 # -- packed f-vectors ----------------------------------------------------------
 
-# array typecode of each field width up to 64 bits; packed ints are read
-# little-endian, so a big-endian machine swaps the bytes of each array item
-_TYPECODES = {array(code).itemsize * 8: code for code in "BHIQ"}
-_BIG_ENDIAN = sys.byteorder == "big"
-
 
 def field_bits(bound: int) -> int:
     """The field width, 8, 16, 32, 64 or a larger power of two, in which
@@ -261,28 +255,20 @@ def sweep_bits(g: Graph, max_support: int, max_mult: int) -> int:
 
 def pack_fields(values, bits: int) -> int:
     """One int whose field i, `bits` wide and counted from the least
-    significant end, holds values[i]."""
+    significant end, holds values[i].  `values` is a list or a tuple of
+    ints, or `bytes`: at 8 bits they are read through `bytes(values)`,
+    which would copy the buffer of an array of wider items, not its
+    values."""
     if bits == 8:
         return int.from_bytes(bytes(values), "little")
-    if bits in _TYPECODES:
-        packed = array(_TYPECODES[bits])
-        packed.extend(values)  # array(code, values) reads `bytes` as raw memory
-        if _BIG_ENDIAN:
-            packed.byteswap()
-        return int.from_bytes(packed, "little")
     return sum(v << bits * i for i, v in enumerate(values))
 
 
 def unpack_fields(packed: int, bits: int, n: int):
-    """The first n fields of a `pack_fields` int, as `bytes` (8 bits), an
-    `array` (16 to 64 bits) or a list (wider)."""
+    """The first n fields of a `pack_fields` int, as `bytes` (8 bits) or a
+    list (wider)."""
     if bits == 8:
         return packed.to_bytes(n, "little")
-    if bits in _TYPECODES:
-        values = array(_TYPECODES[bits], packed.to_bytes(bits // 8 * n, "little"))
-        if _BIG_ENDIAN:
-            values.byteswap()
-        return values
     mask = (1 << bits) - 1
     return [packed >> shift & mask for shift in range(0, bits * n, bits)]
 
@@ -292,7 +278,7 @@ def profile_sweep(g: Graph, max_support: int, max_mult: int,
     """Yield (profile, f) for every profile of
     canonical_profiles(g.n, ..., group), in its order and under its budget
     check.  f is the profile's f-vector as `unpack_fields` gives it in the
-    width `sweep_bits(g, max_support, max_mult)`: `bytes`, an `array` or
+    width `sweep_bits(g, max_support, max_mult)`: `bytes` at 8 bits, else
     a list, new for each profile.
 
     The sweep carries each f-vector packed (`pack_fields`), so a profile's
@@ -310,7 +296,8 @@ def profile_sweep(g: Graph, max_support: int, max_mult: int,
     partial, rows, last = [0], None, ()
     for profile in canonical_profiles(n, max_support, max_mult, even_only, cap, group):
         if rows is None:
-            rows = [pack_fields(row, bits) for row in g.dist]
+            # a row of more than 256 vertices is an array('H'), read by value
+            rows = [pack_fields(list(row), bits) for row in g.dist]
         pairs = profile.counts
         top = len(pairs) - 1
         i = 0  # partial[0..i] hold prefixes of this profile

@@ -1,5 +1,4 @@
 import random
-from array import array
 from collections import deque
 
 import pytest
@@ -394,13 +393,26 @@ def test_field_widths_at_their_boundaries():
         assert list(unpack_fields(pack_fields(values, bits), bits, 5)) == values
     # a path of n vertices has diameter n - 1, the bound of support 1 and
     # multiplicity 1, and the profile of an end vertex reaches it
-    for n, bits, form in ((128, 8, bytes), (129, 16, array)):
+    for n, bits, form in ((128, 8, bytes), (129, 16, list)):
         g = path(n)
         assert sweep_bits(g, 1, 1) == bits
         assert max(max(f) for _, f in profile_sweep(g, 1, 1)) == n - 1
         assert {type(f) for _, f in profile_sweep(g, 1, 1)} == {form}
         for p in (1, 2):
             assert assert_sweeps_agree(g, p, 1, 1) == 0
+
+
+# failing profiles per the list kernels: on cycle:300, 0:k for k = 1..219
+@pytest.mark.parametrize("spec, budget, bits, failing", [
+    ("hypercube:9", (2, 1), 8, 0), ("path:300", (1, 1), 16, 0),
+    ("cycle:300", (1, 219), 32, 219),
+])
+def test_sweeps_of_graphs_with_array_rows(spec, budget, bits, failing):
+    # past 256 vertices a distance row is an array('H'), two bytes an item,
+    # so the sweep packs its values, not its buffer, in every width
+    g = generate(spec)
+    assert g.n > 256 and sweep_bits(g, *budget) == bits
+    assert assert_sweeps_agree(g, 1, *budget, group=g.automorphisms) == failing
 
 
 def test_packed_kernels_in_every_width():
@@ -424,7 +436,7 @@ def test_packed_kernels_in_every_width():
 def test_sweeps_of_large_multiplicities_under_a_raised_cap(monkeypatch, m, bits):
     # support 2 and multiplicity m on the 7-cycle bound f by 6m, and each
     # profile here reaches about 5m; at m = 2^62 that passes 2^63, so the
-    # fields are 128 bits wide and f is a list.
+    # fields are 128 bits wide; past 8 bits f is a list in every width.
     # The sweep is read on the last profiles of the canonical order, since
     # the whole budget has about 21 m^2 profiles
     g = generate("cycle:7")
@@ -442,7 +454,7 @@ def test_sweeps_of_large_multiplicities_under_a_raised_cap(monkeypatch, m, bits)
             lf = f_vector(g, profile)
             assert max(lf) >= 5 * m - 3
             check(f, lf)
-    assert (type(f) is list) == (bits > 64) and (max(f) > 2**63) == (bits > 64)
+    assert type(f) is list and (max(f) > 2**63) == (bits > 64)
 
 
 def test_sweep_users_match_per_profile_recomputation():
