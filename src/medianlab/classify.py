@@ -55,10 +55,9 @@ their order, so verdicts and witnesses are those of two scans one vertex
 at a time.
 
 The triple walk (`_median_counts`) packs each distance row once per walk
-into one int with a field of 8 bits per vertex up to 43 vertices and of
-16 bits beyond, so a triple's median count is one addition of three ints
-and a popcount of the fields of the sum equal to half the perimeter.  The
-fields are wide enough that no carry crosses one, so the count is exact.
+into one int of fields wide enough for a sum of three distances, so a
+triple's median count is one addition of three ints and a popcount, exact
+by the field tests of `graph`'s packed-field home.
 
 Each scan has one private core that returns its first violation, or
 None.  The scans that several verdicts share (the list of pairs at
@@ -84,12 +83,10 @@ walks no triples.  The graph stores nothing.
 
 from __future__ import annotations
 
-import sys
-from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .graph import Graph
+from .graph import Graph, field_bits, field_masks, pack_fields
 from .report import Report
 
 
@@ -213,50 +210,24 @@ def _first_layer_violations(g: Graph, pairs) -> tuple:
     return None, long_interval
 
 
-def _packed_rows(d, bits: int) -> list[int]:
-    """The distance rows `d` as ints with one field of `bits` bits (8 or
-    16) per vertex: field v of row u holds d(u,v).  8-bit fields are the
-    bytes of a `bytes` row read little-endian.  A `bytes` row is widened to
-    16-bit fields by writing its entries to the even bytes of a zeroed
-    buffer, read little-endian (`array("H", row)` would read each two bytes
-    as one entry); an `array('H')` row is read through `tobytes()` in the
-    machine's byte order, so each field holds its entry, though on a
-    big-endian machine the fields run from the top."""
-    if bits == 8:
-        return [int.from_bytes(row, "little") for row in d]
-    if isinstance(d[0], array):
-        return [int.from_bytes(row.tobytes(), sys.byteorder) for row in d]
-    wide, rows = bytearray(2 * len(d)), []
-    for row in d:
-        wide[::2] = row
-        rows.append(int.from_bytes(wide, "little"))
-    return rows
-
-
 def _median_counts(g: Graph):
     """Each triple x < y < z in lexicographic order with its number of
     medians.  m is a median exactly when d(x,m) + d(y,m) + d(z,m) is half
     the perimeter d(x,y) + d(y,z) + d(x,z): the three triangle inequalities
     such as d(x,m) + d(m,y) >= d(x,y) are then tight.
 
-    The rows are packed once per walk (`_packed_rows`), so the three sums
-    of a triple are one int addition, and the medians are the fields of
-    the sum equal to half the perimeter.  An odd perimeter has no half, so
-    no median.  The fields are counted in the sum XOR the half in every
-    field: a field is zero there iff it held the half.  The fields are 8
-    bits wide up to 43 vertices and 16 bits wide beyond, so a field of the
-    sum, at most 3 diam <= 3 (n - 1), is below 2^7 or below 2^13, below
-    half its range; so are the half and the XOR of the two.  Adding
-    2^(bits-1) - 1 to such a field sets its top bit iff it is not zero,
-    without a carry out of the field.  The count is n minus the set top
-    bits, exact, and blind to the order of the fields.
+    The rows are packed once per walk, so the three sums of a triple are
+    one int addition, and the medians are the fields of the sum equal to
+    half the perimeter.  An odd perimeter has no half, so no median.  A
+    field of the sum is at most 3 (n - 1), which sets the width; the fields
+    of the sum XOR the half in every field are zero exactly at the medians,
+    so the count is n minus the nonzero fields, read off their top bits.
     """
     d, n = g.dist, g.n
-    bits = 8 if n <= 43 else 16
-    rows = _packed_rows(d, bits)
-    ones = ((1 << bits * n) - 1) // ((1 << bits) - 1)  # 1 in every field
-    top = 1 << bits - 1
-    low, high = (top - 1) * ones, top * ones
+    bits = field_bits(3 * (n - 1))
+    rows = [pack_fields(row, bits) for row in d]
+    ones, high = field_masks(bits, n)
+    low = high - ones
     for x in range(n):
         dx, rx = d[x], rows[x]
         for y in range(x + 1, n):

@@ -9,6 +9,20 @@ Each distance row is `bytes` while n <= 256, so that no distance passes
 a tuple costs 8n bytes of pointers and 28 more for each distance above 256,
 and every read of it is still an int.
 
+It is also the one home of packed fields, the form that `classify`'s
+triple walk and `profiles`'s sweep run on: `pack_fields` writes a sequence
+of ints into one int, entry i in field i of `bits` bits counted from the
+least significant end, and `unpack_fields` reads them back.  The width is
+`field_bits(bound)`, the least of 8, 16, 32, ... bits in which every value
+up to the bound stays below half the field's range, so a sum that stays
+within the bound carries into no other field.  With `ones` a 1 in every
+field and H the top bit of every field (`field_masks`), two tests then read
+every field in one int operation, exactly: a field X_i below half its
+range, as the XOR of two such fields is, is nonzero iff it sets its top
+bit in X + (H - ones), which carries out of no field; and ((A | H) - B) & H
+has the top bit of field i set iff A_i >= B_i, since the field of A | H is
+at least 2^(bits-1) > B_i, so none borrows from the next.
+
 This module is also the one home of automorphism orbits: the generating set
 `Graph.automorphisms` and the orbit filter `orbit_minima`, which every scan
 reduced modulo Aut(G) reads, and of union–find (`_union`, `_find`), which
@@ -223,6 +237,47 @@ class Graph:
                     if self.is_metric_triangle(v1, v2, v3):
                         return (v1, v2, v3)
         raise RuntimeError("no quasi-median found; distance table corrupt")
+
+
+# -- packed fields (module docstring) -------------------------------------------
+
+
+def field_bits(bound: int) -> int:
+    """The field width, 8, 16, 32, 64 or a larger power of two, in which
+    every value 0..bound stays below half the field's range; 8 when the
+    bound is negative."""
+    bits = 8
+    while bound >> bits - 1 > 0:
+        bits *= 2
+    return bits
+
+
+def field_masks(bits: int, n: int) -> tuple[int, int]:
+    """(ones, H) over n fields of `bits` bits: a 1 in every field, and
+    the top bit of every field."""
+    ones = ((1 << bits * n) - 1) // ((1 << bits) - 1)
+    return ones, ones << bits - 1
+
+
+def pack_fields(values, bits: int) -> int:
+    """One int whose field i holds values[i], read by value from any
+    sequence of ints: at 8 bits `bytes` as they are and a tuple or list by
+    `int.from_bytes`; an `array('H')` row, whose buffer holds two bytes a
+    value, and every wider field through the `to_bytes` of each value."""
+    if bits > 8 or isinstance(values, array):
+        width = bits // 8
+        values = b"".join([v.to_bytes(width, "little") for v in values])
+    return int.from_bytes(values, "little")
+
+
+def unpack_fields(packed: int, bits: int, n: int):
+    """The n fields of a `pack_fields` int, as `bytes` (8 bits) or a list
+    (wider)."""
+    raw = packed.to_bytes(n * bits // 8, "little")
+    if bits == 8:
+        return raw
+    width = bits // 8
+    return [int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
 
 
 # -- automorphisms --------------------------------------------------------------

@@ -97,8 +97,9 @@ def _hall_excess(members, hood, weight):
 
 def _between(g: Graph, u: int, vertices):
     """Pairs v < w of the sorted `vertices` with u on a shortest v-w path:
-    the one betweenness test, run over all vertices by `auxiliary_graph`
-    and over the radius-2 ball by `local_graph`."""
+    the one betweenness test, run over all vertices by `auxiliary_graph`,
+    over the radius-2 ball by `local_graph` and over a profile's support
+    by `_support_pairing`."""
     d = g.dist
     return [
         (v, w)
@@ -371,10 +372,20 @@ def has_perfect_pairing(g: Graph, profile: Profile, cap: int = B_MATCHING_NODE_C
     if not profile.is_even:
         raise InputError("profile must have even total multiplicity")
     u = min(median_set(g, profile))
-    pairing = has_perfect_pi_matching(auxiliary_graph(g, u), profile, cap)
+    pairing = _support_pairing(g, u, profile, cap)
     if pairing is None:
         return None
     return pairing, u
+
+
+def _support_pairing(g: Graph, u: int, profile: Profile, cap: int = B_MATCHING_NODE_CAP):
+    """`has_perfect_pi_matching` on A_u, built only on u and the profile's
+    support: `perfect_b_matching` reads no edge at a vertex without
+    demand, so the pairing is the same, and A_u's O(n^2) pairs are never
+    listed."""
+    vertices = sorted({v for v, _ in profile.counts} | {u})
+    hit = perfect_b_matching(g.n, _between(g, u, vertices) + [(u, u)], dict(profile.counts), cap)
+    return None if hit is None else Pairing.from_pairs(hit)
 
 
 def pairing_property_bounded_search(
@@ -384,19 +395,15 @@ def pairing_property_bounded_search(
 
     As in `has_perfect_pairing`, each profile is tested at its least median
     vertex, the first index where f is least, read with `min` and `index`
-    on the packed f-vector the sweep yields; the auxiliary graph of a
-    vertex is built the first time it is that median.
+    on the packed f-vector the sweep yields, and on the edges of its
+    auxiliary graph within the profile's support (`_support_pairing`).
 
     Only profiles on orbit-least supports under Aut(G) are tested.  The
     first failing profile P has one: if an automorphism s maps its support
     S below S, then s(P) also fails and comes before P."""
-    aux = {}
     sweep = profile_sweep(g, max_support, max_mult, even_only=True, group=g.automorphisms)
     for profile, f in sweep:
-        u = f.index(min(f))
-        if u not in aux:
-            aux[u] = auxiliary_graph(g, u)
-        if has_perfect_pi_matching(aux[u], profile) is None:
+        if _support_pairing(g, f.index(min(f)), profile) is None:
             return profile
     return None
 

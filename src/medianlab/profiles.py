@@ -5,18 +5,16 @@ canonical profiles have one home, `profile_sweep`: the connected-median
 verification here, `pairing.pairing_property_bounded_search` and checks
 (c) and (d) of `benzenoid.verify_benzenoid_properties` all run on it.
 
-The sweep carries each f-vector packed: one int with a field of `bits`
-bits per vertex, vertex 0 in the least significant field, and every
-distance row packed the same way once per sweep, so adding k copies of x
-to a profile is one int operation, F + k * row[x].  The width is chosen
-once per sweep (`sweep_bits`) from the bound max_support * max_mult *
-diam on every f-value: 8, 16, 32 or 64 bits, or a wider power of two,
-the least in which the bound stays below half the field's range.  So no
-sum carries into the next field, and the field tests of the per-profile
-checks (the comment above `median_mask`) are exact.  Under the default
-caps every f-value is below 2 * 10^6; a raised cap can push the bound
-past 2^63.  Each profile's f-vector is yielded as `bytes` at 8 bits (a
-bound up to 127) and as a list of ints in any wider width.
+The sweep carries each f-vector packed (`graph`'s packed-field home):
+vertex 0 in the least significant field, and every distance row packed
+the same way once per sweep, so adding k copies of x to a profile is one
+int operation, F + k * row[x].  The width is chosen once per sweep
+(`sweep_bits`) from the bound max_support * max_mult * diam on every
+f-value, so no sum carries and the field tests of the per-profile checks
+are exact.  Under the default caps every f-value is below 2 * 10^6; a
+raised cap can push the bound past 2^63.  Each profile's f-vector is
+yielded as `bytes` at 8 bits (a bound up to 127) and as a list of ints in
+any wider width.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from math import comb
 from operator import itemgetter
 
 from .errors import BudgetError, FormatError, InputError
-from .graph import Graph, orbit_minima
+from .graph import Graph, field_bits, field_masks, orbit_minima, pack_fields, unpack_fields
 from .report import VerificationReport
 
 # default cap on the profiles one bounded search may visit
@@ -237,40 +235,10 @@ def extend_f_vector(g: Graph, f: list[int], x: int, k: int = 1) -> list[int]:
 # -- packed f-vectors ----------------------------------------------------------
 
 
-def field_bits(bound: int) -> int:
-    """The field width, 8, 16, 32, 64 or a larger power of two, in which
-    every value 0..bound stays below half the field's range; 8 when the
-    bound is negative, as it is for a budget the sweep refuses."""
-    bits = 8
-    while bound >> bits - 1 > 0:
-        bits *= 2
-    return bits
-
-
 def sweep_bits(g: Graph, max_support: int, max_mult: int) -> int:
     """The field width of `profile_sweep` under this budget: no f-value
     passes max_support * max_mult * diam."""
     return field_bits(max_support * max_mult * g.diameter)
-
-
-def pack_fields(values, bits: int) -> int:
-    """One int whose field i, `bits` wide and counted from the least
-    significant end, holds values[i].  `values` is a list or a tuple of
-    ints, or `bytes`: at 8 bits they are read through `bytes(values)`,
-    which would copy the buffer of an array of wider items, not its
-    values."""
-    if bits == 8:
-        return int.from_bytes(bytes(values), "little")
-    return sum(v << bits * i for i, v in enumerate(values))
-
-
-def unpack_fields(packed: int, bits: int, n: int):
-    """The first n fields of a `pack_fields` int, as `bytes` (8 bits) or a
-    list (wider)."""
-    if bits == 8:
-        return packed.to_bytes(n, "little")
-    mask = (1 << bits) - 1
-    return [packed >> shift & mask for shift in range(0, bits * n, bits)]
 
 
 def profile_sweep(g: Graph, max_support: int, max_mult: int,
@@ -296,8 +264,7 @@ def profile_sweep(g: Graph, max_support: int, max_mult: int,
     partial, rows, last = [0], None, ()
     for profile in canonical_profiles(n, max_support, max_mult, even_only, cap, group):
         if rows is None:
-            # a row of more than 256 vertices is an array('H'), read by value
-            rows = [pack_fields(list(row), bits) for row in g.dist]
+            rows = [pack_fields(row, bits) for row in g.dist]
         pairs = profile.counts
         top = len(pairs) - 1
         i = 0  # partial[0..i] hold prefixes of this profile
@@ -329,16 +296,10 @@ def profile_sweep(g: Graph, max_support: int, max_mult: int,
 #   then its j-th ball member), a shorter interior or ball repeating a
 #   member, so field i of every block belongs to probe (or vertex) i.  The
 #   gathered values are packed in the sweep's width and compared a block
-#   at a time.  With H the top bit of every field and every field below
-#   half its range, ((A | H) - B) & H has the top bit of field i set iff
-#   A_i >= B_i: the field of A | H is at least 2^(bits-1) > B_i, so no
-#   field borrows from the next, and it keeps its top bit exactly when
-#   A_i - B_i >= 0.  A field X_i below half its range, as the XOR of two
-#   such fields is, is nonzero iff (X + (H - ones)) & H has its top bit
-#   set, and the sum carries out of no field.  Both tests are exact, and
-#   the failures are read off the set top bits lowest first, which is
-#   probe order.  Repeating a member changes no verdict: the interior test
-#   is an AND over the members and the ball test an OR.
+#   at a time by the exact field tests of `graph`'s packed-field home; the
+#   failures are read off the set top bits lowest first, which is probe
+#   order.  Repeating a member changes no verdict: the interior test is an
+#   AND over the members and the ball test an OR.
 #
 # `benzenoid` uses these too, and `consensus` uses `minimizers`.
 
@@ -406,8 +367,7 @@ class _Gather:
         self.get, self.bits = itemgetter(*columns), bits
         self.shifts = range(0, len(columns) * bits, count * bits)
         self.mask = (1 << count * bits) - 1
-        self.ones = self.mask // ((1 << bits) - 1)  # 1 in every field
-        self.high = self.ones << bits - 1  # the top bit of every field
+        self.ones, self.high = field_masks(bits, count)
 
 
 class PeakProbes(_Gather):

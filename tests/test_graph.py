@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 import tracemalloc
 from array import array
 
@@ -17,9 +18,13 @@ from medianlab.graph import (
     complete,
     component_labels,
     cycle,
+    field_bits,
+    field_masks,
     generate,
     hypercube,
+    pack_fields,
     path,
+    unpack_fields,
     tree_from_parent_list,
 )
 
@@ -106,6 +111,32 @@ def test_distance_rows_are_compact():
         tracemalloc.stop()
     assert g.d(1023, 0) == 1023
     assert peak < 8 * 2**20
+
+
+def test_packed_fields_take_linear_time():
+    # a linear pass takes about 0.01 s here, one big-int shift per field
+    # about 2 s at 16 bits, so the bound tells the two apart
+    rng = random.Random(5)
+    for bits in (16, 32, 64):
+        values = [rng.randrange(1 << bits - 1) for _ in range(1 << 16)]
+        start = time.process_time()
+        packed = pack_fields(values, bits)
+        back = unpack_fields(packed, bits, len(values))
+        assert time.process_time() - start < 0.25
+        assert back == values
+        head = sum(v << bits * i for i, v in enumerate(values[:50]))
+        assert packed & (1 << bits * 50) - 1 == head
+        ones, high = field_masks(bits, 3)
+        assert (ones, high) == (sum(1 << bits * i for i in range(3)), ones << bits - 1)
+    # an array('H') row is read by value in every width, not by its buffer
+    row = array("H", [3, 0, 127, 1])
+    for bits in (8, 16):
+        assert pack_fields(row, bits) == pack_fields(list(row), bits)
+        assert list(unpack_fields(pack_fields(row, bits), bits, 4)) == list(row)
+    assert pack_fields(bytes(list(row)), 8) == pack_fields(tuple(row), 8) == 0x017F0003
+    # the triple walk's width, field_bits(3 (n - 1)), at every vertex count
+    assert all(field_bits(3 * (n - 1)) == (8 if n <= 43 else 16)
+               for n in range(1, MAX_VERTICES + 1))
 
 
 def test_component_labels_match_networkx():

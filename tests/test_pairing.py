@@ -824,6 +824,41 @@ def test_pairing_search_three_cube():
     assert has_perfect_pairing(hypercube(3), witness) is None
 
 
+def test_pairing_search_keeps_no_auxiliary_graph():
+    # the search reads A_u only on each profile's support; keeping the whole
+    # A_u, O(n^2) pairs, of every median vertex peaks at about 42 MiB here
+    g = path(200)
+    tracemalloc.start()
+    try:
+        assert pairing_property_bounded_search(g, 1, 2) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_support_pairing_matches_the_auxiliary_graph():
+    # has_perfect_pairing and the bounded search build A_u on u and the
+    # profile's support only; the matching on the whole of A_u is the oracle
+    graphs = [generate(spec) for spec in (
+        "cycle:5", "cycle:6", "cycle:7", "cycle:9", "grid:3,3", "hypercube:3", "kmn:2,3",
+        "bn:4", "bhat:4", "path:7", "complete:4",
+    )] + [build_counterexample(kind).graph for kind in ("pairing", "double_pairing")]
+    failing = 0
+    for g in graphs:
+        aux = {}
+        for profile in canonical_profiles(g.n, 3, 2, even_only=True):
+            u = min(median_set(g, profile))
+            if u not in aux:
+                aux[u] = auxiliary_graph(g, u)
+            expected = has_perfect_pi_matching(aux[u], profile)
+            assert pairing_module._support_pairing(g, u, profile) == expected
+            found = has_perfect_pairing(g, profile)
+            assert found == (None if expected is None else (expected, u))
+            failing += expected is None
+    assert failing == 55
+
+
 def test_stable_set_enumeration():
     g = cycle(4)
     adj = [set(g.neighbors(v)) for v in range(4)]

@@ -29,20 +29,26 @@ from medianlab.profiles import (
     connected_in_power,
     count_canonical_profiles,
     f_vector,
-    field_bits,
     is_local_median,
     median_mask,
     median_set,
     minimizers,
-    pack_fields,
     peak_failures,
     peak_probes,
     profile_sweep,
     sweep_bits,
     total_distance,
+)
+from medianlab.graph import (
+    complete,
+    cycle,
+    field_bits,
+    generate,
+    hypercube,
+    pack_fields,
+    path,
     unpack_fields,
 )
-from medianlab.graph import complete, cycle, generate, hypercube, path
 
 from conftest import (
     list_connected_in_power,
