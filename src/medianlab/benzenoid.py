@@ -23,6 +23,7 @@ from .profiles import (
     PeakProbes,
     ball_masks,
     connected_in_power,
+    count_canonical_profiles,
     median_mask,
     minimizers,
     peak_failures,
@@ -249,9 +250,7 @@ def verify_benzenoid_properties(
                          if not any({u, v} <= h for h in hex_sets)],
                         sweep_bits(g, max_support, max_mult))
     balls = ball_masks(g, 2)
-    checked = 0
     for profile, f in profile_sweep(g, max_support, max_mult, cap=cap):
-        checked += 1
         for u, v in peak_failures(f, probes):
             failures.append({"peakless_pair_outside_hexagon": [u, v, profile]})
         if not connected_in_power(median_mask(f), balls):
@@ -264,6 +263,6 @@ def verify_benzenoid_properties(
         opposition_ok=kinds.isdisjoint(("missing_gate", "opposition")),
         peakless_pairs_in_hexagons="peakless_pair_outside_hexagon" not in kinds,
         medians_g2_connected="median_not_g2_connected" not in kinds,
-        profiles_checked=checked,
+        profiles_checked=count_canonical_profiles(g.n, max_support, max_mult),
         failures=failures,
     )

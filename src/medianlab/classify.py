@@ -55,9 +55,9 @@ their order, so verdicts and witnesses are those of two scans one vertex
 at a time.
 
 The triple walk (`_median_counts`) packs each distance row once per walk
-into one int of fields wide enough for a sum of three distances, so a
-triple's median count is one addition of three ints and a popcount, exact
-by the field tests of `graph`'s packed-field home.
+into one int of fields wide enough for a sum of three distances, 3 diam,
+so a triple's median count is one addition of three ints and a popcount,
+exact by the field tests of `graph`'s packed-field home.
 
 Each scan has one private core that returns its first violation, or
 None.  The scans that several verdicts share (the list of pairs at
@@ -219,12 +219,12 @@ def _median_counts(g: Graph):
     The rows are packed once per walk, so the three sums of a triple are
     one int addition, and the medians are the fields of the sum equal to
     half the perimeter.  An odd perimeter has no half, so no median.  A
-    field of the sum is at most 3 (n - 1), which sets the width; the fields
+    field of the sum is at most 3 diam, which sets the width; the fields
     of the sum XOR the half in every field are zero exactly at the medians,
     so the count is n minus the nonzero fields, read off their top bits.
     """
     d, n = g.dist, g.n
-    bits = field_bits(3 * (n - 1))
+    bits = field_bits(3 * g.diameter)
     rows = [pack_fields(row, bits) for row in d]
     ones, high = field_masks(bits, n)
     low = high - ones

@@ -18,7 +18,7 @@ from operator import add
 
 from .errors import BudgetError, InputError
 from .graph import Graph, cycle
-from .profiles import Profile, extend_f_vector, median_set, minimizers
+from .profiles import Profile, median_set, minimizers
 from .report import Report, VerificationReport
 
 AXIOMS = ("A", "B", "C", "T", "Tminus", "T2", "Ek")
@@ -105,9 +105,9 @@ def tabulate_median(g: Graph, max_len: int, cap: int = TABLE_CAP) -> TabulatedCo
 
     Keys arrive in `profile_keys` order, and every key's prefix key[:-1] is
     a key of the previous length; so each key's f-vector is its prefix's
-    extended by one vertex.  Only the f-vectors of the previous length and
-    of the current one are kept, and none of length max_len, which no key
-    extends."""
+    plus the distance row of its last vertex, a new list.  Only the
+    f-vectors of the previous length and of the current one are kept, and
+    none of length max_len, which no key extends."""
     done = {(): [0] * g.n}  # f-vectors of the previous length
     layer = {}  # f-vectors of the current length, when shorter than max_len
 
@@ -115,7 +115,7 @@ def tabulate_median(g: Graph, max_len: int, cap: int = TABLE_CAP) -> TabulatedCo
         nonlocal done, layer
         if key[:-1] not in done:  # the first key of a new length
             done, layer = layer, {}
-        f = extend_f_vector(g, done[key[:-1]], key[-1])
+        f = [a + b for a, b in zip(done[key[:-1]], g.dist[key[-1]])]
         if len(key) < max_len:
             layer[key] = f
         return minimizers(f)

@@ -2,7 +2,9 @@
 
 Distances are hop counts, computed once by breadth-first search from every
 vertex.  Every other primitive (intervals, gates, balls, quasi-medians) is a
-pure read of that table, so instances are safe to share freely.
+pure read of that table, so instances are safe to share freely.  The
+diameter, which sets the width of the packed fields below, is read off
+the table on first use and kept, as the automorphisms are.
 
 Each distance row is `bytes` while n <= 256, so that no distance passes
 255, and an `array('H')` above that.  A row then costs n or 2n bytes, where
@@ -58,7 +60,7 @@ AUTOMORPHISM_WORK_CAP = 1 << 21
 class Graph:
     """Undirected simple connected graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "adj", "dist", "_edges", "_bipartition", "_automorphisms")
+    __slots__ = ("n", "adj", "dist", "_edges", "_bipartition", "_diameter", "_automorphisms")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 1:
@@ -93,7 +95,7 @@ class Graph:
         even = frozenset(v for v, d in enumerate(d0) if d % 2 == 0)
         bipartite = all(d0[u] != d0[v] for u, v in self._edges)
         self._bipartition = (even, frozenset(range(n)) - even) if bipartite else None
-        self._automorphisms = None  # computed on first use
+        self._diameter = self._automorphisms = None  # computed on first use
 
     def _bfs(self, source: int) -> bytes | array:
         dist = [-1] * self.n
@@ -136,7 +138,10 @@ class Graph:
 
     @property
     def diameter(self) -> int:
-        return max(max(row) for row in self.dist)
+        """The largest distance, computed on the first read and kept."""
+        if self._diameter is None:
+            self._diameter = max(map(max, self.dist))
+        return self._diameter
 
     @property
     def is_bipartite(self) -> bool:

@@ -5,10 +5,10 @@ canonical profiles have one home, `profile_sweep`: the connected-median
 verification here, `pairing.pairing_property_bounded_search` and checks
 (c) and (d) of `benzenoid.verify_benzenoid_properties` all run on it.
 
-The sweep carries each f-vector packed (`graph`'s packed-field home):
+The sweep computes each f-vector packed (`graph`'s packed-field home):
 vertex 0 in the least significant field, and every distance row packed
-the same way once per sweep, so adding k copies of x to a profile is one
-int operation, F + k * row[x].  The width is chosen once per sweep
+the same way once per sweep, so a profile's f-vector is the int sum of
+k * row[x] over its pairs (x, k).  The width is chosen once per sweep
 (`sweep_bits`) from the bound max_support * max_mult * diam on every
 f-value, so no sum carries and the field tests of the per-profile checks
 are exact.  Under the default caps every f-value is below 2 * 10^6; a
@@ -64,12 +64,13 @@ class Profile:
 
     @classmethod
     def parse(cls, text: str) -> "Profile":
-        """Parse whitespace-separated tokens, each `v` or `v:k`."""
+        """Parse whitespace-separated tokens, each `v` or `v:k`; a colon
+        needs its multiplicity."""
         counts: Counter = Counter()
         for tok in text.split():
-            v, _, k = tok.partition(":")
+            v, colon, k = tok.partition(":")
             try:
-                v, k = int(v), int(k) if k else 1
+                v, k = int(v), int(k) if colon else 1
             except ValueError:
                 raise FormatError(f"bad profile token {tok!r}") from None
             if k < 0:  # it would cancel another token's copies
@@ -224,14 +225,6 @@ def _canonical_key(counts):
     return tuple(v for v, _ in counts), tuple(k for _, k in counts)
 
 
-def extend_f_vector(g: Graph, f: list[int], x: int, k: int = 1) -> list[int]:
-    """The f-vector of a profile with k more copies of x, as a new list:
-    the profile's own f-vector f plus k times the distance row of x, which
-    is also its column since distances are symmetric.  `profile_sweep`
-    applies the same rule to packed f-vectors, one int addition."""
-    return [a + k * b for a, b in zip(f, g.dist[x])]
-
-
 # -- packed f-vectors ----------------------------------------------------------
 
 
@@ -249,33 +242,17 @@ def profile_sweep(g: Graph, max_support: int, max_mult: int,
     width `sweep_bits(g, max_support, max_mult)`: `bytes` at 8 bits, else
     a list, new for each profile.
 
-    The sweep carries each f-vector packed (`pack_fields`), so a profile's
-    is its prefix's (all pairs but the last) plus k times the packed
-    distance row of the last pair's vertex x, one int addition; the width
-    keeps every field below half its range, so no addition carries into
-    the next field.  `partial[j]` holds the packed f-vector of the current
-    profile's first j pairs; the next profile keeps the entries of the
-    pairs it shares with this one and adds the rest, so memory stays
-    O(max_support * n) fields.  The rows are packed once the budget check
-    has passed.
+    Each f-vector is the sum of k times the packed distance row of x
+    (`pack_fields`) over the profile's pairs (x, k), a few int operations;
+    the width keeps every field below half its range, so no sum carries
+    into the next field.  No state is kept between profiles.  The rows are
+    packed once the budget check has passed.
     """
-    n = g.n
-    bits = sweep_bits(g, max_support, max_mult)
-    partial, rows, last = [0], None, ()
+    n, bits, rows = g.n, sweep_bits(g, max_support, max_mult), None
     for profile in canonical_profiles(n, max_support, max_mult, even_only, cap, group):
         if rows is None:
             rows = [pack_fields(row, bits) for row in g.dist]
-        pairs = profile.counts
-        top = len(pairs) - 1
-        i = 0  # partial[0..i] hold prefixes of this profile
-        while i < top and i + 1 < len(partial) and pairs[i] == last[i]:
-            i += 1
-        del partial[i + 1:]
-        for x, k in pairs[i:top]:
-            partial.append(partial[-1] + k * rows[x])
-        x, k = pairs[top]
-        yield profile, unpack_fields(partial[top] + k * rows[x], bits, n)
-        last = pairs
+        yield profile, unpack_fields(sum(k * rows[x] for x, k in profile.counts), bits, n)
 
 
 # -- bounded verification of connected / unimodal medians ----------------------
@@ -291,15 +268,15 @@ def profile_sweep(g: Graph, max_support: int, max_mult: int,
 #   single median needs none;
 # - the peak probes (`PeakProbes`) and the punctured balls of the
 #   unimodality test (`_PuncturedBalls`) gather f at the vertices they
-#   compare with one `itemgetter` call.  The gather lists block by block
-#   u, v, then the j-th interior vertex of every probe (or the vertex,
-#   then its j-th ball member), a shorter interior or ball repeating a
-#   member, so field i of every block belongs to probe (or vertex) i.  The
-#   gathered values are packed in the sweep's width and compared a block
-#   at a time by the exact field tests of `graph`'s packed-field home; the
-#   failures are read off the set top bits lowest first, which is probe
-#   order.  Repeating a member changes no verdict: the interior test is an
-#   AND over the members and the ball test an OR.
+#   compare with one `itemgetter` call (`_Gather`).  The gather lists block
+#   by block u, v, then the j-th interior vertex of every probe (or the
+#   vertex, then its j-th ball member), a shorter interior or ball
+#   repeating its members, so field i of every block belongs to probe (or
+#   vertex) i.  The gathered values are packed in the sweep's width and
+#   compared a block at a time by the exact field tests of `graph`'s
+#   packed-field home; the failures are read off the set top bits lowest
+#   first, which is probe order.  Repeating a member changes no verdict:
+#   the interior test is an AND over the members and the ball test an OR.
 #
 # `benzenoid` uses these too, and `consensus` uses `minimizers`.
 
@@ -357,15 +334,23 @@ def peak_probes(g: Graph, lo: int, hi: int) -> list:
 
 
 class _Gather:
-    """f gathered at `columns` with one `itemgetter` call (`get`), packed in
-    one field width and cut into blocks of `count` fields: block j, f at
-    columns[j * count:(j + 1) * count], is `packed >> shifts[j] & mask`.
-    Every gather below has two blocks or more, so `get` returns a tuple
-    (an `itemgetter` of one column would return a scalar)."""
+    """f gathered with one `itemgetter` call (`get`) at the columns of each
+    block of `heads`, then at the j-th member of every one of the nonempty
+    `groups` for j = 0, 1, ..., a shorter group repeating its members, so
+    that field i of every block belongs to group i.  The values are packed
+    in one field width, and block j is `packed >> shifts[j] & mask`; the
+    group blocks start at `tails`.  Every gather below has two blocks or
+    more, so `get` returns a tuple (an `itemgetter` of one column would
+    return a scalar)."""
 
-    def __init__(self, columns, count: int, bits: int):
+    def __init__(self, heads, groups, bits: int):
+        columns = [c for head in heads for c in head]
+        for j in range(max(map(len, groups))):
+            columns += [group[j % len(group)] for group in groups]
+        count = len(groups)
         self.get, self.bits = itemgetter(*columns), bits
         self.shifts = range(0, len(columns) * bits, count * bits)
+        self.tails = self.shifts[len(heads):]
         self.mask = (1 << count * bits) - 1
         self.ones, self.high = field_masks(bits, count)
 
@@ -380,12 +365,8 @@ class PeakProbes(_Gather):
         self.pairs, self.bits = [(u, v) for u, v, _ in probes], bits
         if not probes:
             return
-        interiors = [sorted(inside) or [u] for u, _, inside in probes]
-        columns = [u for u, _ in self.pairs] + [v for _, v in self.pairs]
-        for j in range(max(map(len, interiors))):
-            columns += [inside[j % len(inside)] for inside in interiors]
-        super().__init__(columns, len(probes), bits)
-        self.inner = self.shifts[2:]
+        super().__init__([[u for u, _ in self.pairs], [v for _, v in self.pairs]],
+                         [sorted(inside) or [u] for u, _, inside in probes], bits)
         # an empty interior fails whatever it is padded with
         self.always = sum(1 << i * bits + bits - 1
                           for i, (_, _, inside) in enumerate(probes) if not inside)
@@ -401,7 +382,7 @@ class PeakProbes(_Gather):
         low = high - self.ones
         fu, fv = packed & mask, packed >> self.shifts[1] & mask
         fail = high
-        for shift in self.inner:
+        for shift in self.tails:
             w = packed >> shift & mask
             fail &= ((w | high) - fu) & ((w | high) - fv) & ((w ^ fu | w ^ fv) + low)
         return fail | self.always
@@ -428,11 +409,7 @@ class _PuncturedBalls(_Gather):
     def __init__(self, g: Graph, p: int, bits: int):
         balls = [[w for w, d in enumerate(dv) if 0 < d <= p] or [v]
                  for v, dv in enumerate(g.dist)]
-        columns = list(range(g.n))
-        for j in range(max(map(len, balls))):
-            columns += [ball[j % len(ball)] for ball in balls]
-        super().__init__(columns, g.n, bits)
-        self.around = self.shifts[1:]
+        super().__init__([range(g.n)], balls, bits)
 
 
 def _unimodal(f, balls: _PuncturedBalls) -> bool:
@@ -442,7 +419,7 @@ def _unimodal(f, balls: _PuncturedBalls) -> bool:
     mask, high = balls.mask, balls.high
     own = packed & mask
     good = ((min(f) * balls.ones | high) - own) & high  # f[v] <= min f
-    for shift in balls.around:
+    for shift in balls.tails:
         good |= high ^ ((packed >> shift & mask | high) - own) & high  # below f[v]
     return good == high
 

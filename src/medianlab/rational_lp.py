@@ -168,9 +168,7 @@ class _Tableau:
     def pivot(self, r, j):
         row = self.rows[r]
         p = row[j]
-        if p == -1:
-            self.rows[r] = row = [-c for c in row]
-        elif p != 1:
+        if p != 1:
             inv = Fraction(1) / p
             self.rows[r] = row = [_exact(c * inv) if c else c for c in row]
         # slack columns keep rows sparse: eliminate on the nonzeros only

@@ -4,7 +4,8 @@ Oracles deliberately avoid the library's own code paths: networkx for
 distances and isomorphism, explicit enumeration for Helly checks and
 maximum pairings.  The list kernels of the profile sweep are the forms
 that `medianlab.profiles` ran before its f-vectors were packed, kept as
-the oracles of the packed ones.
+the oracles of the packed ones; their sweep takes each profile's
+`f_vector` afresh.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from medianlab.graph import (
     path,
     tree_from_parent_list,
 )
-from medianlab.profiles import PROFILE_CAP, canonical_profiles, extend_f_vector
+from medianlab.profiles import PROFILE_CAP, canonical_profiles, f_vector
 
 
 def to_networkx(g: Graph) -> nx.Graph:
@@ -117,22 +118,10 @@ def random_connected_graph(rng: random.Random, n: int, density: float) -> Graph:
 
 def list_profile_sweep(g: Graph, max_support: int, max_mult: int,
                        even_only: bool = False, cap: int = PROFILE_CAP, group=None):
-    """(profile, f-vector as a list) over canonical_profiles, each f its
-    prefix's extended by the last pair (`extend_f_vector`)."""
-    partial = [[0] * g.n]
-    last = ()
+    """(profile, f-vector as a list) over canonical_profiles, each f the
+    profile's own `f_vector`."""
     for profile in canonical_profiles(g.n, max_support, max_mult, even_only, cap, group):
-        pairs = profile.counts
-        top = len(pairs) - 1
-        i = 0  # partial[0..i] hold prefixes of this profile
-        while i < top and i + 1 < len(partial) and pairs[i] == last[i]:
-            i += 1
-        del partial[i + 1:]
-        for x, k in pairs[i:top]:
-            partial.append(extend_f_vector(g, partial[-1], x, k))
-        x, k = pairs[top]
-        yield profile, extend_f_vector(g, partial[top], x, k)
-        last = pairs
+        yield profile, f_vector(g, profile)
 
 
 def list_connected_in_power(g: Graph, members, p: int) -> bool:

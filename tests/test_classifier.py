@@ -611,14 +611,35 @@ def _k23_with_tail(n):
     return Graph(n, sides + [(2 if v == 5 else v - 1, v) for v in range(5, n)])
 
 
-# graphs on both sides of each boundary of the packing: 8-bit fields up to
-# 43 vertices and 16-bit ones beyond, bytes rows up to 256 vertices and
-# array('H') rows beyond; K_{2,3} with a tail puts triples with two medians
-# on every side, and path:45 is the smallest graph with a sum of three
-# distances, 44 + 43 + 42, that 8 bits cannot count
+# graphs on both sides of each boundary of the packing: 8-bit fields while
+# 3 diam < 128 and 16-bit ones beyond, bytes rows up to 256 vertices and
+# array('H') rows beyond.  K_{2,3} with a tail puts triples with two medians
+# on every side: its diameter is n - 3, so n = 45 takes 8-bit fields and
+# n = 46 16-bit ones.  path:44 has diameter 43 and takes 16-bit fields,
+# cycle:44 (diameter 22) 8-bit ones, and kmn:2,255, not median, 8-bit
+# fields read from array('H') rows
 WIDTH_GRAPHS = [(spec, generate(spec)) for spec in (
     "cycle:43", "cycle:44", "path:43", "path:44", "path:45", "cycle:300", "cycle:301",
-)] + [(f"k23+tail:{n}", _k23_with_tail(n)) for n in (43, 44, 256, 257)]
+    "kmn:2,255",
+)] + [(f"k23+tail:{n}", _k23_with_tail(n)) for n in (43, 44, 45, 46, 256, 257)]
+
+
+@pytest.mark.parametrize("spec, bits", [
+    ("cycle:60", 8), ("cycle:44", 8), ("path:43", 8), ("path:44", 16), ("kmn:2,255", 8),
+])
+def test_triple_walk_width_follows_the_diameter(monkeypatch, spec, bits):
+    # field_bits(3 diam): cycle:60 has 60 vertices but diameter 30, and
+    # path:44 diameter 43, whose 3 diam = 129 passes 127
+    module = importlib.import_module("medianlab.classify")
+    pack, widths = module.pack_fields, []
+
+    def recording(values, width):
+        widths.append(width)
+        return pack(values, width)
+
+    monkeypatch.setattr(module, "pack_fields", recording)
+    next(_median_counts(generate(spec)))
+    assert set(widths) == {bits}
 
 
 def test_packed_walk_matches_the_walk_by_columns():
@@ -630,9 +651,10 @@ def test_packed_walk_matches_the_walk_by_columns():
 @pytest.mark.parametrize("k", [3, 4, 21, 22, 100, 129, 600])
 def test_even_cycle_witnesses_in_closed_form(k):
     # C_2k: (0, 1, z) has its one median at 0 or 1, and (0, 2, k + 1) is
-    # the first triple without exactly one median, and it has none; k = 3,
-    # 4 and 21 take 8-bit fields, k = 22 and 100 16-bit fields from bytes
-    # rows, and k = 129 and 600 16-bit fields from array rows
+    # the first triple without exactly one median, and it has none; the
+    # diameter is k, so k = 3, 4, 21 and 22 take 8-bit fields, k = 100
+    # 16-bit fields from bytes rows, and k = 129 and 600 16-bit fields from
+    # array rows
     scans = _Scans(cycle(2 * k))
     assert scans.median_violation == scans.modular_violation == (0, 2, k + 1)
 
@@ -643,11 +665,16 @@ def test_even_cycle_witnesses_in_closed_form(k):
     (["pairing", "double", "tests/data/report_inputs/pairing_counterexample.graph"],
      "pairing_counterexample_double.json"),
     (["classify", "cycle:300"], "classify_cycle300.json"),
+    (["classify", "tests/data/report_inputs/benzenoid_chain12.graph"],
+     "classify_benzenoid_chain12.json"),
 ])
 def test_large_classify_stdout_is_pinned(capsys, monkeypatch, argv, name):
     # the half-ball self-check at a few hundred vertices, through the CLI, the
-    # packed triple walk on array('H') rows (cycle:300, not median), and the
-    # slowest exact-LP path, `pairing double` on the counterexample graph
+    # packed triple walk on array('H') rows (cycle:300, not median), the
+    # slowest exact-LP path, `pairing double` on the counterexample graph,
+    # and the 12-cell benzenoid chain: 50 vertices, diameter 25 and not
+    # median, whose walk takes 8-bit fields by its diameter where a width
+    # read off n would take 16
     root = Path(__file__).parent.parent
     monkeypatch.chdir(root)
     assert main(argv) == 0

@@ -170,8 +170,10 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     code, out, _ = capture(capsys, ["classify", "nosuchfile.graph"])
     assert code == 2
     assert "error" in json.loads(out)
-    code, out, _ = capture(capsys, ["median", "cycle:6", "--profile", "0:x"])
-    assert code == 2
+    # a token whose multiplicity is not an int, or is empty after its colon
+    for profile in ("0:x", "0:", "0: 3"):
+        code, out, _ = capture(capsys, ["median", "cycle:6", "--profile", profile])
+        assert code == 2 and "bad profile token" in json.loads(out)["error"], profile
     code, out, _ = capture(
         capsys, ["pairing", "check", "cycle:6", "--profile", "0 1 2"]
     )

@@ -134,9 +134,24 @@ def test_packed_fields_take_linear_time():
         assert pack_fields(row, bits) == pack_fields(list(row), bits)
         assert list(unpack_fields(pack_fields(row, bits), bits, 4)) == list(row)
     assert pack_fields(bytes(list(row)), 8) == pack_fields(tuple(row), 8) == 0x017F0003
-    # the triple walk's width, field_bits(3 (n - 1)), at every vertex count
+    # the triple walk's width is field_bits(3 diam), and diam <= n - 1, so
+    # under the vertex cap no walk takes fields wider than 16 bits
     assert all(field_bits(3 * (n - 1)) == (8 if n <= 43 else 16)
                for n in range(1, MAX_VERTICES + 1))
+
+
+def test_diameter_scans_the_rows_once():
+    class CountedRows(tuple):
+        scans = 0
+
+        def __iter__(self):
+            CountedRows.scans += 1
+            return super().__iter__()
+
+    g = cycle(9)
+    g.dist = CountedRows(g.dist)
+    assert g.diameter == g.diameter == 4
+    assert CountedRows.scans == 1
 
 
 def test_component_labels_match_networkx():
