@@ -1,10 +1,10 @@
 """Immutable simple connected graphs with cached all-pairs distances.
 
 Distances are hop counts, computed once by breadth-first search from every
-vertex.  Every other primitive (intervals, gates, balls, quasi-medians) is a
-pure read of that table, so instances are safe to share freely.  The
-diameter, which sets the width of the packed fields below, is read off
-the table on first use and kept, as the automorphisms are.
+vertex.  Every other primitive (intervals, gates, balls) is a pure read of
+that table, so instances are safe to share freely.  The diameter, which
+sets the width of the packed fields below, is read off the table on first
+use and kept, as the automorphisms are.
 
 Each distance row is `bytes` while n <= 256, so that no distance passes
 255, and an `array('H')` above that.  A row then costs n or 2n bytes, where
@@ -33,6 +33,7 @@ the orbit search and `component_labels` share.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from collections import deque
 from collections.abc import Iterable
@@ -179,12 +180,6 @@ class Graph:
         dv = self.dist[v]
         return frozenset(x for x in range(self.n) if dv[x] <= r)
 
-    def half_ball(self, v: int, r: int, side: int) -> frozenset[int]:
-        """Ball intersected with the color class containing the vertex `side`."""
-        cls0, cls1 = self.bipartition()
-        mask = cls0 if side in cls0 else cls1
-        return self.ball(v, r) & mask
-
     def gate(self, x: int, members: Iterable[int]):
         """The unique vertex of `members` on shortest paths from x to all of
         them, or None if no such vertex exists."""
@@ -220,29 +215,6 @@ class Graph:
             and i13 & i23 == {v3}
         )
 
-    def quasi_median(self, x: int, y: int, z: int) -> tuple[int, int, int]:
-        """A metric triangle (v1,v2,v3) splitting the three pairwise
-        distances of x,y,z, lexicographically smallest among valid triples.
-
-        A size-0 result means the triplet has a median vertex.
-        """
-        d = self.dist
-        c1 = sorted(self.interval(x, y) & self.interval(x, z))
-        c2 = sorted(self.interval(y, x) & self.interval(y, z))
-        c3 = sorted(self.interval(z, x) & self.interval(z, y))
-        for v1 in c1:
-            for v2 in c2:
-                if d[x][y] != d[x][v1] + d[v1][v2] + d[v2][y]:
-                    continue
-                for v3 in c3:
-                    if d[y][z] != d[y][v2] + d[v2][v3] + d[v3][z]:
-                        continue
-                    if d[z][x] != d[z][v3] + d[v3][v1] + d[v1][x]:
-                        continue
-                    if self.is_metric_triangle(v1, v2, v3):
-                        return (v1, v2, v3)
-        raise RuntimeError("no quasi-median found; distance table corrupt")
-
 
 # -- packed fields (module docstring) -------------------------------------------
 
@@ -264,25 +236,45 @@ def field_masks(bits: int, n: int) -> tuple[int, int]:
     return ones, ones << bits - 1
 
 
+# the array typecode of each field width of 8 to 64 bits, by item size
+_TYPECODES = {8 * array(code).itemsize: code for code in "QLIHB"}
+
+
 def pack_fields(values, bits: int) -> int:
     """One int whose field i holds values[i], read by value from any
     sequence of ints: at 8 bits `bytes` as they are and a tuple or list by
     `int.from_bytes`; an `array('H')` row, whose buffer holds two bytes a
-    value, and every wider field through the `to_bytes` of each value."""
+    value, and every field of 16, 32 or 64 bits through a little-endian
+    `array` of that item size (a `bytes` row through its iterator, since
+    `array` would take the bytes as its buffer); a wider field through the
+    `to_bytes` of each value."""
     if bits > 8 or isinstance(values, array):
-        width = bits // 8
-        values = b"".join([v.to_bytes(width, "little") for v in values])
+        code = _TYPECODES.get(bits)
+        if code is None:
+            width = bits // 8
+            values = b"".join([v.to_bytes(width, "little") for v in values])
+        else:
+            fields = array(code, iter(values) if isinstance(values, (bytes, bytearray)) else values)
+            if sys.byteorder == "big":
+                fields.byteswap()
+            values = fields.tobytes()
     return int.from_bytes(values, "little")
 
 
 def unpack_fields(packed: int, bits: int, n: int):
     """The n fields of a `pack_fields` int, as `bytes` (8 bits) or a list
-    (wider)."""
+    (wider), read through an `array` up to 64 bits."""
     raw = packed.to_bytes(n * bits // 8, "little")
     if bits == 8:
         return raw
-    width = bits // 8
-    return [int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
+    code = _TYPECODES.get(bits)
+    if code is None:
+        width = bits // 8
+        return [int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
+    fields = array(code, raw)  # bytes: read as the array's buffer
+    if sys.byteorder == "big":
+        fields.byteswap()
+    return fields.tolist()
 
 
 # -- automorphisms --------------------------------------------------------------

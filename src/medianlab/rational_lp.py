@@ -8,6 +8,17 @@ to minimize: `solve` minimizes one objective, and `minimize_warm` runs
 phase 1 once, since it depends only on the constraints, and starts each
 objective's phase 2 where the previous objective's ended.
 
+The two may start from different bases.  `solve` takes the canonical start
+of `_phase_one`: every LE row on its slack, every GE and EQ row on an
+artificial column.  Its points are pinned by the goldens (the witnesses of
+`pairing double` and `pairing local`), and a different starting basis can
+end at a different optimal vertex, so that start stays.  `minimize_warm`
+hands out values only, which do not depend on the basis, so it takes the
+slack start: a GE row whose right-hand side is 0 is negated and starts on
+its surplus, and only the other GE rows and the EQ rows get artificials
+(in the Me(u) slice of `pairing`, the row sum b = 1 alone).  The canonical start is built lazily, at most once per walk, for
+the first objective whose point is handed out.
+
 Inside the tableau an entry is a Python `int` while its value is an
 integer and a `Fraction` only when it is not (`_exact`): most entries and
 most pivots of the pairing polytopes are integral, and int arithmetic is
@@ -70,17 +81,23 @@ class RationalLinearSystem:
     def minimize_warm(self, objectives):
         """Yield one LPResult per objective, minimized over these constraints.
 
-        Phase 1 runs once.  Each objective's phase 2 starts from the basis
-        where the previous objective's phase 2 stopped, which is still
-        feasible, and Bland's rule terminates from any feasible basis; so
-        every status and value equals what `solve` gives for that objective
-        alone.  The point a warm start reaches depends on the objectives
-        before it, so it is not handed out: the point is None, except for
-        an objective whose minimum is negative or unbounded, which is solved
-        again from the phase-1 tableau and carries the point of a fresh
-        solve.  Objectives are read lazily.
+        Phase 1 runs once, on the slack start (module docstring).  Each
+        objective's phase 2 starts from the basis where the previous
+        objective's phase 2 stopped, which is still feasible, and Bland's
+        rule terminates from any feasible basis; so every status and value
+        equals what `solve` gives for that objective alone.  The point a
+        warm start reaches depends on the starting basis and on the
+        objectives before it, so it is not handed out: the point is None,
+        except for an objective whose minimum is negative or unbounded,
+        which is solved again from the canonical phase-1 tableau and
+        carries the point of a fresh solve.  That tableau is built on the
+        first such objective and kept; when no GE row has right-hand side
+        0 the two starts coincide, and the one tableau serves both.
+        Objectives are read lazily.
         """
-        start = _phase_one(self.num_vars, self.constraints)
+        slack = any(map(_on_surplus, self.constraints))
+        start = _phase_one(self.num_vars, self.constraints, slack_start=slack)
+        canonical = None if slack else start
         if start is not None:
             tab, allowed = start
             warm = tab.copy()
@@ -94,7 +111,9 @@ class RationalLinearSystem:
             if warm.run(allowed) == "optimal" and warm.value >= 0:
                 yield LPResult("optimal", None, warm.value)
             else:
-                yield _phase_two(tab, allowed, self.num_vars, coeffs)
+                if canonical is None:
+                    canonical = _phase_one(self.num_vars, self.constraints)
+                yield _phase_two(*canonical, self.num_vars, coeffs)
 
 
 @dataclass
@@ -226,25 +245,40 @@ def _eliminate(row, f, support):
     return row
 
 
-def _phase_one(num_vars, constraints):
+def _on_surplus(con) -> bool:
+    """A GE row whose right-hand side is 0: the slack start puts it on its
+    surplus."""
+    return con.sense == GE and not con.rhs
+
+
+def _phase_one(num_vars, constraints, slack_start=False):
     """Build the tableau from constraints as `RationalLinearSystem.add`
     stores them (exactly num_vars wide, in the tableau's form, right-hand
     side nonnegative) and drive it to a feasible basis with the artificial
     columns gone.
 
+    The canonical start puts every GE and EQ row on an artificial column.
+    With `slack_start`, a GE row whose right-hand side is 0 is negated
+    instead, -a x + s = 0, and starts on its surplus s, which is already
+    feasible at value 0 (module docstring).
+
     Returns (tableau, allowed columns), or None when infeasible.  The
     tableau is only read afterwards: phase two works on a copy.
     """
+    on_slack = [con.sense == LE or (slack_start and _on_surplus(con)) for con in constraints]
     n_slack = sum(1 for con in constraints if con.sense != EQ)
-    n_art = sum(1 for con in constraints if con.sense != LE)
+    n_art = on_slack.count(False)
     ncols = num_vars + n_slack + n_art
     padding = [0] * (n_slack + n_art)
 
     rows, basis, art_cols = [], [], []
     slack_at, art_at = num_vars, num_vars + n_slack
-    for con in constraints:
-        row = [*con.coeffs, *padding, con.rhs]
-        if con.sense == LE:
+    for con, slack in zip(constraints, on_slack):
+        if slack and con.sense == GE:
+            row = [*(-c for c in con.coeffs), *padding, 0]
+        else:
+            row = [*con.coeffs, *padding, con.rhs]
+        if slack:
             row[slack_at] = 1
             basis.append(slack_at)
             slack_at += 1

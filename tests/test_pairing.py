@@ -4,6 +4,7 @@ import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import islice
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
@@ -11,8 +12,11 @@ import pytest
 from scipy.optimize import linprog
 
 import medianlab.pairing as pairing_module
+from medianlab import rational_lp
+from medianlab.cli import main
 from medianlab.combinatorics import maximal_cliques, maximal_stable_sets, stable_sets
 from medianlab.errors import BudgetError, InputError
+from medianlab.formats import graph_from_text
 from medianlab.graph import (
     Graph,
     bn,
@@ -47,6 +51,8 @@ from medianlab.profiles import Profile, canonical_profiles, f_vector, median_set
 from medianlab.rational_lp import EQ, GE, LE, RationalLinearSystem, _phase_one, _phase_two, _Tableau
 
 from conftest import all_pairings, brute_force_max_pairing, random_connected_graph
+
+ROOT = Path(__file__).parent.parent
 
 
 def test_pairing_cost_and_covers():
@@ -659,7 +665,7 @@ def test_ma_violation_search_matches_from_scratch_solves():
 def test_ma_violation_search_warm_starts_phase_two(monkeypatch):
     # grid(3,3) at a corner: 111 stable sets and no violation, so the walk
     # runs to the end; warm phase 2s pivot far less than cold ones, each of
-    # which starts from the one phase-1 tableau
+    # which starts from the one canonical phase-1 tableau
     g, u = grid(3, 3), 0
     count = [0]
     pivot = _Tableau.pivot
@@ -682,15 +688,52 @@ def test_ma_violation_search_warm_starts_phase_two(monkeypatch):
     assert min(_phase_two(tab, allowed, g.n, obj).value for obj in objectives) >= 0
     assert 4 * warm < count[0], (warm, count[0])
     # the exact pivot work of the warm walks, pinned: the tableau's entry
-    # types must not change the pivot sequence
-    assert warm == 31
-    for u, pivots in ((1, 51), (4, 55)):
+    # types must not change the pivot sequence; the Me(u) walks start on
+    # their slack basis, with one artificial column (row sum 1), and the
+    # double matching-stable-set walk, whose escape rows are LE rows, on the
+    # canonical basis, which is its slack basis too
+    assert warm == 14
+    for u, pivots in ((1, 31), (4, 30)):
         count[0] = 0
         assert ma_violation_search(g, u) is None
         assert count[0] == pivots, u
     count[0] = 0
     assert matching_stable_set_check(local_graph(hypercube(3), 0).graph, "double").holds
     assert count[0] == 38
+
+
+def test_ma_walk_builds_the_canonical_start_only_for_a_witness(monkeypatch):
+    # the walk runs on the slack start; the canonical phase 1, whose
+    # tableau the witness point is read from, is built only when a stable
+    # set fails, and once
+    builds = []
+
+    def counted(num_vars, constraints, slack_start=False, build=rational_lp._phase_one):
+        builds.append(slack_start)
+        return build(num_vars, constraints, slack_start)
+
+    monkeypatch.setattr(rational_lp, "_phase_one", counted)
+    assert ma_violation_search(grid(3, 3), 0) is None
+    assert builds == [True]
+    builds.clear()
+    text = (ROOT / "tests" / "data" / "report_inputs" / "double_counterexample.graph").read_text()
+    violation = ma_violation_search(graph_from_text(text), 0)
+    assert violation.stable_set == {9, 10} and violation.optimum < 0
+    assert builds == [True, False]
+
+
+@pytest.mark.parametrize("graph, name, code", [
+    ("tests/data/report_inputs/double_counterexample.graph",
+     "pairing_double_double_counterexample.json", 1),
+    ("grid:4,4", "pairing_double_grid4x4.json", 0),
+])
+def test_pairing_double_stdout_is_pinned(capsys, monkeypatch, graph, name, code):
+    # a failing walk, whose witness point comes from the canonical phase 1
+    # built for it, and a walk that holds at the three orbit-least vertices
+    # of grid:4,4
+    monkeypatch.chdir(ROOT)
+    assert main(["pairing", "double", graph]) == code
+    assert capsys.readouterr().out == (ROOT / "tests" / "data" / name).read_text()
 
 
 def test_double_pairing_small_graphs():

@@ -212,6 +212,57 @@ def test_minimize_warm_matches_fresh_solves_on_random_systems():
     assert all(seen.values()), seen
 
 
+def me_shaped_systems(seed, count):
+    """(num_vars, constraints, objectives) shaped like the Me(u) slice of
+    `pairing.ma_violation_search`: homogeneous GE rows, some of them all
+    zero, and in most systems the row sum 1 as an EQ row; without it the
+    system is a cone, where a minimum is 0 or unbounded."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 6)
+        cons = []
+        for _ in range(rng.randint(1, 6)):
+            zero = rng.random() < 0.15
+            cons.append(([0 if zero else rng.randint(-3, 3) for _ in range(n)], GE, 0))
+        if rng.random() < 0.8:
+            cons.append(([1] * n, EQ, 1))
+        objectives = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(2, 6))]
+        yield n, cons, objectives
+
+
+def test_slack_start_matches_fresh_solves_on_me_shaped_systems(monkeypatch):
+    # the walk starts on the surplus of every homogeneous GE row, so only
+    # the EQ row takes an artificial column; every status, value and point
+    # handed out still equals a fresh solve's, and the canonical start is
+    # built once, and only for a walk that hands out a point
+    builds = []
+
+    def counted(num_vars, constraints, slack_start=False, build=rational_lp._phase_one):
+        builds.append(slack_start)
+        return build(num_vars, constraints, slack_start)
+
+    seen = {"optimal": 0, "unbounded": 0, "infeasible": 0, "negative": 0, "zero row": 0}
+    for n, cons, objectives in me_shaped_systems(43, 300):
+        fresh = assert_warm_matches_fresh(n, cons, objectives)
+        system = make(n, cons)
+        start = _phase_one(n, system.constraints, slack_start=True)
+        if start is not None:  # a surplus per GE row, an artificial per EQ row
+            assert start[0].ncols == n + len(cons)
+        resolved = any(
+            r.status == "unbounded" or (r.status == "optimal" and r.value < 0) for r in fresh
+        )
+        builds.clear()
+        with monkeypatch.context() as m:
+            m.setattr(rational_lp, "_phase_one", counted)
+            list(system.minimize_warm(objectives))
+        assert builds == [True] + [False] * resolved
+        for result in fresh:
+            seen[result.status] += 1
+            seen["negative"] += result.status == "optimal" and result.value < 0
+        seen["zero row"] += any(not any(coeffs) for coeffs, _, _ in cons)
+    assert all(seen.values()), seen
+
+
 def test_set_costs_updates_match_fresh_reduced_costs(monkeypatch):
     # set_costs adds only the change of the cost vector to the objective
     # row; after every objective of a warm walk, before and after its
